@@ -1,6 +1,15 @@
 """Subsets of a finite carrier encoded as int bit vectors."""
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
+
+# Carriers of at most this many elements have every subset mask below
+# 256: `bits` answers from a table, and a subset of the carrier fits in
+# one byte of a per-mask memo table.
+SMALL_N = 8
+
+_SMALL_BITS = tuple(
+    tuple(i for i in range(SMALL_N) if m >> i & 1) for m in range(1 << SMALL_N)
+)
 
 
 def mask_of(elems: Iterable[int]) -> int:
@@ -10,12 +19,32 @@ def mask_of(elems: Iterable[int]) -> int:
     return m
 
 
-def bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> tuple[int, ...]:
     """Indices of the set bits, ascending."""
+    if 0 <= mask < 1 << SMALL_N:
+        return _SMALL_BITS[mask]
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
+
+
+def subset_fold(
+    values: Sequence[int], empty: int, op: Callable[[int, int], int]
+) -> list[int]:
+    """Entry m folds `op` over values[i] for the set bits i of m.
+
+    Covers every mask below 2**len(values); entry 0 is `empty`.  Each
+    entry extends the entry of its mask without the lowest bit, so the
+    whole table costs one `op` per mask.
+    """
+    out = [empty] * (1 << len(values))
+    for m in range(1, len(out)):
+        low = m & -m
+        out[m] = op(out[m ^ low], values[low.bit_length() - 1])
+    return out
 
 
 def submasks(universe: int) -> Iterator[int]:

@@ -16,6 +16,7 @@ from .battery import GROUPS, run_battery
 from .bitsets import bits
 from .coann import coann_family, coannihilator, coannulet_table
 from .errors import (
+    BadN,
     ImproperFilter,
     InvalidBaseLattice,
     MalformedTables,
@@ -422,6 +423,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (
+        BadN,
         CliError,
         StructureFileError,
         MalformedTables,

@@ -8,10 +8,11 @@ sublattice of it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bitsets import bits
+from .bitsets import bits, subset_fold
 from .errors import UnknownMember
 from .filters import canonical_sort
 from .structure import Structure
@@ -38,12 +39,7 @@ def coannihilator(s: Structure, f: int, x_set: int) -> int:
 
 def coann_subset_table(s: Structure, f: int) -> list[int]:
     """(f : X) for every subset mask X, by shared-prefix folding."""
-    table = coannulet_table(s, f)
-    out = [s.full] * (1 << s.n)
-    for m in range(1, 1 << s.n):
-        low = m & -m
-        out[m] = out[m ^ low] & table[low.bit_length() - 1]
-    return out
+    return subset_fold(coannulet_table(s, f), s.full, operator.and_)
 
 
 @dataclass(frozen=True, eq=False)

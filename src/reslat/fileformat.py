@@ -33,12 +33,10 @@ def _parse_table(data, field: str, index: dict[str, int]):
     for row in data:
         if not isinstance(row, list) or len(row) != n:
             raise StructureFileError(f"{field} rows must have {n} entries")
-        try:
-            rows.append(tuple(index[v] for v in row))
-        except KeyError as exc:
-            raise StructureFileError(
-                f"{field} entry is not an element name: {exc.args[0]!r}"
-            ) from None
+        for v in row:
+            if not isinstance(v, str) or v not in index:
+                raise StructureFileError(f"{field} entry is not an element name: {v!r}")
+        rows.append(tuple(index[v] for v in row))
     return tuple(rows)
 
 
@@ -52,18 +50,21 @@ def _parse_order(data, index: dict[str, int]):
         for row in matrix:
             if not isinstance(row, list) or len(row) != n:
                 raise StructureFileError(f"leq must be a {n}x{n} 0/1 matrix")
+            if any(type(v) is not int or v not in (0, 1) for v in row):
+                raise StructureFileError(f"leq entries must be 0 or 1, got {row!r}")
             up.append(sum(1 << y for y in range(n) if row[y]))
         pairs = [(x, y) for x in range(n) for y in range(n) if up[x] >> y & 1]
         return order_from_pairs(n, pairs)
+    if not isinstance(data["order"], list):
+        raise StructureFileError("order must be a list of [low, high] name pairs")
     pairs = []
     for entry in data["order"]:
         if not isinstance(entry, list) or len(entry) != 2:
             raise StructureFileError("order entries must be [low, high] name pairs")
-        a, b = entry
-        if a not in index or b not in index:
-            missing = a if a not in index else b
-            raise StructureFileError(f"order entry is not an element name: {missing!r}")
-        pairs.append((index[a], index[b]))
+        for v in entry:
+            if not isinstance(v, str) or v not in index:
+                raise StructureFileError(f"order entry is not an element name: {v!r}")
+        pairs.append((index[entry[0]], index[entry[1]]))
     return order_from_pairs(n, pairs)
 
 
@@ -76,9 +77,11 @@ def _parse_common(data):
     elements = data["elements"]
     if not isinstance(elements, list) or len(elements) < 2:
         raise StructureFileError("elements must list at least two names")
+    if not all(isinstance(e, str) for e in elements):
+        raise StructureFileError("element names must be strings")
     index = _name_index(elements)
     for field in ("bot", "top"):
-        if data[field] not in index:
+        if not isinstance(data[field], str) or data[field] not in index:
             raise StructureFileError(f"{field} is not an element name: {data[field]!r}")
     return elements, index
 
@@ -128,15 +131,21 @@ def structure_name(data: dict, fallback: str) -> str:
     return name
 
 
-def load_structure(path) -> tuple[Structure, str]:
-    """Parse a structure file; returns the structure and its name."""
-    path = Path(path)
+def _read_json(path: Path):
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise StructureFileError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise StructureFileError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise StructureFileError(f"{path} nests JSON too deeply") from None
+
+
+def load_structure(path) -> tuple[Structure, str]:
+    """Parse a structure file; returns the structure and its name."""
+    path = Path(path)
+    data = _read_json(path)
     return parse_structure(data, path.stem), structure_name(data, path.stem)
 
 
@@ -161,12 +170,7 @@ def dump_structure(s: Structure, name: str) -> dict:
 def load_lattice(path) -> tuple[Lattice, str]:
     """Parse only the order part of a structure file into a lattice."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise StructureFileError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise StructureFileError(f"{path} is not valid JSON: {exc}") from None
+    data = _read_json(path)
     elements, index = _parse_common(data)
     n = len(elements)
     if "order" in data or "leq" in data:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bitsets import bits
+from .bitsets import SMALL_N, bits
 from .errors import UnknownFilter
 from .structure import Structure
 
@@ -50,7 +50,19 @@ def down_closure(s: Structure, m: int) -> int:
 
 
 def generated_filter(s: Structure, gens: int) -> int:
-    """Least filter containing `gens`: upward closure of the product closure."""
+    """Least filter containing `gens`, memoised per structure on small
+    carriers."""
+    if s.n > SMALL_N:
+        return filter_closure(s, gens)
+    memo = s.filter_memo
+    f = memo[gens]
+    if not f:
+        f = memo[gens] = filter_closure(s, gens)
+    return f
+
+
+def filter_closure(s: Structure, gens: int) -> int:
+    """Upward closure of the product closure of `gens`, without the memo."""
     cur = gens | (1 << s.top)
     while True:
         nxt = cur
@@ -202,10 +214,6 @@ def generated_ideal(s: Structure, gens: int) -> int:
             break
         cur = nxt
     return down_closure(s, cur)
-
-
-def principal_ideal(s: Structure, x: int) -> int:
-    return s.down[x]
 
 
 def ideal_join(s: Structure, i: int, j: int) -> int:

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import permutations
 
 from .bitsets import bits
-from .errors import InvalidBaseLattice, MalformedTables, SizeOutOfRange
+from .errors import BadN, InvalidBaseLattice, MalformedTables, SizeOutOfRange
 from .filters import all_filters
 from .normality import normality_report
 from .spectra import spectrum
@@ -230,6 +230,8 @@ class SearchSpec:
             raise SizeOutOfRange(f"supported sizes are 2..{MAX_SIZE}")
         if self.base_lattice is not None and self.base_lattice.n != self.size:
             raise InvalidBaseLattice("base lattice size disagrees with the search size")
+        if self.limit is not None and self.limit < 1:
+            raise BadN(f"search limit must be at least 1, got {self.limit}")
 
 
 @dataclass(frozen=True)

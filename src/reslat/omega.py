@@ -8,10 +8,11 @@ with intersection as meet.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bitsets import bits
+from .bitsets import SMALL_N, bits, subset_fold
 from .coann import coannulet_table
 from .errors import EmptyArgument, ImproperFilter, RepresentationMismatch, UnknownMember
 from .filters import all_ideals, canonical_sort, generated_filter, generated_ideal, is_ideal
@@ -20,14 +21,24 @@ from .structure import Structure, subset_repr
 
 def omega(s: Structure, f: int, x_set: int) -> int:
     """Union of (f : x) over x in x_set.  Raw mask; a filter when x_set
-    is join closed, but not in general."""
+    is join closed, but not in general.
+
+    On small carriers the unions over every subset are tabulated once
+    per (structure, base) and kept on the structure.
+    """
     if x_set == 0:
         raise EmptyArgument("omega needs a nonempty subset")
-    table = coannulet_table(s, f)
-    out = 0
-    for x in bits(x_set):
-        out |= table[x]
-    return out
+    if s.n > SMALL_N:
+        table = coannulet_table(s, f)
+        out = 0
+        for x in bits(x_set):
+            out |= table[x]
+        return out
+    unions = s.omega_memo.get(f)
+    if unions is None:
+        unions = bytes(subset_fold(coannulet_table(s, f), 0, operator.or_))
+        s.omega_memo[f] = unions
+    return unions[x_set]
 
 
 @dataclass(frozen=True)

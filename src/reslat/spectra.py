@@ -7,7 +7,7 @@ from functools import lru_cache
 
 from .bitsets import bits
 from .errors import Overlap
-from .filters import all_filters, canonical_sort, generated_filter
+from .filters import all_filters, canonical_sort
 from .structure import Structure
 
 
@@ -167,8 +167,3 @@ def generated_by_primes(s: Structure, x_set: int) -> int:
 def generated_by_minimal_primes(s: Structure, x_set: int) -> int:
     """Intersection of the x_set-minimal primes (full carrier if none)."""
     return intersection_of(minimal_primes_over(s, x_set), s.full)
-
-
-def generated_filter_of(s: Structure, x_set: int) -> int:
-    # Convenience re-export used by spectral identities.
-    return generated_filter(s, x_set)

@@ -29,6 +29,15 @@ class Structure:
 
     Construction checks only shapes and index ranges; whether the tables
     satisfy the axioms is decided by `validate_structure`.
+
+    Derived data lives in lazily built `cached_property` slots that die
+    with the structure: the order masks `up`/`down`, the hash (computed
+    once, since every cached analysis hashes its structure on each
+    lookup), and two memo tables filled by the analyses on carriers of
+    at most `SMALL_N` elements.  `filter_memo` holds the filter generated
+    by each subset mask (`filters.generated_filter`); `omega_memo` maps a
+    base filter to its coannulet unions over every subset mask
+    (`omega.omega`).
     """
 
     n: int
@@ -60,6 +69,25 @@ class Structure:
             raise MalformedTables("bot/top index out of range")
         if self.bot == self.top:
             raise MalformedTables("bot and top must be distinct")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        tables = (self.join, self.meet, self.times, self.residuum)
+        return hash((self.n, self.names, *tables, self.bot, self.top))
+
+    @cached_property
+    def filter_memo(self) -> bytearray:
+        """Slot m is the filter generated by mask m, or 0 while not yet
+        computed (no filter is empty)."""
+        return bytearray(1 << self.n)
+
+    @cached_property
+    def omega_memo(self) -> dict[int, bytes]:
+        """Base filter f -> slot X is the union of (f : x) over x in X."""
+        return {}
 
     @cached_property
     def full(self) -> int:

@@ -191,6 +191,47 @@ def test_search_with_base_lattice_finds_fixture(capsys, a6):
     assert canonical_key(a6).hex() in keys
 
 
+def _set_bot(data):
+    data["bot"] = ["0"]
+
+
+def _set_times_entry(data):
+    data["times"][0][0] = ["0"]
+
+
+def _set_order(data):
+    data["order"] = 5
+
+
+@pytest.mark.parametrize("corrupt", [_set_bot, _set_times_entry, _set_order])
+def test_wrongly_typed_field_is_usage_error(capsys, tmp_path, corrupt):
+    data = json.loads(Path(fixture("a6.json")).read_text())
+    corrupt(data)
+    p = tmp_path / "typed.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "validate", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("reslat: error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_json_is_usage_error(capsys, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "validate", str(p))
+    assert code == 2
+    assert out == ""
+    assert "too deeply" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_search_rejects_non_positive_limit(capsys, limit):
+    code, out, err = run_cli(capsys, "search", "--size", "3", "--limit", limit)
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
+
+
 def test_search_usage_error(capsys):
     code, _, err = run_cli(capsys, "search")
     assert code == 2

@@ -83,3 +83,15 @@ def test_dump_contains_cover_pairs(a6):
     data = dump_structure(a6, "A6")
     assert ["d", "1"] in data["order"]
     assert len(data["order"]) == 6
+
+
+@pytest.mark.parametrize("entry", ["yes", 2, -1, True, 0.5, None, [1]])
+def test_leq_entries_must_be_zero_or_one(a6, fixtures_dir, entry):
+    data = json.loads((fixtures_dir / "a6.json").read_text())
+    del data["order"]
+    data["leq"] = [
+        [1 if a6.join[x][y] == y else 0 for y in range(a6.n)] for x in range(a6.n)
+    ]
+    data["leq"][0][1] = entry
+    with pytest.raises(StructureFileError, match="leq entries must be 0 or 1"):
+        parse_structure(data)

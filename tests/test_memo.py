@@ -1,0 +1,96 @@
+"""The per-structure memo tables answer exactly as the uncached routines."""
+
+from dataclasses import replace
+
+import pytest
+
+from reslat.bitsets import bits
+from reslat.coann import coannulet_table
+from reslat.filters import all_filters, filter_closure, generated_filter
+from reslat.modelgen import SearchSpec, enumerate_residuated
+from reslat.omega import omega
+from reslat.structure import Structure, validate_structure
+
+
+@pytest.fixture(scope="module")
+def structures(a6):
+    """Every census class of size 2 to 5, then the a6 fixture."""
+    out = [
+        rec.structure
+        for size in (2, 3, 4, 5)
+        for rec in enumerate_residuated(SearchSpec(size=size))
+    ]
+    assert len(out) == 1 + 2 + 7 + 26
+    return [*out, a6]
+
+
+def godel_chain(n: int) -> Structure:
+    """The n-element chain with product = meet; past the memo size for n > 8."""
+    maxs = [[max(x, y) for y in range(n)] for x in range(n)]
+    mins = [[min(x, y) for y in range(n)] for x in range(n)]
+    res = [[n - 1 if x <= y else y for y in range(n)] for x in range(n)]
+    return Structure(
+        n=n,
+        names=[str(i) for i in range(n)],
+        join=maxs,
+        meet=mins,
+        times=mins,
+        residuum=res,
+        bot=0,
+        top=n - 1,
+    )
+
+
+def test_generated_filter_memo_matches_closure(structures):
+    for s in structures:
+        for _ in range(2):  # the first pass may fill slots, the second reads them
+            for m in range(1 << s.n):
+                assert generated_filter(s, m) == filter_closure(s, m)
+        assert all(s.filter_memo)
+
+
+def test_omega_table_matches_coannulet_union(structures):
+    for s in structures:
+        for f in all_filters(s).filters:
+            table = coannulet_table(s, f)
+            for x_set in range(1, 1 << s.n):
+                expected = 0
+                for x in bits(x_set):
+                    expected |= table[x]
+                assert omega(s, f, x_set) == expected
+
+
+def test_large_carrier_skips_the_memo():
+    s = godel_chain(9)
+    assert validate_structure(s).valid
+    for x in range(s.n):
+        up = sum(1 << y for y in range(x, s.n))
+        assert generated_filter(s, 1 << x | 1 << s.top) == up
+        assert omega(s, up, 1 << x) == s.full
+        trivial = s.full if x == s.top else 1 << s.top
+        assert omega(s, 1 << s.top, 1 << x | 1) == trivial
+    assert "filter_memo" not in vars(s) and "omega_memo" not in vars(s)
+
+
+def test_bits_lists_set_bits_ascending():
+    masks = [*range(0, 1 << 10), 0xFFFF, 1 << 40, (1 << 70) | (1 << 9) | 5]
+    for mask in masks:
+        assert bits(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_equal_structures_hash_equal(a6):
+    again = Structure(
+        n=a6.n,
+        names=list(a6.names),
+        join=[list(r) for r in a6.join],
+        meet=[list(r) for r in a6.meet],
+        times=[list(r) for r in a6.times],
+        residuum=[list(r) for r in a6.residuum],
+        bot=a6.bot,
+        top=a6.top,
+    )
+    generated_filter(a6, 3)
+    assert again is not a6
+    assert again == a6
+    assert hash(again) == hash(a6) == hash(a6)
+    assert replace(again, names=("z", *a6.names[1:])) != a6

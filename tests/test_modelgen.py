@@ -2,7 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
-from reslat.errors import InvalidBaseLattice, MalformedTables, SizeOutOfRange
+from reslat.errors import BadN, InvalidBaseLattice, MalformedTables, SizeOutOfRange
 from reslat.modelgen import (
     SearchSpec,
     canonical_key,
@@ -160,6 +160,12 @@ def test_size_two_census():
     assert s.times[s.top][s.top] == s.top
 
 
+# Belohlavek & Vychodil, "Residuated lattices of size <= 12", Order 27 (2010).
+@pytest.mark.parametrize("size, count", [(2, 1), (3, 2), (4, 7), (5, 26), (6, 129)])
+def test_census_matches_published_counts(size, count):
+    assert sum(1 for _ in enumerate_residuated(SearchSpec(size=size))) == count
+
+
 def test_census_structures_validate():
     for n in (2, 3, 4, 5):
         for rec in enumerate_residuated(SearchSpec(size=n)):
@@ -180,6 +186,12 @@ def test_canonical_only_prunes_soundly():
 def test_limit_caps_emission():
     recs = list(enumerate_residuated(SearchSpec(size=5, limit=3)))
     assert len(recs) == 3
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_non_positive_limit_rejected(limit):
+    with pytest.raises(BadN, match="limit"):
+        SearchSpec(size=3, limit=limit)
 
 
 def test_emission_is_sorted_and_deterministic():
