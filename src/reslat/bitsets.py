@@ -31,6 +31,39 @@ def bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def union_over(masks: Sequence[int], m: int) -> int:
+    """Union of masks[x] over the set bits x of m."""
+    out = 0
+    for x in bits(m):
+        out |= masks[x]
+    return out
+
+
+def closed_under(table: Sequence[Sequence[int]], m: int) -> bool:
+    """True iff table[x][y] is in m for every x and y in m."""
+    members = bits(m)
+    for x in members:
+        row = table[x]
+        for y in members:
+            if not m >> row[y] & 1:
+                return False
+    return True
+
+
+def closure_under(table: Sequence[Sequence[int]], m: int) -> int:
+    """Least superset of m that is closed under table."""
+    while True:
+        members = bits(m)
+        nxt = m
+        for x in members:
+            row = table[x]
+            for y in members:
+                nxt |= 1 << row[y]
+        if nxt == m:
+            return m
+        m = nxt
+
+
 def subset_fold(
     values: Sequence[int], empty: int, op: Callable[[int, int], int]
 ) -> list[int]:

@@ -42,6 +42,8 @@ def _parse_table(data, field: str, index: dict[str, int]):
 
 def _parse_order(data, index: dict[str, int]):
     n = len(index)
+    if "order" in data and "leq" in data:
+        raise StructureFileError("give order or leq, not both")
     if "leq" in data:
         matrix = data["leq"]
         if not isinstance(matrix, list) or len(matrix) != n:
@@ -94,6 +96,8 @@ def parse_structure(data: dict, fallback_name: str = "structure") -> Structure:
             raise StructureFileError(f"missing field: {field}")
 
     has_tables = "join" in data and "meet" in data
+    if not has_tables and ("join" in data or "meet" in data):
+        raise StructureFileError("give both join and meet tables, or neither")
     has_order = "order" in data or "leq" in data
     if not has_tables and not has_order:
         raise StructureFileError("give join and meet tables, or an order relation")

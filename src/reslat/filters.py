@@ -11,69 +11,63 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bitsets import SMALL_N, bits
+from .bitsets import SMALL_N, closed_under, closure_under, union_over
 from .errors import UnknownFilter
 from .structure import Structure
 
 
-def _times_closed(s: Structure, m: int) -> bool:
-    for x in bits(m):
-        row = s.times[x]
-        for y in bits(m):
-            if not m >> row[y] & 1:
-                return False
-    return True
+def _closed_cone(s: Structure, m: int, cone, table) -> bool:
+    """Nonempty, inside the carrier, containing cone[x] for each member
+    x, and closed under `table`."""
+    if m == 0 or m & ~s.full:
+        return False
+    return union_over(cone, m) == m and closed_under(table, m)
 
 
 def is_filter(s: Structure, m: int) -> bool:
     """True iff m is nonempty, upward closed and product closed."""
-    if m == 0 or m & ~s.full:
-        return False
-    for x in bits(m):
-        if s.up[x] & ~m:
-            return False
-    return _times_closed(s, m)
+    return _closed_cone(s, m, s.up, s.times)
 
 
-def up_closure(s: Structure, m: int) -> int:
-    out = 0
-    for x in bits(m):
-        out |= s.up[x]
-    return out
-
-
-def down_closure(s: Structure, m: int) -> int:
-    out = 0
-    for x in bits(m):
-        out |= s.down[x]
-    return out
+def is_ideal(s: Structure, m: int) -> bool:
+    """True iff m is nonempty, downward closed and join closed."""
+    return _closed_cone(s, m, s.down, s.join)
 
 
 def generated_filter(s: Structure, gens: int) -> int:
     """Least filter containing `gens`, memoised per structure on small
     carriers."""
+    return _generated(s, gens, "filter_memo", filter_closure)
+
+
+def generated_ideal(s: Structure, gens: int) -> int:
+    """Least ideal containing `gens`, memoised per structure on small
+    carriers."""
+    return _generated(s, gens, "ideal_memo", ideal_closure)
+
+
+def _generated(s: Structure, gens: int, memo_name: str, closure) -> int:
+    """closure(s, gens), kept in the structure's `memo_name` table when
+    the carrier has at most SMALL_N elements."""
     if s.n > SMALL_N:
-        return filter_closure(s, gens)
-    memo = s.filter_memo
-    f = memo[gens]
-    if not f:
-        f = memo[gens] = filter_closure(s, gens)
-    return f
+        return closure(s, gens)
+    memo = getattr(s, memo_name)
+    out = memo[gens]
+    if not out:
+        out = memo[gens] = closure(s, gens)
+    return out
 
 
 def filter_closure(s: Structure, gens: int) -> int:
-    """Upward closure of the product closure of `gens`, without the memo."""
-    cur = gens | (1 << s.top)
-    while True:
-        nxt = cur
-        for x in bits(cur):
-            row = s.times[x]
-            for y in bits(cur):
-                nxt |= 1 << row[y]
-        if nxt == cur:
-            break
-        cur = nxt
-    return up_closure(s, cur)
+    """Upward closure of the product closure of `gens` and top, without
+    the memo."""
+    return union_over(s.up, closure_under(s.times, gens | 1 << s.top))
+
+
+def ideal_closure(s: Structure, gens: int) -> int:
+    """Downward closure of the join closure of `gens` and bot, without
+    the memo."""
+    return union_over(s.down, closure_under(s.join, gens | 1 << s.bot))
 
 
 def principal_filter(s: Structure, x: int) -> int:
@@ -146,7 +140,7 @@ def canonical_sort(masks) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def all_filters(s: Structure) -> FilterLattice:
     """Enumerate every filter by scanning the upward closed subsets."""
-    found = [m for m in _upsets(s) if m and _times_closed(s, m)]
+    found = [m for m in _upsets(s) if m and closed_under(s.times, m)]
     filters = canonical_sort(found)
     index = {m: i for i, m in enumerate(filters)}
     k = len(filters)
@@ -186,36 +180,6 @@ def filters_by_subset_scan(s: Structure) -> tuple[int, ...]:
     return canonical_sort(m for m in range(1, s.full + 1) if is_filter(s, m))
 
 
-def is_ideal(s: Structure, m: int) -> bool:
-    """True iff m is nonempty, downward closed and join closed."""
-    if m == 0 or m & ~s.full:
-        return False
-    for x in bits(m):
-        if s.down[x] & ~m:
-            return False
-    for x in bits(m):
-        row = s.join[x]
-        for y in bits(m):
-            if not m >> row[y] & 1:
-                return False
-    return True
-
-
-def generated_ideal(s: Structure, gens: int) -> int:
-    """Least ideal containing `gens`: downward closure of the join closure."""
-    cur = gens | (1 << s.bot)
-    while True:
-        nxt = cur
-        for x in bits(cur):
-            row = s.join[x]
-            for y in bits(cur):
-                nxt |= 1 << row[y]
-        if nxt == cur:
-            break
-        cur = nxt
-    return down_closure(s, cur)
-
-
 def ideal_join(s: Structure, i: int, j: int) -> int:
     return generated_ideal(s, i | j)
 
@@ -224,17 +188,8 @@ def ideal_join(s: Structure, i: int, j: int) -> int:
 def all_ideals(s: Structure) -> tuple[int, ...]:
     """Every ideal of the lattice reduct, canonically sorted."""
     downs = (s.full ^ u for u in _upsets(s))
-    found = [m for m in downs if m and _join_closed(s, m)]
+    found = [m for m in downs if m and closed_under(s.join, m)]
     return canonical_sort(found)
-
-
-def _join_closed(s: Structure, m: int) -> bool:
-    for x in bits(m):
-        row = s.join[x]
-        for y in bits(m):
-            if not m >> row[y] & 1:
-                return False
-    return True
 
 
 def ideals_by_subset_scan(s: Structure) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bitsets import SMALL_N, bits, subset_fold
+from .bitsets import SMALL_N, subset_fold, union_over
 from .coann import coannulet_table
 from .errors import EmptyArgument, ImproperFilter, RepresentationMismatch, UnknownMember
 from .filters import all_ideals, canonical_sort, generated_filter, generated_ideal, is_ideal
@@ -29,11 +29,7 @@ def omega(s: Structure, f: int, x_set: int) -> int:
     if x_set == 0:
         raise EmptyArgument("omega needs a nonempty subset")
     if s.n > SMALL_N:
-        table = coannulet_table(s, f)
-        out = 0
-        for x in bits(x_set):
-            out |= table[x]
-        return out
+        return union_over(coannulet_table(s, f), x_set)
     unions = s.omega_memo.get(f)
     if unions is None:
         unions = bytes(subset_fold(coannulet_table(s, f), 0, operator.or_))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitsets import bits
+from .bitsets import closed_under, closure_under
 from .errors import Overlap
 from .filters import all_filters, canonical_sort
 from .structure import Structure
@@ -87,25 +87,7 @@ def is_join_closed(s: Structure, c: int) -> bool:
     """Nonempty and closed under binary joins."""
     if c == 0 or c & ~s.full:
         return False
-    for x in bits(c):
-        row = s.join[x]
-        for y in bits(c):
-            if not c >> row[y] & 1:
-                return False
-    return True
-
-
-def join_closure(s: Structure, c: int) -> int:
-    cur = c
-    while True:
-        nxt = cur
-        for x in bits(cur):
-            row = s.join[x]
-            for y in bits(cur):
-                nxt |= 1 << row[y]
-        if nxt == cur:
-            return cur
-        cur = nxt
+    return closed_under(s.join, c)
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +113,7 @@ def maximal_join_closed_avoiding(s: Structure, f: int, c: int) -> int:
     for x in range(s.n):
         if cur >> x & 1 or f >> x & 1:
             continue
-        cand = join_closure(s, cur | 1 << x)
+        cand = closure_under(s.join, cur | 1 << x)
         if not cand & f:
             cur = cand
     return cur

@@ -33,10 +33,11 @@ class Structure:
     Derived data lives in lazily built `cached_property` slots that die
     with the structure: the order masks `up`/`down`, the hash (computed
     once, since every cached analysis hashes its structure on each
-    lookup), and two memo tables filled by the analyses on carriers of
-    at most `SMALL_N` elements.  `filter_memo` holds the filter generated
-    by each subset mask (`filters.generated_filter`); `omega_memo` maps a
-    base filter to its coannulet unions over every subset mask
+    lookup), and three memo tables filled by the analyses on carriers of
+    at most `SMALL_N` elements.  `filter_memo` and `ideal_memo` hold the
+    filter and the ideal generated by each subset mask
+    (`filters.generated_filter`, `filters.generated_ideal`); `omega_memo`
+    maps a base filter to its coannulet unions over every subset mask
     (`omega.omega`).
     """
 
@@ -82,6 +83,12 @@ class Structure:
     def filter_memo(self) -> bytearray:
         """Slot m is the filter generated by mask m, or 0 while not yet
         computed (no filter is empty)."""
+        return bytearray(1 << self.n)
+
+    @cached_property
+    def ideal_memo(self) -> bytearray:
+        """Slot m is the ideal generated by mask m, or 0 while not yet
+        computed (every ideal contains bot)."""
         return bytearray(1 << self.n)
 
     @cached_property

@@ -72,6 +72,7 @@ def test_base_gen_prints_generated_filter(capsys):
         ("coann_f4_a6.txt", ("coann", "--base", "c,d,1")),
         ("omega_f2_a6.txt", ("omega", "--base", "d,1")),
         ("normality_a6.txt", ("normality",)),
+        ("verify_a6.txt", ("verify",)),
     ],
 )
 def test_golden_outputs(capsys, golden, argv):

@@ -1,0 +1,118 @@
+"""The shared closure helpers, and the battery's power to catch a broken closure."""
+
+import sys
+from dataclasses import replace
+
+import pytest
+
+from reslat import bitsets, filters
+from reslat.battery import run_battery
+from reslat.modelgen import SearchSpec, enumerate_residuated
+
+
+def census(*sizes):
+    return [
+        rec.structure
+        for size in sizes
+        for rec in enumerate_residuated(SearchSpec(size=size))
+    ]
+
+
+def brute_closed(table, n: int, c: int) -> bool:
+    members = [x for x in range(n) if c >> x & 1]
+    return all(c >> table[x][y] & 1 for x in members for y in members)
+
+
+def test_closure_helpers_match_subset_scan(a6):
+    structures = census(2, 3, 4) + [a6]
+    assert len(structures) == 1 + 2 + 7 + 1
+    for s in structures:
+        for table in (s.join, s.times):
+            closed = [c for c in range(1 << s.n) if brute_closed(table, s.n, c)]
+            for m in range(1 << s.n):
+                least = s.full
+                for c in closed:
+                    if not m & ~c:
+                        least &= c
+                assert bitsets.closure_under(table, m) == least
+                assert bitsets.closed_under(table, m) == (least == m)
+
+
+def package_modules():
+    return [
+        module
+        for name, module in sys.modules.items()
+        if name == "reslat" or name.startswith("reslat.")
+    ]
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every `lru_cache` in the package before and after the test,
+    so that neither correct nor broken results leak across it."""
+
+    def clear():
+        for module in package_modules():
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def failed_checks(structures) -> set[str]:
+    """Names of the battery checks that fail on some of the structures.
+
+    Each structure is rebuilt first, since the closure memos live on the
+    structure object.
+    """
+    out = set()
+    for s in structures:
+        report = run_battery(replace(s, names=s.names))
+        out |= {o.name for o in report.outcomes if not o.passed}
+    return out
+
+
+def patch_everywhere(monkeypatch, orig, mutant) -> None:
+    """Rebind `orig` to `mutant` in every package module that imported it."""
+    for module in package_modules():
+        for key, value in list(vars(module).items()):
+            if value is orig:
+                monkeypatch.setattr(module, key, mutant)
+
+
+def test_battery_catches_filter_closure_without_up_cone(a6, monkeypatch, cold_caches):
+    def no_cone(s, gens):
+        return bitsets.closure_under(s.times, gens | 1 << s.top)
+
+    monkeypatch.setattr(filters, "filter_closure", no_cone)
+    failed = failed_checks([a6])
+    assert "generated-filter-is-prime-intersection" in failed
+    assert len(failed) >= 6
+
+
+def test_battery_catches_ideal_closure_without_down_cone(a6, monkeypatch, cold_caches):
+    def no_cone(s, gens):
+        return bitsets.closure_under(s.join, gens | 1 << s.bot)
+
+    monkeypatch.setattr(filters, "ideal_closure", no_cone)
+    assert "principal-ideal-join-rule" in failed_checks([a6])
+
+
+def test_battery_catches_closure_stopped_after_one_round(monkeypatch, cold_caches):
+    def one_round(table, m):
+        members = bitsets.bits(m)
+        for x in members:
+            for y in members:
+                m |= 1 << table[x][y]
+        return m
+
+    # The battery passes on a6 under this mutant, so the census is needed.
+    structures = census(4, 5)
+    patch_everywhere(monkeypatch, bitsets.closure_under, one_round)
+    assert filters.closure_under is one_round
+    failed = failed_checks(structures)
+    assert "generated-filter-idempotent" in failed
+    assert len(failed) >= 4

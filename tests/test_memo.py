@@ -6,7 +6,13 @@ import pytest
 
 from reslat.bitsets import bits
 from reslat.coann import coannulet_table
-from reslat.filters import all_filters, filter_closure, generated_filter
+from reslat.filters import (
+    all_filters,
+    filter_closure,
+    generated_filter,
+    generated_ideal,
+    ideal_closure,
+)
 from reslat.modelgen import SearchSpec, enumerate_residuated
 from reslat.omega import omega
 from reslat.structure import Structure, validate_structure
@@ -41,12 +47,20 @@ def godel_chain(n: int) -> Structure:
     )
 
 
-def test_generated_filter_memo_matches_closure(structures):
+@pytest.mark.parametrize(
+    "generated,closure,memo",
+    [
+        (generated_filter, filter_closure, "filter_memo"),
+        (generated_ideal, ideal_closure, "ideal_memo"),
+    ],
+    ids=["filter", "ideal"],
+)
+def test_generated_memo_matches_closure(structures, generated, closure, memo):
     for s in structures:
         for _ in range(2):  # the first pass may fill slots, the second reads them
             for m in range(1 << s.n):
-                assert generated_filter(s, m) == filter_closure(s, m)
-        assert all(s.filter_memo)
+                assert generated(s, m) == closure(s, m)
+        assert all(getattr(s, memo))
 
 
 def test_omega_table_matches_coannulet_union(structures):
@@ -66,10 +80,11 @@ def test_large_carrier_skips_the_memo():
     for x in range(s.n):
         up = sum(1 << y for y in range(x, s.n))
         assert generated_filter(s, 1 << x | 1 << s.top) == up
+        assert generated_ideal(s, 1 << x | 1 << s.bot) == s.down[x]
         assert omega(s, up, 1 << x) == s.full
         trivial = s.full if x == s.top else 1 << s.top
         assert omega(s, 1 << s.top, 1 << x | 1) == trivial
-    assert "filter_memo" not in vars(s) and "omega_memo" not in vars(s)
+    assert not {"filter_memo", "ideal_memo", "omega_memo"} & vars(s).keys()
 
 
 def test_bits_lists_set_bits_ascending():

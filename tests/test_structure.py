@@ -179,6 +179,20 @@ def test_explicit_tables_must_match_order(fixtures_dir):
     with pytest.raises(MalformedTables):
         parse_structure(data)
 
+    # Ordering data the parser would otherwise ignore is rejected.
+    lone_join = {**data, "join": [[names[5]] * 6 for _ in range(6)]}
+    del lone_join["meet"]
+    with pytest.raises(StructureFileError, match="both join and meet"):
+        parse_structure(lone_join)
+    lone_meet = {**data, "meet": [list(row) for row in data["meet"]]}
+    del lone_meet["join"]
+    with pytest.raises(StructureFileError, match="both join and meet"):
+        parse_structure(lone_meet)
+    both_orders = {k: v for k, v in data.items() if k not in ("join", "meet")}
+    both_orders["leq"] = [[int(row[y] == y) for y in range(6)] for row in derived_join]
+    with pytest.raises(StructureFileError, match="order or leq"):
+        parse_structure(both_orders)
+
 
 def test_load_structure_reports_bad_entries(fixtures_dir, tmp_path):
     data = json.loads((fixtures_dir / "a6.json").read_text())
