@@ -266,7 +266,10 @@ def cmd_search(args) -> int:
         limit=args.limit,
         canonical_only=not args.all_labelings,
     )
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out}: {exc.strerror}") from None
     count = 0
     try:
         for record in enumerate_residuated(spec):

@@ -88,36 +88,37 @@ def _parse_common(data):
     return elements, index
 
 
-def parse_structure(data: dict, fallback_name: str = "structure") -> Structure:
-    elements, index = _parse_common(data)
-    n = len(elements)
-    for field in ("times", "residuum"):
-        if field not in data:
-            raise StructureFileError(f"missing field: {field}")
-
+def _parse_lattice(data, index: dict[str, int]):
+    """Join and meet tables from explicit tables, an order, or both."""
     has_tables = "join" in data and "meet" in data
     if not has_tables and ("join" in data or "meet" in data):
         raise StructureFileError("give both join and meet tables, or neither")
     has_order = "order" in data or "leq" in data
     if not has_tables and not has_order:
         raise StructureFileError("give join and meet tables, or an order relation")
-
     if has_tables:
-        join = _parse_table(data["join"], "join", index)
-        meet = _parse_table(data["meet"], "meet", index)
-        if has_order:
-            up = _parse_order(data, index)
-            derived_join, derived_meet = order_tables(n, up)
-            if derived_join != join or derived_meet != meet:
-                raise MalformedTables(
-                    "explicit join/meet tables disagree with the order relation"
-                )
-    else:
-        up = _parse_order(data, index)
-        join, meet = order_tables(n, up)
+        tables = (
+            _parse_table(data["join"], "join", index),
+            _parse_table(data["meet"], "meet", index),
+        )
+    if has_order:
+        derived = order_tables(len(index), _parse_order(data, index))
+        if has_tables and derived != tables:
+            raise MalformedTables(
+                "explicit join/meet tables disagree with the order relation"
+            )
+        tables = derived
+    return tables
 
+
+def parse_structure(data: dict, fallback_name: str = "structure") -> Structure:
+    elements, index = _parse_common(data)
+    for field in ("times", "residuum"):
+        if field not in data:
+            raise StructureFileError(f"missing field: {field}")
+    join, meet = _parse_lattice(data, index)
     return Structure(
-        n=n,
+        n=len(elements),
         names=tuple(elements),
         join=join,
         meet=meet,
@@ -172,22 +173,17 @@ def dump_structure(s: Structure, name: str) -> dict:
 
 
 def load_lattice(path) -> tuple[Lattice, str]:
-    """Parse only the order part of a structure file into a lattice."""
+    """Parse only the lattice part of a structure file.
+
+    The order and tables follow the rules of `parse_structure`; explicit
+    tables must also be the join and meet of the order they induce.
+    """
     path = Path(path)
     data = _read_json(path)
     elements, index = _parse_common(data)
-    n = len(elements)
-    if "order" in data or "leq" in data:
-        up = _parse_order(data, index)
-    elif "join" in data:
-        join = _parse_table(data["join"], "join", index)
-        up = tuple(
-            sum(1 << y for y in range(n) if join[x][y] == y) for x in range(n)
-        )
-    else:
-        raise StructureFileError("give an order relation or a join table")
-    try:
-        lat = lattice_from_order(elements, up, index[data["bot"]], index[data["top"]])
-    except InvalidBaseLattice:
-        raise
+    join, meet = _parse_lattice(data, index)
+    up = tuple(sum(1 << y for y, j in enumerate(row) if j == y) for row in join)
+    lat = lattice_from_order(elements, up, index[data["bot"]], index[data["top"]])
+    if lat.tables != (join, meet):
+        raise InvalidBaseLattice("join/meet tables are not the operations of their order")
     return lat, structure_name(data, path.stem)

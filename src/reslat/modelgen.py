@@ -1,12 +1,13 @@
 """Exhaustive search for finite residuated lattices of small order.
 
-Bounded lattices are enumerated up to isomorphism; product tables are
-then assigned by backtracking with commutativity, identity-row and
-monotonicity propagation, and the residuum is derived from the product
-rather than searched (for each pair the candidate residual is the join
-of all admissible arguments, and the assignment is pruned when that
-join is not itself admissible).  Every emitted structure passes full
-validation, and isomorphic duplicates are rejected by a canonical key.
+Bounded lattices are enumerated up to isomorphism; commutative product
+tables are then assigned by backtracking, each cell trying the values of
+one candidate bitmask cut by the filled cells of its row and column, and
+the residuum is derived from the product rather than searched (for each
+pair the candidate residual is the join of all admissible arguments, and
+the assignment is pruned when that join is not itself admissible).
+Every emitted structure passes full validation, and isomorphic
+duplicates are rejected by a canonical key.
 """
 
 from __future__ import annotations
@@ -88,25 +89,31 @@ def _default_names(n: int) -> tuple[str, ...]:
     return tuple(["0"] + middles + ["1"])
 
 
-def _lattice_key(n: int, up, bot: int, top: int) -> bytes:
-    """Canonical bytes of the order relation, minimized over relabelings
-    that send bot to 0 and top to n - 1."""
+def _relabelings(n: int, bot: int, top: int):
+    """Every relabeling old -> new (as a list) that sends bot to 0 and top
+    to n - 1, in the permutation order of the middle elements."""
     middles = [i for i in range(n) if i not in (bot, top)]
-    best = None
     for perm in permutations(middles):
         pi = [0] * n
         pi[bot] = 0
         pi[top] = n - 1
         for slot, orig in enumerate(perm, start=1):
             pi[orig] = slot
+        yield pi
+
+
+def _lattice_key(n: int, up, bot: int, top: int) -> bytes:
+    """Canonical bytes of the order relation, minimized over relabelings
+    that send bot to 0 and top to n - 1."""
+
+    def relabeled(pi):
         rows = bytearray(n * n)
         for x in range(n):
             for y in bits(up[x]):
                 rows[pi[x] * n + pi[y]] = 1
-        key = bytes(rows)
-        if best is None or key < best:
-            best = key
-    return best
+        return bytes(rows)
+
+    return min(map(relabeled, _relabelings(n, bot, top)))
 
 
 def _up_masks_from_key(n: int, key: bytes) -> tuple[int, ...]:
@@ -194,28 +201,19 @@ def canonical_key(s: Structure) -> bytes:
     all four tables of one onto the other.
     """
     n = s.n
-    middles = [i for i in range(n) if i not in (s.bot, s.top)]
     tables = (s.join, s.meet, s.times, s.residuum)
-    best = None
-    for perm in permutations(middles):
-        pi = [0] * n
-        pi[s.bot] = 0
-        pi[s.top] = n - 1
-        for slot, orig in enumerate(perm, start=1):
-            pi[orig] = slot
-        buf = bytearray()
-        for table in tables:
-            rows = bytearray(n * n)
+
+    def relabeled(pi):
+        buf = bytearray(4 * n * n)
+        for k, table in enumerate(tables):
             for x in range(n):
                 row = table[x]
-                base = pi[x] * n
+                base = (k * n + pi[x]) * n
                 for y in range(n):
-                    rows[base + pi[y]] = pi[row[y]]
-            buf += rows
-        key = bytes(buf)
-        if best is None or key < best:
-            best = key
-    return best
+                    buf[base + pi[y]] = pi[row[y]]
+        return buf
+
+    return bytes(min(map(relabeled, _relabelings(n, s.bot, s.top))))
 
 
 @dataclass(frozen=True)
@@ -253,13 +251,17 @@ class CensusRecord:
 def _times_tables(lat: Lattice):
     """Backtracking assignment of the product over one bounded lattice.
 
-    Cells outside the bottom row and identity row are filled in index
-    order; each candidate must sit below the meet of its coordinates and
-    respect monotonicity against every filled cell.  Associativity is
-    checked on completion (triples touching bot or top are automatic).
+    The bottom and identity rows are fixed; the middle cells (x, y) of
+    the upper triangle are filled in index order and mirrored.  Each tries,
+    in ascending order, its candidate mask: the carrier cut to up(w) for
+    every filled cell (p, y) with p below x and to down(w) for every one
+    with p above x (w the cell's value), then likewise for the cells
+    (x, q) against y; the identity row alone keeps it inside
+    down(x meet y).  Associativity is checked on completion (triples
+    touching bot or top are automatic).
     """
-    n, bot, top = lat.n, lat.bot, lat.top
-    meet = lat.meet
+    n, bot, top, up = lat.n, lat.bot, lat.top, lat.up
+    down = tuple(sum(1 << v for v in range(n) if up[v] >> w & 1) for w in range(n))
     mids = [i for i in range(n) if i not in (bot, top)]
     cells = [(x, y) for i, x in enumerate(mids) for y in mids[i:]]
     table = [[None] * n for _ in range(n)]
@@ -267,18 +269,18 @@ def _times_tables(lat: Lattice):
         table[bot][z] = table[z][bot] = bot
         table[top][z] = table[z][top] = z
 
-    filled: list[tuple[int, int]] = [
-        (x, y) for x in range(n) for y in range(n) if table[x][y] is not None
-    ]
-
-    def monotone_ok(x, y, v):
-        for (p, q) in filled:
-            w = table[p][q]
-            if lat.leq(p, x) and lat.leq(q, y) and not lat.leq(w, v):
-                return False
-            if lat.leq(x, p) and lat.leq(y, q) and not lat.leq(v, w):
-                return False
-        return True
+    def candidates(x, y):
+        mask = (1 << n) - 1
+        for a, b in ((x, y), (y, x)):
+            for p in range(n):
+                w = table[p][b]
+                if w is None:
+                    continue
+                if up[p] >> a & 1:
+                    mask &= up[w]
+                elif up[a] >> p & 1:
+                    mask &= down[w]
+        return mask
 
     def assoc_ok():
         for x in mids:
@@ -297,20 +299,10 @@ def _times_tables(lat: Lattice):
                 out.append(tuple(tuple(row) for row in table))
             return
         x, y = cells[i]
-        for v in range(n):
-            if not lat.leq(v, meet[x][y]):
-                continue
-            if not monotone_ok(x, y, v):
-                continue
+        for v in bits(candidates(x, y)):
             table[x][y] = table[y][x] = v
-            filled.append((x, y))
-            if x != y:
-                filled.append((y, x))
             rec(i + 1)
-            filled.pop()
-            if x != y:
-                filled.pop()
-            table[x][y] = table[y][x] = None
+        table[x][y] = table[y][x] = None
 
     rec(0)
     return out

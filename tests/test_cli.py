@@ -165,6 +165,21 @@ def test_search_to_file_and_limit(capsys, tmp_path):
     assert json.loads(lines[-1])["total"] == 3
 
 
+def test_search_matches_golden(capsys):
+    code, out, _ = run_cli(capsys, "search", "--size", "5")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "search_5.ndjson").read_bytes()
+
+
+@pytest.mark.parametrize("where", ["missing-dir/census.ndjson", "."])
+def test_search_unwritable_out_is_usage_error(capsys, tmp_path, where):
+    out_path = tmp_path / where
+    code, out, err = run_cli(capsys, "search", "--size", "3", "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("reslat: error: cannot write ") and err.count("\n") == 1
+
+
 def test_search_records_parse_back(capsys):
     from reslat.fileformat import parse_structure
     from reslat.structure import validate_structure
@@ -190,6 +205,28 @@ def test_search_with_base_lattice_finds_fixture(capsys, a6):
         for line in out.strip().splitlines()[:-1]
     }
     assert canonical_key(a6).hex() in keys
+
+
+def _join_all_top(data):
+    data["join"] = [["1"] * len(data["elements"]) for _ in data["elements"]]
+
+
+def _lone_join(data):
+    del data["meet"]
+
+
+@pytest.mark.parametrize("corrupt", [_join_all_top, _lone_join])
+def test_search_rejects_bad_base_lattice_tables(capsys, tmp_path, a6, corrupt):
+    from reslat.fileformat import dump_structure
+
+    data = dump_structure(a6, "A6")
+    corrupt(data)
+    p = tmp_path / "lattice.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "search", "--base-lattice", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("reslat: error: ") and err.count("\n") == 1
 
 
 def _set_bot(data):

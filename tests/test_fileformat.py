@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from reslat.errors import StructureFileError
+from reslat.errors import InvalidBaseLattice, StructureFileError
 from reslat.fileformat import (
     dump_structure,
     load_lattice,
@@ -72,11 +72,25 @@ def test_load_structure_name_fallback(tmp_path, fixtures_dir):
     assert name == "two"
 
 
-def test_load_lattice_from_structure_file(fixtures_dir):
+def test_load_lattice_from_structure_file(a6, fixtures_dir):
     lat, name = load_lattice(fixtures_dir / "a6.json")
     assert name == "A6"
     assert lat.n == 6
     assert lat.join[1][3] == 4  # a v c = d
+    assert lat.up == a6.up
+
+
+def test_load_lattice_from_tables_only(a6, tmp_path):
+    data = dump_structure(a6, "A6")
+    del data["order"]
+    p = tmp_path / "tables.json"
+    p.write_text(json.dumps(data))
+    lat, _ = load_lattice(p)
+    assert lat.up == a6.up
+    data["meet"][1][3] = "a"  # a meet c is 0, not a
+    p.write_text(json.dumps(data))
+    with pytest.raises(InvalidBaseLattice, match="not the operations"):
+        load_lattice(p)
 
 
 def test_dump_contains_cover_pairs(a6):

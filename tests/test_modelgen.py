@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from reslat.errors import BadN, InvalidBaseLattice, MalformedTables, SizeOutOfRange
 from reslat.modelgen import (
     SearchSpec,
+    _times_tables,
     canonical_key,
     enumerate_lattices,
     enumerate_residuated,
@@ -80,6 +82,39 @@ def test_lattice_size_bounds():
         enumerate_lattices(1)
     with pytest.raises(SizeOutOfRange):
         enumerate_lattices(7)
+
+
+def _times_tables_oracle(lat):
+    """Every commutative table with the bot and identity rows fixed, in
+    the lexicographic order of its upper-triangle middle cells, kept when
+    monotone and associative."""
+    n, bot, top = lat.n, lat.bot, lat.top
+    mids = [i for i in range(n) if i not in (bot, top)]
+    cells = [(x, y) for i, x in enumerate(mids) for y in mids[i:]]
+    pairs = [(x, x2) for x in range(n) for x2 in range(n) if lat.leq(x, x2)]
+    out = []
+    for values in product(range(n), repeat=len(cells)):
+        t = [[None] * n for _ in range(n)]
+        for z in range(n):
+            t[bot][z] = t[z][bot] = bot
+            t[top][z] = t[z][top] = z
+        for (x, y), v in zip(cells, values):
+            t[x][y] = t[y][x] = v
+        monotone = all(lat.leq(t[x][y], t[x2][y]) for x, x2 in pairs for y in range(n))
+        if monotone and all(
+            t[t[x][y]][z] == t[x][t[y][z]]
+            for x in range(n)
+            for y in range(n)
+            for z in range(n)
+        ):
+            out.append(tuple(map(tuple, t)))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_times_tables_match_brute_force(n):
+    for lat in enumerate_lattices(n):
+        assert _times_tables(lat) == _times_tables_oracle(lat)
 
 
 def _raw_residuated_oracle(lat):
@@ -265,3 +300,67 @@ def test_census_stats_for_a6_lattice(a6):
             break
     else:
         raise AssertionError("fixture structure missing from its own census")
+
+
+def _relabel(s, perm):
+    """The structure with element x renamed to perm[x]."""
+    n = s.n
+
+    def table(rows):
+        out = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                out[perm[x]][perm[y]] = perm[rows[x][y]]
+        return tuple(map(tuple, out))
+
+    return Structure(
+        n=n,
+        names=tuple(s.names[perm.index(i)] for i in range(n)),
+        join=table(s.join),
+        meet=table(s.meet),
+        times=table(s.times),
+        residuum=table(s.residuum),
+        bot=perm[s.bot],
+        top=perm[s.top],
+    )
+
+
+def _isomorphic(s, t):
+    """Some bijection sending bot to bot and top to top carries all four
+    tables of s onto those of t."""
+    if s.n != t.n:
+        return False
+    n = s.n
+    s_mids = [i for i in range(n) if i not in (s.bot, s.top)]
+    t_mids = [i for i in range(n) if i not in (t.bot, t.top)]
+    pairs = list(
+        zip((s.join, s.meet, s.times, s.residuum), (t.join, t.meet, t.times, t.residuum))
+    )
+    for image in permutations(t_mids):
+        pi = {s.bot: t.bot, s.top: t.top, **dict(zip(s_mids, image))}
+        if all(
+            b[pi[x]][pi[y]] == pi[a[x][y]]
+            for a, b in pairs
+            for x in range(n)
+            for y in range(n)
+        ):
+            return True
+    return False
+
+
+def test_canonical_key_matches_isomorphism_oracle():
+    rng = random.Random(2010)
+    structures = []
+    for n in range(2, 6):
+        for rec in enumerate_residuated(SearchSpec(size=n, canonical_only=False)):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            structures += [rec.structure, _relabel(rec.structure, perm)]
+    classes = {}
+    for s in structures:
+        classes.setdefault(canonical_key(s), []).append(s)
+    for first, *rest in classes.values():
+        assert all(_isomorphic(first, s) for s in rest)
+    reps = [members[0] for members in classes.values()]
+    for i, s in enumerate(reps):
+        assert not any(_isomorphic(s, t) for t in reps[i + 1 :])
