@@ -18,6 +18,7 @@ from . import coann as can
 from . import filters as flt
 from . import normality as nrm
 from . import spectra as spc
+from .bitsets import bits, submasks
 from .errors import RepresentationMismatch, SearchExhausted
 from .omega import (
     dense_set,
@@ -25,6 +26,7 @@ from .omega import (
     omega,
     omega_family,
     omega_join,
+    omega_table,
     sigma,
     witness_ideal_candidate,
 )
@@ -254,19 +256,27 @@ def _prime_separation(s):
 
 def _minimal_prime_iff_maximal_complement(s):
     jc = spc.join_closed_subsets(s)
+    above: dict[int, list[int]] = {}
+
+    def strictly_above(c):
+        """The join-closed sets strictly above c, in the order of jc."""
+        if c not in above:
+            above[c] = [d for d in jc if d != c and not (c & ~d)]
+        return above[c]
+
     for f in flt.all_filters(s).filters:
         mins = set(spc.minimal_primes_over(s, f))
         for m in mins:
             comp = s.full ^ m
             if not spc.is_join_closed(s, comp) or comp & f:
                 return _fail(minimal=_fmt(s, m), base=_fmt(s, f))
-            for c in jc:
-                if c != comp and not (comp & ~c) and not (c & f):
+            for c in strictly_above(comp):
+                if not (c & f):
                     return _fail(minimal=_fmt(s, m), larger=_fmt(s, c))
         for c in jc:
             if c & f:
                 continue
-            grows = any(d != c and not (c & ~d) and not (d & f) for d in jc)
+            grows = any(not (d & f) for d in strictly_above(c))
             if not grows and (s.full ^ c) not in mins:
                 return _fail(maximal_separator=_fmt(s, c), base=_fmt(s, f))
     return _pass()
@@ -300,20 +310,32 @@ def _generated_filter_is_minimal_prime_intersection(s):
 def _coannihilator_is_filter_above_base(s):
     for f in flt.all_filters(s).filters:
         co = can.coann_subset_table(s, f)
-        for x_set in range(1 << s.n):
-            if f & ~co[x_set] or not flt.is_filter(s, co[x_set]):
-                return _fail(base=_fmt(s, f), set=_fmt(s, x_set))
+        bad = {g for g in set(co) if f & ~g or not flt.is_filter(s, g)}
+        if bad:
+            x_set = next(x for x in range(1 << s.n) if co[x] in bad)
+            return _fail(base=_fmt(s, f), set=_fmt(s, x_set))
     return _pass()
 
 
 def _coannihilator_flip_rule(s):
+    """X inside (F : Y) implies Y inside (F : X), for all X and Y.
+
+    The premise depends on Y only through g = (F : Y), so each value g
+    carries the intersection of (F : X) over every X inside g, and Y is
+    tested against that once.
+    """
     for f in flt.all_filters(s).filters:
         co = can.coann_subset_table(s, f)
-        for x_set in range(1 << s.n):
-            cox = co[x_set]
-            for y_set in range(1 << s.n):
-                if not (x_set & ~co[y_set]) and y_set & ~cox:
-                    return _fail(base=_fmt(s, f), x=_fmt(s, x_set), y=_fmt(s, y_set))
+        below = {}
+        for g in set(co):
+            acc = s.full
+            for x_set in submasks(g):
+                acc &= co[x_set]
+            below[g] = acc
+        for y_set in range(1 << s.n):
+            if y_set & ~below[co[y_set]]:
+                x_set = next(x for x in submasks(co[y_set]) if y_set & ~co[x])
+                return _fail(base=_fmt(s, f), x=_fmt(s, x_set), y=_fmt(s, y_set))
     return _pass()
 
 
@@ -440,37 +462,45 @@ def _coann_family_matches_subset_scan(s):
 
 def _omega_routes_agree(s):
     for f in flt.all_filters(s).filters:
+        om = omega_table(s, f)
         table = can.coannulet_table(s, f)
+        # By definition a is in omega_F(X) iff x v a is in F for some x in
+        # X; hits is {x : x v a in F}, taken from the join table.
+        routes = [
+            (1 << a, table[a], sum(1 << x for x in range(s.n) if f >> s.join[x][a] & 1))
+            for a in range(s.n)
+        ]
         for x_set in range(1, 1 << s.n):
-            fast = omega(s, f, x_set)
-            by_member = sum(
-                1 << a for a in range(s.n) if table[a] & x_set
-            )
-            by_def = 0
-            for a in range(s.n):
-                if any(f >> s.join[x][a] & 1 for x in range(s.n) if x_set >> x & 1):
-                    by_def |= 1 << a
-            if fast != by_member or fast != by_def:
+            by_member = by_def = 0
+            for bit, member, hits in routes:
+                if member & x_set:
+                    by_member |= bit
+                if hits & x_set:
+                    by_def |= bit
+            if om[x_set] != by_member or om[x_set] != by_def:
                 return _fail(base=_fmt(s, f), set=_fmt(s, x_set))
     return _pass()
 
 
 def _omega_contains_base(s):
     for f in flt.all_filters(s).filters:
+        om = omega_table(s, f)
         for x_set in range(1, 1 << s.n):
-            if f & ~omega(s, f, x_set):
+            if f & ~om[x_set]:
                 return _fail(base=_fmt(s, f), set=_fmt(s, x_set))
     return _pass()
 
 
 def _omega_monotone_in_set(s):
-    from .bitsets import submasks
-
+    """Tested on the pairs (Y minus one element, Y) with both sides
+    nonempty; inclusion is transitive, so these give every pair X inside Y."""
     for f in flt.all_filters(s).filters:
+        om = omega_table(s, f)
         for y_set in range(1, 1 << s.n):
-            oy = omega(s, f, y_set)
-            for x_set in submasks(y_set):
-                if x_set and omega(s, f, x_set) & ~oy:
+            oy = om[y_set]
+            for x in bits(y_set):
+                x_set = y_set ^ 1 << x
+                if x_set and om[x_set] & ~oy:
                     return _fail(base=_fmt(s, f), x=_fmt(s, x_set), y=_fmt(s, y_set))
     return _pass()
 
@@ -478,28 +508,32 @@ def _omega_monotone_in_set(s):
 def _omega_monotone_in_base(s):
     lat = flt.all_filters(s).filters
     for f in lat:
+        om_f = omega_table(s, f)
         for g in lat:
             if f & ~g:
                 continue
+            om_g = omega_table(s, g)
             for x_set in range(1, 1 << s.n):
-                if omega(s, f, x_set) & ~omega(s, g, x_set):
+                if om_f[x_set] & ~om_g[x_set]:
                     return _fail(small=_fmt(s, f), large=_fmt(s, g), set=_fmt(s, x_set))
     return _pass()
 
 
 def _omega_full_iff_meets_base(s):
     for f in flt.all_filters(s).filters:
+        om = omega_table(s, f)
         for x_set in range(1, 1 << s.n):
-            if (omega(s, f, x_set) == s.full) != bool(f & x_set):
+            if (om[x_set] == s.full) != bool(f & x_set):
                 return _fail(base=_fmt(s, f), set=_fmt(s, x_set))
     return _pass()
 
 
 def _omega_fixes_base_iff_dense(s):
     for f in flt.all_filters(s).filters:
+        om = omega_table(s, f)
         dense = dense_set(s, f).mask
         for x_set in range(1, 1 << s.n):
-            if (omega(s, f, x_set) == f) != (not (x_set & ~dense)):
+            if (om[x_set] == f) != (not (x_set & ~dense)):
                 return _fail(base=_fmt(s, f), set=_fmt(s, x_set))
     return _pass()
 
@@ -512,17 +546,21 @@ def _dense_elements_form_ideal(s):
 
 
 def _omega_of_join_closed_is_filter(s):
+    jc = spc.join_closed_subsets(s)
     for f in flt.all_filters(s).filters:
-        for c in spc.join_closed_subsets(s):
-            if not flt.is_filter(s, omega(s, f, c)):
-                return _fail(base=_fmt(s, f), separator=_fmt(s, c))
+        om = omega_table(s, f)
+        bad = {w for w in {om[c] for c in jc} if not flt.is_filter(s, w)}
+        if bad:
+            c = next(c for c in jc if om[c] in bad)
+            return _fail(base=_fmt(s, f), separator=_fmt(s, c))
     return _pass()
 
 
 def _omega_properness_equivalences(s):
     for f in flt.all_filters(s).filters:
+        om = omega_table(s, f)
         for c in spc.join_closed_subsets(s):
-            w = omega(s, f, c)
+            w = om[c]
             a = not (f & c)
             b = w != s.full
             d = not (w & c)
@@ -684,9 +722,9 @@ def _minimal_primes_family_comaximal(s):
 
 def _omega_minimal_primes_avoid_set(s):
     for f in flt.all_filters(s).filters:
+        om = omega_table(s, f)
         for c in spc.join_closed_subsets(s):
-            w = omega(s, f, c)
-            for m in spc.minimal_primes_over(s, w):
+            for m in spc.minimal_primes_over(s, om[c]):
                 if m & c:
                     return _fail(base=_fmt(s, f), separator=_fmt(s, c), minimal=_fmt(s, m))
     return _pass()
@@ -705,9 +743,9 @@ def _divisor_minimal_primes_inside_prime(s):
 def _omega_minimal_primes_characterized(s):
     for f in flt.all_filters(s).filters:
         mins_f = spc.minimal_primes_over(s, f)
+        om = omega_table(s, f)
         for c in spc.join_closed_subsets(s):
-            w = omega(s, f, c)
-            lhs = set(spc.minimal_primes_over(s, w))
+            lhs = set(spc.minimal_primes_over(s, om[c]))
             rhs = {m for m in mins_f if not (m & c)}
             if lhs != rhs:
                 return _fail(base=_fmt(s, f), separator=_fmt(s, c))
@@ -729,11 +767,12 @@ def _divisor_minimal_primes_characterized(s):
 def _omega_is_minimal_prime_intersection(s):
     for f in flt.all_filters(s).filters:
         mins_f = spc.minimal_primes_over(s, f)
+        om = omega_table(s, f)
         for c in spc.join_closed_subsets(s):
             expected = spc.intersection_of(
                 (m for m in mins_f if not (m & c)), s.full
             )
-            if omega(s, f, c) != expected:
+            if om[c] != expected:
                 return _fail(base=_fmt(s, f), separator=_fmt(s, c))
     return _pass()
 

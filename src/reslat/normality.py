@@ -58,20 +58,25 @@ def _verdict(proposition, labelled, witness=None, notes=()):
 
 def _pairwise_tuples(items, k, pairpred):
     """Ascending k-tuples of distinct items whose pairs all satisfy pairpred."""
+    # later[i] is the mask of the indices j > i with pairpred(items[i], items[j]).
+    later = [
+        sum(1 << j for j in range(i + 1, len(items)) if pairpred(items[i], items[j]))
+        for i in range(len(items))
+    ]
     chosen: list = []
 
-    def rec(start):
+    def rec(allowed):
         if len(chosen) == k:
             yield tuple(chosen)
             return
-        for i in range(start, len(items)):
-            cand = items[i]
-            if all(pairpred(prev, cand) for prev in chosen):
-                chosen.append(cand)
-                yield from rec(i + 1)
-                chosen.pop()
+        if allowed.bit_count() < k - len(chosen):
+            return
+        for i in bits(allowed):
+            chosen.append(items[i])
+            yield from rec(allowed & later[i])
+            chosen.pop()
 
-    yield from rec(0)
+    yield from rec((1 << len(items)) - 1)
 
 
 def n_prime(s: Structure, f: int, n: int) -> bool:
@@ -239,23 +244,17 @@ def _pairwise_in(s: Structure, f: int):
     return lambda a, b: bool(f >> s.join[a][b] & 1)
 
 
-def _element_join(s: Structure, xs) -> int:
-    out = s.bot
-    for x in xs:
-        out = s.join[out][x]
-    return out
-
-
 def _exists_zero_product(s: Structure, cosets) -> bool:
-    reach = {x for x in bits(cosets[0])}
+    reach = cosets[0]
     for c in cosets[1:]:
-        nxt = set()
-        for p in reach:
+        members = bits(c)
+        nxt = 0
+        for p in bits(reach):
             row = s.times[p]
-            for x in bits(c):
-                nxt.add(row[x])
+            for x in members:
+                nxt |= 1 << row[x]
         reach = nxt
-    return s.bot in reach
+    return bool(reach >> s.bot & 1)
 
 
 def n_normality_verdict(s: Structure, f: int, n: int) -> EquivalenceVerdict:
@@ -264,6 +263,8 @@ def n_normality_verdict(s: Structure, f: int, n: int) -> EquivalenceVerdict:
     Tuples of n + 1 objects are indexed 0..n throughout.  Condition one
     joins all n + 1 minimal primes; the variant that joins only n of
     them is evaluated as a diagnostic and any divergence is noted.
+    Element joins are regrouped freely, so the join table must satisfy
+    the lattice laws (as `validate_structure` checks).
     """
     if n < 1:
         raise BadN("n-normality needs n >= 1")
@@ -328,12 +329,20 @@ def n_normality_verdict(s: Structure, f: int, n: int) -> EquivalenceVerdict:
 
     c6 = True
     c7 = True
+    jn = s.join
     for xs in combinations_with_replacement(range(s.n), n + 1):
-        total = _element_join(s, xs)
+        # prefix[i] joins xs[:i] and `suffix` joins xs[i + 1:], so the
+        # join of all but xs[i] is prefix[i] v suffix.
+        prefix = []
+        total = s.bot
+        for x in xs:
+            prefix.append(total)
+            total = jn[total][x]
         union = 0
-        for i in range(n + 1):
-            part = _element_join(s, [x for j, x in enumerate(xs) if j != i])
-            union |= table[part]
+        suffix = s.bot
+        for i in range(n, -1, -1):
+            union |= table[jn[prefix[i]][suffix]]
+            suffix = jn[xs[i]][suffix]
         rhs = generated_filter(s, union)
         if table[total] != rhs:
             c6 = False

@@ -9,32 +9,35 @@ with intersection as meet.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bitsets import SMALL_N, subset_fold, union_over
-from .coann import coannulet_table
+from .bitsets import SMALL_N, union_over
+from .coann import coannulet_fold, coannulet_table
 from .errors import EmptyArgument, ImproperFilter, RepresentationMismatch, UnknownMember
 from .filters import all_ideals, canonical_sort, generated_filter, generated_ideal, is_ideal
 from .structure import Structure, subset_repr
+
+
+def omega_table(s: Structure, f: int) -> Sequence[int]:
+    """Slot X is the union of (f : x) over x in X, for every subset mask X;
+    kept on the structure for carriers of at most `SMALL_N` elements."""
+    return coannulet_fold(s, f, "omega_memo", 0, operator.or_)
 
 
 def omega(s: Structure, f: int, x_set: int) -> int:
     """Union of (f : x) over x in x_set.  Raw mask; a filter when x_set
     is join closed, but not in general.
 
-    On small carriers the unions over every subset are tabulated once
-    per (structure, base) and kept on the structure.
+    A lookup into `omega_table` on small carriers; above `SMALL_N` a
+    single union, so one call does not build the whole table.
     """
     if x_set == 0:
         raise EmptyArgument("omega needs a nonempty subset")
     if s.n > SMALL_N:
         return union_over(coannulet_table(s, f), x_set)
-    unions = s.omega_memo.get(f)
-    if unions is None:
-        unions = bytes(subset_fold(coannulet_table(s, f), 0, operator.or_))
-        s.omega_memo[f] = unions
-    return unions[x_set]
+    return omega_table(s, f)[x_set]
 
 
 @dataclass(frozen=True)

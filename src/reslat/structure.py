@@ -33,12 +33,20 @@ class Structure:
     Derived data lives in lazily built `cached_property` slots that die
     with the structure: the order masks `up`/`down`, the hash (computed
     once, since every cached analysis hashes its structure on each
-    lookup), and three memo tables filled by the analyses on carriers of
-    at most `SMALL_N` elements.  `filter_memo` and `ideal_memo` hold the
-    filter and the ideal generated by each subset mask
-    (`filters.generated_filter`, `filters.generated_ideal`); `omega_memo`
-    maps a base filter to its coannulet unions over every subset mask
-    (`omega.omega`).
+    lookup), and five memo tables.  The analyses fill the memo tables
+    only on carriers of at most `SMALL_N` elements and take their
+    uncached paths above that:
+
+    - `filter_memo`: the filter generated by each subset mask, filled by
+      `filters.generated_filter`;
+    - `ideal_memo`: the ideal generated by each subset mask, filled by
+      `filters.generated_ideal`;
+    - `omega_memo`: base filter -> its coannulet unions over every
+      subset mask, filled by `omega.omega_table`;
+    - `coann_memo`: base filter -> its coannihilators of every subset
+      mask, filled by `coann.coann_subset_table`;
+    - `minimal_primes_memo`: the minimal primes over each subset mask,
+      filled by `spectra.minimal_primes_over`.
     """
 
     n: int
@@ -94,6 +102,17 @@ class Structure:
     @cached_property
     def omega_memo(self) -> dict[int, bytes]:
         """Base filter f -> slot X is the union of (f : x) over x in X."""
+        return {}
+
+    @cached_property
+    def coann_memo(self) -> dict[int, bytes]:
+        """Base filter f -> slot X is (f : X), the intersection of
+        (f : x) over x in X."""
+        return {}
+
+    @cached_property
+    def minimal_primes_memo(self) -> dict[int, tuple[int, ...]]:
+        """Mask m -> the minimal primes over m."""
         return {}
 
     @cached_property

@@ -1,0 +1,102 @@
+"""The battery's power to catch broken memo tables.
+
+Each mutant breaks one table that the table-driven checks read, and the
+census of sizes 2 to 5 plus a6 must make the named checks fail.  Every
+run starts from rebuilt structures (empty memo slots) and cleared
+`lru_cache`s, so no broken result outlives its test.
+"""
+
+import importlib
+
+from reslat import coann, spectra
+from reslat.structure import Structure
+
+from test_closure import census, cold_caches, failed_checks, patch_everywhere  # noqa: F401
+
+# The package attribute `reslat.omega` is the function, not the module.
+omega_module = importlib.import_module("reslat.omega")
+
+
+def census_and_a6(a6):
+    structures = census(2, 3, 4, 5) + [a6]
+    assert len(structures) == 1 + 2 + 7 + 26 + 1
+    return structures
+
+
+def test_coann_table_with_one_slot_changed(a6, monkeypatch, cold_caches):
+    orig = coann.coann_subset_table
+
+    def bot_slot_gains_bot(s, f):
+        co = list(orig(s, f))
+        co[1 << s.bot] |= 1 << s.bot
+        return co
+
+    patch_everywhere(monkeypatch, orig, bot_slot_gains_bot)
+    failed = failed_checks(census_and_a6(a6))
+    assert {"coannihilator-flip-rule", "coannihilator-is-filter-above-base"} <= failed
+
+
+def test_non_monotone_omega_table(a6, monkeypatch, cold_caches):
+    orig = omega_module.omega_table
+
+    def carrier_slot_is_base(s, f):
+        unions = list(orig(s, f))
+        unions[s.full] = f
+        return unions
+
+    patch_everywhere(monkeypatch, orig, carrier_slot_is_base)
+    failed = failed_checks(census_and_a6(a6))
+    assert {
+        "omega-monotone-in-set",
+        "omega-routes-agree",
+        "omega-full-iff-meets-base",
+        "omega-fixes-base-iff-dense",
+        "omega-properness-equivalences",
+        "omega-minimal-primes-avoid-set",
+        "omega-minimal-primes-characterized",
+        "omega-is-minimal-prime-intersection",
+    } <= failed
+
+
+def test_omega_table_slot_without_top(a6, monkeypatch, cold_caches):
+    orig = omega_module.omega_table
+
+    def bot_slot_loses_top(s, f):
+        unions = list(orig(s, f))
+        unions[1 << s.bot] &= ~(1 << s.top)
+        return unions
+
+    patch_everywhere(monkeypatch, orig, bot_slot_loses_top)
+    failed = failed_checks(census_and_a6(a6))
+    assert {"omega-contains-base", "omega-of-join-closed-is-filter"} <= failed
+
+
+def test_omega_table_of_another_base(a6, monkeypatch, cold_caches):
+    orig = omega_module.omega_table
+
+    def carrier_reads_trivial_base(s, f):
+        return orig(s, 1 << s.top if f == s.full else f)
+
+    patch_everywhere(monkeypatch, orig, carrier_reads_trivial_base)
+    failed = failed_checks(census_and_a6(a6))
+    assert {"omega-monotone-in-base", "omega-contains-base"} <= failed
+
+
+def test_stale_minimal_primes_memo(a6, monkeypatch, cold_caches):
+    # Every mask already has a slot holding the empty tuple, a valid
+    # answer, so `minimal_primes_over` never computes and answers stale.
+    monkeypatch.setattr(
+        Structure,
+        "minimal_primes_memo",
+        property(lambda s: dict.fromkeys(range(1 << s.n), ())),
+    )
+    assert spectra.minimal_primes_over(a6, 1 << a6.top) == ()
+    failed = failed_checks(census_and_a6(a6))
+    assert {
+        "minimal-prime-iff-maximal-complement",
+        "prime-over-set-contains-minimal",
+        "generated-filter-is-minimal-prime-intersection",
+        "omega-is-minimal-prime-intersection",
+        "divisor-is-minimal-prime-intersection",
+        "n-normality-characterizations-agree",
+    } <= failed

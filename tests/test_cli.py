@@ -67,16 +67,18 @@ def test_base_gen_prints_generated_filter(capsys):
 @pytest.mark.parametrize(
     "golden,argv",
     [
-        ("filters_a6.txt", ("filters",)),
-        ("spectrum_a6.txt", ("spectrum",)),
-        ("coann_f4_a6.txt", ("coann", "--base", "c,d,1")),
-        ("omega_f2_a6.txt", ("omega", "--base", "d,1")),
-        ("normality_a6.txt", ("normality",)),
-        ("verify_a6.txt", ("verify",)),
+        ("filters_a6.txt", ("filters", "a6.json")),
+        ("spectrum_a6.txt", ("spectrum", "a6.json")),
+        ("coann_f4_a6.txt", ("coann", "a6.json", "--base", "c,d,1")),
+        ("omega_f2_a6.txt", ("omega", "a6.json", "--base", "d,1")),
+        ("normality_a6.txt", ("normality", "a6.json")),
+        ("verify_a6.txt", ("verify", "a6.json")),
+        # Nine elements: past `SMALL_N`, so the battery takes the unmemoised paths.
+        ("verify_chain9.json", ("verify", "chain9-godel.json", "--format", "json")),
     ],
 )
 def test_golden_outputs(capsys, golden, argv):
-    code, out, _ = run_cli(capsys, argv[0], fixture("a6.json"), *argv[1:])
+    code, out, _ = run_cli(capsys, argv[0], fixture(argv[1]), *argv[2:])
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
 

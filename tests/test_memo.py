@@ -1,11 +1,12 @@
 """The per-structure memo tables answer exactly as the uncached routines."""
 
+import operator
 from dataclasses import replace
 
 import pytest
 
-from reslat.bitsets import bits
-from reslat.coann import coannulet_table
+from reslat.bitsets import bits, subset_fold, union_over
+from reslat.coann import coann_subset_table, coannulet_table
 from reslat.filters import (
     all_filters,
     filter_closure,
@@ -14,7 +15,8 @@ from reslat.filters import (
     ideal_closure,
 )
 from reslat.modelgen import SearchSpec, enumerate_residuated
-from reslat.omega import omega
+from reslat.omega import omega, omega_table
+from reslat.spectra import minimal_primes_over, minimal_primes_scan
 from reslat.structure import Structure, validate_structure
 
 
@@ -67,11 +69,30 @@ def test_omega_table_matches_coannulet_union(structures):
     for s in structures:
         for f in all_filters(s).filters:
             table = coannulet_table(s, f)
+            unions = omega_table(s, f)
             for x_set in range(1, 1 << s.n):
                 expected = 0
                 for x in bits(x_set):
                     expected |= table[x]
                 assert omega(s, f, x_set) == expected
+                assert unions[x_set] == expected == union_over(table, x_set)
+            assert s.omega_memo[f] is omega_table(s, f)
+
+
+def test_coann_memo_matches_subset_fold(structures):
+    for s in structures:
+        for f in all_filters(s).filters:
+            expected = subset_fold(coannulet_table(s, f), s.full, operator.and_)
+            assert list(coann_subset_table(s, f)) == expected
+            assert s.coann_memo[f] is coann_subset_table(s, f)
+
+
+def test_minimal_primes_memo_matches_scan(structures):
+    for s in structures:
+        for _ in range(2):  # the first pass may fill slots, the second reads them
+            for m in range(1 << s.n):
+                assert minimal_primes_over(s, m) == minimal_primes_scan(s, m)
+        assert len(s.minimal_primes_memo) == 1 << s.n
 
 
 def test_large_carrier_skips_the_memo():
@@ -84,7 +105,17 @@ def test_large_carrier_skips_the_memo():
         assert omega(s, up, 1 << x) == s.full
         trivial = s.full if x == s.top else 1 << s.top
         assert omega(s, 1 << s.top, 1 << x | 1) == trivial
-    assert not {"filter_memo", "ideal_memo", "omega_memo"} & vars(s).keys()
+        # The filters of a chain are its up-sets, and every one is prime
+        # except the carrier, so up is the only minimal prime over x.
+        assert minimal_primes_over(s, 1 << x) == ((up,) if x else ())
+    for f in all_filters(s).filters:
+        table = coannulet_table(s, f)
+        assert omega_table(s, f) == subset_fold(table, 0, operator.or_)
+        assert coann_subset_table(s, f) == subset_fold(table, s.full, operator.and_)
+    for m in range(1 << s.n):
+        assert minimal_primes_over(s, m) == minimal_primes_scan(s, m)
+    memos = {"filter_memo", "ideal_memo", "omega_memo", "coann_memo", "minimal_primes_memo"}
+    assert not memos & vars(s).keys()
 
 
 def test_bits_lists_set_bits_ascending():
