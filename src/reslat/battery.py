@@ -19,11 +19,10 @@ from . import filters as flt
 from . import normality as nrm
 from . import spectra as spc
 from .bitsets import bits, submasks
-from .errors import RepresentationMismatch, SearchExhausted
+from .errors import NotMinimalPrime, RepresentationMismatch, SearchExhausted
 from .omega import (
     dense_set,
     divisor,
-    omega,
     omega_family,
     omega_join,
     omega_table,
@@ -574,6 +573,7 @@ def _omega_family_lattice(s):
     ideals = flt.all_ideals(s)
     for f in flt.all_filters(s).filters:
         fam = omega_family(s, f)
+        table = omega_table(s, f)
         notes.extend(fam.notes)
         members = fam.members
         mset = set(members)
@@ -585,7 +585,7 @@ def _omega_family_lattice(s):
                 g, h = members[i], members[j]
                 if g & h not in mset:
                     return _fail(base=_fmt(s, f), law="meet-closure")
-                if omega(s, f, fam.witnesses[i] & fam.witnesses[j]) != g & h:
+                if table[fam.witnesses[i] & fam.witnesses[j]] != g & h:
                     return _fail(base=_fmt(s, f), law="meet-formula")
         joins = {}
         for i in range(k):
@@ -598,11 +598,12 @@ def _omega_family_lattice(s):
                 for w in members:
                     if g & joins[(h, w)] != joins[(g & h, g & w)]:
                         return _fail(base=_fmt(s, f), law="distributivity")
-        values = {ideal: omega(s, f, ideal) for ideal in ideals}
+        values = {ideal: table[ideal] for ideal in ideals}
         for i_a in ideals:
             for i_b in ideals:
-                lhs = omega(s, f, flt.ideal_join(s, i_a, i_b))
-                rhs = joins[(values[i_a], values[i_b])]
+                lhs = table[flt.ideal_join(s, i_a, i_b)]
+                # None when a table value is not a family member.
+                rhs = joins.get((values[i_a], values[i_b]))
                 if lhs != rhs:
                     return _fail(
                         base=_fmt(s, f),
@@ -793,10 +794,11 @@ def _omega_family_matches_filter_scan(s):
     ideals = flt.all_ideals(s)
     for f in flt.all_filters(s).filters:
         fam = omega_family(s, f)
+        table = omega_table(s, f)
         scan = tuple(
             h
             for h in flt.all_filters(s).filters
-            if any(omega(s, f, ideal) == h for ideal in ideals)
+            if any(table[ideal] == h for ideal in ideals)
         )
         if set(fam.members) != set(scan):
             return _fail(base=_fmt(s, f), fast=len(fam.members), scan=len(scan))
@@ -996,7 +998,7 @@ def run_battery(
             continue
         try:
             witness, notes = fn(s)
-        except (RepresentationMismatch, SearchExhausted) as exc:
+        except (NotMinimalPrime, RepresentationMismatch, SearchExhausted) as exc:
             witness, notes = {"error": str(exc)}, ()
         outcomes.append(
             CheckOutcome(

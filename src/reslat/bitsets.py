@@ -3,8 +3,8 @@
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 # Carriers of at most this many elements have every subset mask below
-# 256: `bits` answers from a table, and a subset of the carrier fits in
-# one byte of a per-mask memo table.
+# 256, so `bits` answers from a table; larger masks take the loop.
+# Nothing else depends on the carrier size.
 SMALL_N = 8
 
 _SMALL_BITS = tuple(

@@ -9,14 +9,14 @@ sublattice of it.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bitsets import SMALL_N, bits, subset_fold
+from .bitsets import bits, subset_fold
 from .errors import UnknownMember
 from .filters import canonical_sort
-from .structure import Structure
+from .structure import Structure, memo
 
 
 @lru_cache(maxsize=None)
@@ -39,26 +39,12 @@ def coannihilator(s: Structure, f: int, x_set: int) -> int:
 
 
 def coann_subset_table(s: Structure, f: int) -> Sequence[int]:
-    """(f : X) for every subset mask X, by shared-prefix folding."""
-    return coannulet_fold(s, f, "coann_memo", s.full, operator.and_)
+    """(f : X) for every subset mask X, memoised per structure and base."""
+    return memo(s, _coann_fold, f)
 
 
-def coannulet_fold(
-    s: Structure, f: int, memo_name: str, empty: int, op: Callable[[int, int], int]
-) -> Sequence[int]:
-    """`subset_fold` of `op` over the coannulets of f, for every subset mask.
-
-    On carriers of at most `SMALL_N` elements the table is built once per
-    (structure, base) and kept in the structure's `memo_name` dict; above
-    that it is built afresh on every call.
-    """
-    if s.n > SMALL_N:
-        return subset_fold(coannulet_table(s, f), empty, op)
-    memo = getattr(s, memo_name)
-    table = memo.get(f)
-    if table is None:
-        table = memo[f] = bytes(subset_fold(coannulet_table(s, f), empty, op))
-    return table
+def _coann_fold(s: Structure, f: int) -> list[int]:
+    return subset_fold(coannulet_table(s, f), s.full, operator.and_)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bitsets import SMALL_N, closed_under, closure_under, union_over
+from .bitsets import closed_under, closure_under, union_over
 from .errors import UnknownFilter
-from .structure import Structure
+from .structure import Structure, memo
 
 
 def _closed_cone(s: Structure, m: int, cone, table) -> bool:
@@ -35,27 +35,13 @@ def is_ideal(s: Structure, m: int) -> bool:
 
 
 def generated_filter(s: Structure, gens: int) -> int:
-    """Least filter containing `gens`, memoised per structure on small
-    carriers."""
-    return _generated(s, gens, "filter_memo", filter_closure)
+    """Least filter containing `gens`, memoised per structure."""
+    return memo(s, filter_closure, gens)
 
 
 def generated_ideal(s: Structure, gens: int) -> int:
-    """Least ideal containing `gens`, memoised per structure on small
-    carriers."""
-    return _generated(s, gens, "ideal_memo", ideal_closure)
-
-
-def _generated(s: Structure, gens: int, memo_name: str, closure) -> int:
-    """closure(s, gens), kept in the structure's `memo_name` table when
-    the carrier has at most SMALL_N elements."""
-    if s.n > SMALL_N:
-        return closure(s, gens)
-    memo = getattr(s, memo_name)
-    out = memo[gens]
-    if not out:
-        out = memo[gens] = closure(s, gens)
-    return out
+    """Least ideal containing `gens`, memoised per structure."""
+    return memo(s, ideal_closure, gens)
 
 
 def filter_closure(s: Structure, gens: int) -> int:

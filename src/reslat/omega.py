@@ -13,31 +13,31 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bitsets import SMALL_N, union_over
-from .coann import coannulet_fold, coannulet_table
+from .bitsets import subset_fold, union_over
+from .coann import coannulet_table
 from .errors import EmptyArgument, ImproperFilter, RepresentationMismatch, UnknownMember
 from .filters import all_ideals, canonical_sort, generated_filter, generated_ideal, is_ideal
-from .structure import Structure, subset_repr
+from .structure import Structure, memo, subset_repr
 
 
 def omega_table(s: Structure, f: int) -> Sequence[int]:
     """Slot X is the union of (f : x) over x in X, for every subset mask X;
-    kept on the structure for carriers of at most `SMALL_N` elements."""
-    return coannulet_fold(s, f, "omega_memo", 0, operator.or_)
+    memoised per structure and base."""
+    return memo(s, _omega_fold, f)
+
+
+def _omega_fold(s: Structure, f: int) -> list[int]:
+    return subset_fold(coannulet_table(s, f), 0, operator.or_)
 
 
 def omega(s: Structure, f: int, x_set: int) -> int:
     """Union of (f : x) over x in x_set.  Raw mask; a filter when x_set
-    is join closed, but not in general.
-
-    A lookup into `omega_table` on small carriers; above `SMALL_N` a
-    single union, so one call does not build the whole table.
+    is join closed, but not in general.  A single union, so one call
+    does not build the whole `omega_table`.
     """
     if x_set == 0:
         raise EmptyArgument("omega needs a nonempty subset")
-    if s.n > SMALL_N:
-        return union_over(coannulet_table(s, f), x_set)
-    return omega_table(s, f)[x_set]
+    return union_over(coannulet_table(s, f), x_set)
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def omega_join(fam: OmegaFamily, g: int, h: int) -> int:
     formula on the stored witnesses."""
     s, f = fam.structure, fam.base
     least = least_member_above(fam, g | h)
-    via_ideals = omega(s, f, generated_ideal(s, fam.witness(g) | fam.witness(h)))
+    via_ideals = omega_table(s, f)[generated_ideal(s, fam.witness(g) | fam.witness(h))]
     if via_ideals != least:
         raise RepresentationMismatch(
             "ideal-join formula disagrees with the least member for "

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitsets import SMALL_N, closed_under, closure_under
+from .bitsets import closed_under, closure_under
 from .errors import Overlap
 from .filters import all_filters, canonical_sort
-from .structure import Structure
+from .structure import Structure, memo
 
 
 def is_prime(s: Structure, f: int) -> bool:
@@ -51,16 +51,10 @@ def minimal_primes_over(s: Structure, x_set: int) -> tuple[int, ...]:
     """Minimal elements of the primes containing x_set.
 
     Empty exactly when x_set generates the whole carrier, since in a
-    finite structure every proper filter sits below a prime.  Kept per
-    mask on the structure for carriers of at most `SMALL_N` elements.
+    finite structure every proper filter sits below a prime.  Memoised
+    per structure.
     """
-    if s.n > SMALL_N:
-        return minimal_primes_scan(s, x_set)
-    memo = s.minimal_primes_memo
-    out = memo.get(x_set)
-    if out is None:
-        out = memo[x_set] = minimal_primes_scan(s, x_set)
-    return out
+    return memo(s, minimal_primes_scan, x_set)
 
 
 def minimal_primes_scan(s: Structure, x_set: int) -> tuple[int, ...]:

@@ -10,6 +10,8 @@ whole-structure analyses can be cached on them.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,20 +35,9 @@ class Structure:
     Derived data lives in lazily built `cached_property` slots that die
     with the structure: the order masks `up`/`down`, the hash (computed
     once, since every cached analysis hashes its structure on each
-    lookup), and five memo tables.  The analyses fill the memo tables
-    only on carriers of at most `SMALL_N` elements and take their
-    uncached paths above that:
-
-    - `filter_memo`: the filter generated by each subset mask, filled by
-      `filters.generated_filter`;
-    - `ideal_memo`: the ideal generated by each subset mask, filled by
-      `filters.generated_ideal`;
-    - `omega_memo`: base filter -> its coannulet unions over every
-      subset mask, filled by `omega.omega_table`;
-    - `coann_memo`: base filter -> its coannihilators of every subset
-      mask, filled by `coann.coann_subset_table`;
-    - `minimal_primes_memo`: the minimal primes over each subset mask,
-      filled by `spectra.minimal_primes_over`.
+    lookup), and `memos`, the one memo that `memo` fills for every
+    per-subset analysis (generated filters and ideals, minimal primes
+    over a set, and the coannihilator and omega tables of each base).
     """
 
     n: int
@@ -88,32 +79,9 @@ class Structure:
         return hash((self.n, self.names, *tables, self.bot, self.top))
 
     @cached_property
-    def filter_memo(self) -> bytearray:
-        """Slot m is the filter generated by mask m, or 0 while not yet
-        computed (no filter is empty)."""
-        return bytearray(1 << self.n)
-
-    @cached_property
-    def ideal_memo(self) -> bytearray:
-        """Slot m is the ideal generated by mask m, or 0 while not yet
-        computed (every ideal contains bot)."""
-        return bytearray(1 << self.n)
-
-    @cached_property
-    def omega_memo(self) -> dict[int, bytes]:
-        """Base filter f -> slot X is the union of (f : x) over x in X."""
-        return {}
-
-    @cached_property
-    def coann_memo(self) -> dict[int, bytes]:
-        """Base filter f -> slot X is (f : X), the intersection of
-        (f : x) over x in X."""
-        return {}
-
-    @cached_property
-    def minimal_primes_memo(self) -> dict[int, tuple[int, ...]]:
-        """Mask m -> the minimal primes over m."""
-        return {}
+    def memos(self) -> defaultdict[Callable, dict]:
+        """Routine -> {argument: routine(self, argument)}, filled by `memo`."""
+        return defaultdict(dict)
 
     @cached_property
     def full(self) -> int:
@@ -162,6 +130,20 @@ class Structure:
             return self.names.index(name)
         except ValueError:
             raise KeyError(name) from None
+
+
+def memo(s: Structure, routine: Callable, arg):
+    """routine(s, arg), computed once per structure and argument.
+
+    `routine` must depend on nothing but its two arguments; its answers
+    live in `s.memos` and die with the structure.
+    """
+    table = s.memos[routine]
+    try:
+        return table[arg]
+    except KeyError:
+        out = table[arg] = routine(s, arg)
+        return out
 
 
 def subset_repr(s: Structure, mask: int) -> str:

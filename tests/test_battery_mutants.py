@@ -2,11 +2,13 @@
 
 Each mutant breaks one table that the table-driven checks read, and the
 census of sizes 2 to 5 plus a6 must make the named checks fail.  Every
-run starts from rebuilt structures (empty memo slots) and cleared
+run starts from rebuilt structures (an empty memo) and cleared
 `lru_cache`s, so no broken result outlives its test.
 """
 
 import importlib
+from collections import defaultdict
+from dataclasses import replace
 
 from reslat import coann, spectra
 from reslat.structure import Structure
@@ -83,14 +85,21 @@ def test_omega_table_of_another_base(a6, monkeypatch, cold_caches):
 
 
 def test_stale_minimal_primes_memo(a6, monkeypatch, cold_caches):
-    # Every mask already has a slot holding the empty tuple, a valid
-    # answer, so `minimal_primes_over` never computes and answers stale.
-    monkeypatch.setattr(
-        Structure,
-        "minimal_primes_memo",
-        property(lambda s: dict.fromkeys(range(1 << s.n), ())),
-    )
-    assert spectra.minimal_primes_over(a6, 1 << a6.top) == ()
+    def stale_memos(s):
+        # Every mask already has a minimal-primes slot holding the empty
+        # tuple, a valid answer, so `minimal_primes_over` never computes
+        # and answers stale.  Kept on the structure, under the real name,
+        # so that the other memoised answers are still computed once.
+        if "memos" not in vars(s):
+            vars(s)["memos"] = defaultdict(
+                dict, {spectra.minimal_primes_scan: dict.fromkeys(range(1 << s.n), ())}
+            )
+        return vars(s)["memos"]
+
+    monkeypatch.setattr(Structure, "memos", property(stale_memos))
+    # A rebuilt copy, so that the shared a6 keeps its own memo.
+    fresh = replace(a6, names=a6.names)
+    assert spectra.minimal_primes_over(fresh, 1 << fresh.top) == ()
     failed = failed_checks(census_and_a6(a6))
     assert {
         "minimal-prime-iff-maximal-complement",
@@ -100,3 +109,17 @@ def test_stale_minimal_primes_memo(a6, monkeypatch, cold_caches):
         "divisor-is-minimal-prime-intersection",
         "n-normality-characterizations-agree",
     } <= failed
+
+
+def test_minimal_primes_over_returning_every_prime(a6, monkeypatch, cold_caches):
+    orig = spectra.minimal_primes_over
+
+    def every_prime_over(s, x_set):
+        return tuple(p for p in spectra.primes_of(s) if not (x_set & ~p))
+
+    patch_everywhere(monkeypatch, orig, every_prime_over)
+    # A prime over the base that is not minimal reaches the separation
+    # search, which raises NotMinimalPrime; the battery reports a failed
+    # check instead of stopping.
+    failed = failed_checks(census_and_a6(a6))
+    assert "separating-elements-exist" in failed

@@ -73,7 +73,7 @@ def test_base_gen_prints_generated_filter(capsys):
         ("omega_f2_a6.txt", ("omega", "a6.json", "--base", "d,1")),
         ("normality_a6.txt", ("normality", "a6.json")),
         ("verify_a6.txt", ("verify", "a6.json")),
-        # Nine elements: past `SMALL_N`, so the battery takes the unmemoised paths.
+        # Nine elements: past `SMALL_N`, so `bits` takes its loop instead of the table.
         ("verify_chain9.json", ("verify", "chain9-godel.json", "--format", "json")),
     ],
 )

@@ -1,4 +1,4 @@
-"""The per-structure memo tables answer exactly as the uncached routines."""
+"""The per-structure memo answers exactly as the uncached routines."""
 
 import operator
 from dataclasses import replace
@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from reslat.bitsets import bits, subset_fold, union_over
-from reslat.coann import coann_subset_table, coannulet_table
+from reslat.coann import _coann_fold, coann_subset_table, coannulet_table
 from reslat.filters import (
     all_filters,
     filter_closure,
@@ -15,7 +15,7 @@ from reslat.filters import (
     ideal_closure,
 )
 from reslat.modelgen import SearchSpec, enumerate_residuated
-from reslat.omega import omega, omega_table
+from reslat.omega import _omega_fold, omega, omega_table
 from reslat.spectra import minimal_primes_over, minimal_primes_scan
 from reslat.structure import Structure, validate_structure
 
@@ -33,7 +33,7 @@ def structures(a6):
 
 
 def godel_chain(n: int) -> Structure:
-    """The n-element chain with product = meet; past the memo size for n > 8."""
+    """The n-element chain with product = meet; past `SMALL_N` for n > 8."""
     maxs = [[max(x, y) for y in range(n)] for x in range(n)]
     mins = [[min(x, y) for y in range(n)] for x in range(n)]
     res = [[n - 1 if x <= y else y for y in range(n)] for x in range(n)]
@@ -50,19 +50,16 @@ def godel_chain(n: int) -> Structure:
 
 
 @pytest.mark.parametrize(
-    "generated,closure,memo",
-    [
-        (generated_filter, filter_closure, "filter_memo"),
-        (generated_ideal, ideal_closure, "ideal_memo"),
-    ],
+    "generated,closure",
+    [(generated_filter, filter_closure), (generated_ideal, ideal_closure)],
     ids=["filter", "ideal"],
 )
-def test_generated_memo_matches_closure(structures, generated, closure, memo):
+def test_generated_memo_matches_closure(structures, generated, closure):
     for s in structures:
         for _ in range(2):  # the first pass may fill slots, the second reads them
             for m in range(1 << s.n):
                 assert generated(s, m) == closure(s, m)
-        assert all(getattr(s, memo))
+        assert len(s.memos[closure]) == 1 << s.n
 
 
 def test_omega_table_matches_coannulet_union(structures):
@@ -76,7 +73,7 @@ def test_omega_table_matches_coannulet_union(structures):
                     expected |= table[x]
                 assert omega(s, f, x_set) == expected
                 assert unions[x_set] == expected == union_over(table, x_set)
-            assert s.omega_memo[f] is omega_table(s, f)
+            assert s.memos[_omega_fold][f] is omega_table(s, f)
 
 
 def test_coann_memo_matches_subset_fold(structures):
@@ -84,7 +81,7 @@ def test_coann_memo_matches_subset_fold(structures):
         for f in all_filters(s).filters:
             expected = subset_fold(coannulet_table(s, f), s.full, operator.and_)
             assert list(coann_subset_table(s, f)) == expected
-            assert s.coann_memo[f] is coann_subset_table(s, f)
+            assert s.memos[_coann_fold][f] is coann_subset_table(s, f)
 
 
 def test_minimal_primes_memo_matches_scan(structures):
@@ -92,10 +89,10 @@ def test_minimal_primes_memo_matches_scan(structures):
         for _ in range(2):  # the first pass may fill slots, the second reads them
             for m in range(1 << s.n):
                 assert minimal_primes_over(s, m) == minimal_primes_scan(s, m)
-        assert len(s.minimal_primes_memo) == 1 << s.n
+        assert len(s.memos[minimal_primes_scan]) == 1 << s.n
 
 
-def test_large_carrier_skips_the_memo():
+def test_large_carrier_shares_the_memo():
     s = godel_chain(9)
     assert validate_structure(s).valid
     for x in range(s.n):
@@ -108,14 +105,15 @@ def test_large_carrier_skips_the_memo():
         # The filters of a chain are its up-sets, and every one is prime
         # except the carrier, so up is the only minimal prime over x.
         assert minimal_primes_over(s, 1 << x) == ((up,) if x else ())
+    # Single omega queries build no 2^n table.
+    assert _omega_fold not in s.memos
     for f in all_filters(s).filters:
         table = coannulet_table(s, f)
         assert omega_table(s, f) == subset_fold(table, 0, operator.or_)
         assert coann_subset_table(s, f) == subset_fold(table, s.full, operator.and_)
     for m in range(1 << s.n):
         assert minimal_primes_over(s, m) == minimal_primes_scan(s, m)
-    memos = {"filter_memo", "ideal_memo", "omega_memo", "coann_memo", "minimal_primes_memo"}
-    assert not memos & vars(s).keys()
+    assert len(s.memos[minimal_primes_scan]) == 1 << s.n
 
 
 def test_bits_lists_set_bits_ascending():
