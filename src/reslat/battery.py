@@ -370,11 +370,10 @@ def _coannulet_meet_is_product_coannulet(s):
 def _double_coannihilator_join_rule(s):
     for f in flt.all_filters(s).filters:
         table = can.coannulet_table(s, f)
+        co = can.coann_subset_table(s, f)
         for x in range(s.n):
             for y in range(s.n):
-                lhs = can.coannihilator(s, f, table[x]) & can.coannihilator(s, f, table[y])
-                rhs = can.coannihilator(s, f, table[s.join[x][y]])
-                if lhs != rhs:
+                if co[table[x]] & co[table[y]] != co[table[s.join[x][y]]]:
                     return _fail(base=_fmt(s, f), x=s.names[x], y=s.names[y])
     return _pass()
 

@@ -88,20 +88,17 @@ def _upsets(s: Structure) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class FilterLattice:
-    """All filters of a structure with their join and meet tables.
+    """All filters of a structure with their join table.
 
     Filters are listed canonically (ascending popcount, then bit value).
     Meet is set intersection; join of F and G is the least filter
-    containing their union.  `leq[i]` is the bitmask of positions j with
-    filters[i] contained in filters[j].
+    containing their union.
     """
 
     structure: Structure
     filters: tuple[int, ...]
     index: dict[int, int] = field(repr=False)
     join_table: tuple[tuple[int, ...], ...] = field(repr=False)
-    meet_table: tuple[tuple[int, ...], ...] = field(repr=False)
-    leq: tuple[int, ...] = field(repr=False)
 
     def __contains__(self, f: int) -> bool:
         return f in self.index
@@ -116,7 +113,10 @@ class FilterLattice:
         return self.filters[self.join_table[self.position(f)][self.position(g)]]
 
     def meet(self, f: int, g: int) -> int:
-        return self.filters[self.meet_table[self.position(f)][self.position(g)]]
+        # Positions only reject what is not a filter: meet is intersection.
+        self.position(f)
+        self.position(g)
+        return f & g
 
 
 def canonical_sort(masks) -> tuple[int, ...]:
@@ -131,25 +131,15 @@ def all_filters(s: Structure) -> FilterLattice:
     index = {m: i for i, m in enumerate(filters)}
     k = len(filters)
     join_t = [[0] * k for _ in range(k)]
-    meet_t = [[0] * k for _ in range(k)]
     for i, f in enumerate(filters):
         for j in range(i, k):
-            g = filters[j]
-            jt = index[generated_filter(s, f | g)]
-            mt = index[f & g]
+            jt = index[generated_filter(s, f | filters[j])]
             join_t[i][j] = join_t[j][i] = jt
-            meet_t[i][j] = meet_t[j][i] = mt
-    leq_rows = tuple(
-        sum(1 << j for j, g in enumerate(filters) if not (f & ~g))
-        for f in filters
-    )
     return FilterLattice(
         structure=s,
         filters=filters,
         index=index,
         join_table=tuple(tuple(r) for r in join_t),
-        meet_table=tuple(tuple(r) for r in meet_t),
-        leq=leq_rows,
     )
 
 

@@ -1,13 +1,13 @@
 """Exhaustive search for finite residuated lattices of small order.
 
-Bounded lattices are enumerated up to isomorphism; commutative product
-tables are then assigned by backtracking, each cell trying the values of
-one candidate bitmask cut by the filled cells of its row and column, and
-the residuum is derived from the product rather than searched (for each
-pair the candidate residual is the join of all admissible arguments, and
-the assignment is pruned when that join is not itself admissible).
-Every emitted structure passes full validation, and isomorphic
-duplicates are rejected by a canonical key.
+Bounded lattices are grown up to isomorphism from the 2-element chain,
+one new atom at a time.  Commutative product tables are then assigned by
+backtracking, each cell trying the values of one candidate bitmask that
+the filled cells of its row and column cut so that the product preserves
+joins, which on a finite lattice is exactly residuation.  The residuum is
+then derived from the product rather than searched: residuum[y][z] is the
+join of the x with x * y <= z.  Every emitted structure passes full
+validation, and isomorphic duplicates are rejected by a canonical key.
 """
 
 from __future__ import annotations
@@ -130,66 +130,43 @@ def _up_masks_from_key(n: int, key: bytes) -> tuple[int, ...]:
 def enumerate_lattices(size: int) -> list[Lattice]:
     """All bounded lattices on `size` elements up to isomorphism.
 
-    Middle elements are related in every consistent way; candidates that
-    fail transitivity or the unique-bound test are dropped, and the
-    survivors are deduplicated by canonical order key.
+    Grown from the 2-element chain by one-point extension: removing an
+    atom from a finite lattice leaves a lattice, so each lattice of size
+    m + 1 is one of size m plus a new atom a.  The strict up-set U of a
+    is an up-closed subset of L - {bot} holding top, and a join with each
+    x != bot exists exactly when U meet up(x) has a least element
+    (Heitzig & Reinhold, "Counting finite lattices", Algebra Universalis
+    2002).  Each size is deduplicated by canonical order key.
     """
     if not 2 <= size <= MAX_SIZE:
         raise SizeOutOfRange(f"supported sizes are 2..{MAX_SIZE}")
-    n = size
-    bot, top = 0, n - 1
-    middles = list(range(1, n - 1))
-    pairs = [(x, y) for i, x in enumerate(middles) for y in middles[i + 1 :]]
-    seen: dict[bytes, None] = {}
-
-    def candidates(assign):
-        up = [0] * n
-        up[bot] = (1 << n) - 1
-        for x in middles:
-            up[x] = (1 << x) | (1 << top)
-        up[top] = 1 << top
-        for (x, y), rel in zip(pairs, assign):
-            if rel == 1:
-                up[x] |= 1 << y
-            elif rel == 2:
-                up[y] |= 1 << x
-        for x in middles:
-            for y in middles:
-                if x != y and up[x] >> y & 1:
-                    if up[y] & ~up[x]:
-                        return None
-        return tuple(up)
-
-    results = []
-    total = 3 ** len(pairs)
-    for code in range(total):
-        assign = []
-        c = code
-        for _ in pairs:
-            assign.append(c % 3)
-            c //= 3
-        up = candidates(assign)
-        if up is None:
-            continue
-        try:
-            order_tables(n, up)
-        except MalformedTables:
-            continue
-        key = _lattice_key(n, up, bot, top)
-        if key in seen:
-            continue
-        seen[key] = None
-        results.append(key)
-    results.sort()
+    keys = {_lattice_key(2, (0b11, 0b10), 0, 1)}
+    for m in range(2, size):
+        top, atom = m - 1, 1 << m
+        grown = set()
+        for key in keys:
+            up = _up_masks_from_key(m, key)
+            for middles in range(1 << (m - 2)):
+                strict = middles << 1 | 1 << top
+                if any(up[x] & ~strict for x in bits(strict)):
+                    continue
+                if not all(
+                    any(not bounds & ~up[u] for u in bits(bounds))
+                    for bounds in (strict & up[x] for x in range(1, m))
+                ):
+                    continue
+                ext = (up[0] | atom, *up[1:], strict | atom)
+                grown.add(_lattice_key(m + 1, ext, 0, top))
+        keys = grown
     return [
         Lattice(
-            n=n,
-            up=_up_masks_from_key(n, key),
-            names=_default_names(n),
-            bot=bot,
-            top=top,
+            n=size,
+            up=_up_masks_from_key(size, key),
+            names=_default_names(size),
+            bot=0,
+            top=size - 1,
         )
-        for key in results
+        for key in sorted(keys)
     ]
 
 
@@ -249,19 +226,33 @@ class CensusRecord:
 
 
 def _times_tables(lat: Lattice):
-    """Backtracking assignment of the product over one bounded lattice.
+    """Backtracking assignment of a residuated product over one bounded lattice.
 
-    The bottom and identity rows are fixed; the middle cells (x, y) of
-    the upper triangle are filled in index order and mirrored.  Each tries,
-    in ascending order, its candidate mask: the carrier cut to up(w) for
-    every filled cell (p, y) with p below x and to down(w) for every one
-    with p above x (w the cell's value), then likewise for the cells
-    (x, q) against y; the identity row alone keeps it inside
-    down(x meet y).  Associativity is checked on completion (triples
-    touching bot or top are automatic).
+    On a finite lattice a product is residuated exactly when it fixes bot
+    and preserves binary joins in each argument, so the search enforces
+    join(p, a) * b = join(p * b, a * b) while it fills the table.  The
+    bottom and identity rows are fixed; the middle cells (x, y) of the
+    upper triangle are filled in index order and mirrored.  Each tries, in
+    ascending order, the values of one candidate mask, cut for both
+    orientations (a, b) of the cell by every filled cell (p, b) of value
+    w: to up(w) when p <= a, else, when the cell (join(p, a), b) holds t,
+    to the values v with join(v, w) = t (down(w) when p >= a).  A cell
+    (a, b) with a = join(p, q) for two filled cells (p, b) and (q, b) is
+    forced to the join of their values; the census numbers each join below
+    its parts, so this matters for base lattices numbered bottom up.
+    Associativity is checked on completion (triples touching bot or top
+    are automatic).
     """
-    n, bot, top, up = lat.n, lat.bot, lat.top, lat.up
-    down = tuple(sum(1 << v for v in range(n) if up[v] >> w & 1) for w in range(n))
+    n, bot, top, up, join = lat.n, lat.bot, lat.top, lat.up, lat.join
+    joins_to = [[0] * n for _ in range(n)]
+    for w in range(n):
+        for v in range(n):
+            joins_to[w][join[v][w]] |= 1 << v
+    splits = [[] for _ in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            if join[p][q] not in (p, q):
+                splits[join[p][q]].append((p, q))
     mids = [i for i in range(n) if i not in (bot, top)]
     cells = [(x, y) for i, x in enumerate(mids) for y in mids[i:]]
     table = [[None] * n for _ in range(n)]
@@ -272,14 +263,18 @@ def _times_tables(lat: Lattice):
     def candidates(x, y):
         mask = (1 << n) - 1
         for a, b in ((x, y), (y, x)):
-            for p in range(n):
-                w = table[p][b]
+            column = [row[b] for row in table]
+            for p, w in enumerate(column):
                 if w is None:
                     continue
-                if up[p] >> a & 1:
+                pa = join[p][a]
+                if pa == a:
                     mask &= up[w]
-                elif up[a] >> p & 1:
-                    mask &= down[w]
+                elif column[pa] is not None:
+                    mask &= joins_to[w][column[pa]]
+            for p, q in splits[a]:
+                if column[p] is not None and column[q] is not None:
+                    mask &= 1 << join[column[p]][column[q]]
         return mask
 
     def assoc_ok():
@@ -308,23 +303,22 @@ def _times_tables(lat: Lattice):
     return out
 
 
-def _derive_residuum(lat: Lattice, times) -> tuple | None:
-    """residuum[y][z] = join of {x | x * y <= z}, or None when that join
-    is not itself admissible (no adjoint exists)."""
+def _derive_residuum(lat: Lattice, times) -> tuple:
+    """residuum[y][z] = join of {x | x * y <= z}.
+
+    The product preserves joins, so that join is itself in the set: the
+    residuum is the adjoint the search guaranteed.
+    """
     n = lat.n
     join = lat.join
     rows = []
     for y in range(n):
         row = []
         for z in range(n):
-            best = None
-            ok_mask = 0
+            best = lat.bot
             for x in range(n):
                 if lat.leq(times[x][y], z):
-                    ok_mask |= 1 << x
-                    best = x if best is None else join[best][x]
-            if best is None or not ok_mask >> best & 1:
-                return None
+                    best = join[best][x]
             row.append(best)
         rows.append(tuple(row))
     return tuple(rows)
@@ -356,16 +350,13 @@ def enumerate_residuated(spec: SearchSpec):
     records = []
     for lat in lattices:
         for times in _times_tables(lat):
-            residuum = _derive_residuum(lat, times)
-            if residuum is None:
-                continue
             s = Structure(
                 n=lat.n,
                 names=lat.names,
                 join=lat.join,
                 meet=lat.meet,
                 times=times,
-                residuum=residuum,
+                residuum=_derive_residuum(lat, times),
                 bot=lat.bot,
                 top=lat.top,
             )

@@ -38,6 +38,20 @@ def test_coann_table_with_one_slot_changed(a6, monkeypatch, cold_caches):
     assert {"coannihilator-flip-rule", "coannihilator-is-filter-above-base"} <= failed
 
 
+def test_coann_table_with_carrier_slot_full(a6, monkeypatch, cold_caches):
+    orig = coann.coann_subset_table
+
+    def carrier_slot_is_carrier(s, f):
+        co = list(orig(s, f))
+        co[s.full] = s.full
+        return co
+
+    patch_everywhere(monkeypatch, orig, carrier_slot_is_carrier)
+    failed = failed_checks(census_and_a6(a6))
+    # (F : (F : x)) reads the carrier slot whenever (F : x) is the carrier.
+    assert "double-coannihilator-join-rule" in failed
+
+
 def test_non_monotone_omega_table(a6, monkeypatch, cold_caches):
     orig = omega_module.omega_table
 

@@ -6,6 +6,8 @@ import pytest
 from reslat.errors import BadN, InvalidBaseLattice, MalformedTables, SizeOutOfRange
 from reslat.modelgen import (
     SearchSpec,
+    _derive_residuum,
+    _lattice_key,
     _times_tables,
     canonical_key,
     enumerate_lattices,
@@ -20,11 +22,14 @@ def test_lattice_counts_small():
     assert len(enumerate_lattices(2)) == 1
     assert len(enumerate_lattices(3)) == 1
     assert len(enumerate_lattices(4)) == 2
+    assert len(enumerate_lattices(5)) == 5
+    assert len(enumerate_lattices(6)) == 15
 
 
 def _lattice_classes_oracle(n):
-    """Independent count: enumerate middle orders pair by pair, keep the
-    bounded lattices, and group by explicit isomorphism search."""
+    """Independent classes: enumerate middle orders pair by pair, keep the
+    bounded lattices, and group by explicit isomorphism search; one up-mask
+    tuple per class."""
     mids = list(range(1, n - 1))
     pairs = [(x, y) for x in mids for y in mids if x != y]
     survivors = []
@@ -69,12 +74,17 @@ def _lattice_classes_oracle(n):
     for u in survivors:
         if not any(isomorphic(u, v) for v in classes):
             classes.append(u)
-    return len(classes)
+    return classes
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_lattice_counts_match_oracle(n):
-    assert len(enumerate_lattices(n)) == _lattice_classes_oracle(n)
+    classes = _lattice_classes_oracle(n)
+    lattices = enumerate_lattices(n)
+    assert len(lattices) == len(classes)
+    assert {_lattice_key(n, up, 0, n - 1) for up in classes} == {
+        _lattice_key(n, lat.up, lat.bot, lat.top) for lat in lattices
+    }
 
 
 def test_lattice_size_bounds():
@@ -87,7 +97,8 @@ def test_lattice_size_bounds():
 def _times_tables_oracle(lat):
     """Every commutative table with the bot and identity rows fixed, in
     the lexicographic order of its upper-triangle middle cells, kept when
-    monotone and associative."""
+    monotone, associative and residuated: {x | x * y <= z} has a maximum
+    for every y and z."""
     n, bot, top = lat.n, lat.bot, lat.top
     mids = [i for i in range(n) if i not in (bot, top)]
     cells = [(x, y) for i, x in enumerate(mids) for y in mids[i:]]
@@ -101,20 +112,62 @@ def _times_tables_oracle(lat):
         for (x, y), v in zip(cells, values):
             t[x][y] = t[y][x] = v
         monotone = all(lat.leq(t[x][y], t[x2][y]) for x, x2 in pairs for y in range(n))
-        if monotone and all(
-            t[t[x][y]][z] == t[x][t[y][z]]
-            for x in range(n)
-            for y in range(n)
-            for z in range(n)
+        if (
+            monotone
+            and all(
+                t[t[x][y]][z] == t[x][t[y][z]]
+                for x in range(n)
+                for y in range(n)
+                for z in range(n)
+            )
+            and all(_has_maximum(lat, t, y, z) for y in range(n) for z in range(n))
         ):
             out.append(tuple(map(tuple, t)))
     return out
 
 
+def _has_maximum(lat, t, y, z):
+    below = [x for x in range(lat.n) if lat.leq(t[x][y], z)]
+    return any(all(lat.leq(x, m) for x in below) for m in below)
+
+
+def _both_labelings(n):
+    """Each lattice of size n as enumerated, where joins get the lower
+    numbers, and with its middle elements numbered in reverse, where the
+    cell of a join is filled after the cells of its parts (as in a base
+    lattice file that lists elements bottom up)."""
+    pi = [0, *range(n - 2, 0, -1), n - 1]
+    for lat in enumerate_lattices(n):
+        up = [0] * n
+        for x in range(n):
+            for y in range(n):
+                if lat.leq(x, y):
+                    up[pi[x]] |= 1 << pi[y]
+        yield lat
+        yield lattice_from_order(lat.names, up, 0, n - 1)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_times_tables_match_brute_force(n):
-    for lat in enumerate_lattices(n):
+    for lat in _both_labelings(n):
         assert _times_tables(lat) == _times_tables_oracle(lat)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_every_product_table_derives_a_residuum(n):
+    for lat in _both_labelings(n):
+        for times in _times_tables(lat):
+            s = Structure(
+                n=n,
+                names=lat.names,
+                join=lat.join,
+                meet=lat.meet,
+                times=times,
+                residuum=_derive_residuum(lat, times),
+                bot=lat.bot,
+                top=lat.top,
+            )
+            assert validate_structure(s).valid
 
 
 def _raw_residuated_oracle(lat):
