@@ -2,13 +2,16 @@
 
 Exit codes: 0 on success (all checks passed), 1 when a verification
 condition failed or a predicate answered no, 2 on input or usage
-errors.  Diagnostics go to stderr, data to stdout.
+errors.  Diagnostics go to stderr, data to stdout.  A reader that
+closes stdout early (`reslat search --size 5 | head -1`) ends the run
+with exit 0 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -424,7 +427,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at exit is silent too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except (
         BadN,
         CliError,

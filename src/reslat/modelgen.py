@@ -6,8 +6,19 @@ backtracking, each cell trying the values of one candidate bitmask that
 the filled cells of its row and column cut so that the product preserves
 joins, which on a finite lattice is exactly residuation.  The residuum is
 then derived from the product rather than searched: residuum[y][z] is the
-join of the x with x * y <= z.  Every emitted structure passes full
-validation, and isomorphic duplicates are rejected by a canonical key.
+join of the x with x * y <= z.
+
+Isomorphic duplicates are rejected by a canonical key, computed in two
+stages.  The key is the least relabeling of join || meet || times ||
+residuum, so its join part is the least relabeled join table, and the
+relabelings that reach it form one coset of the lattice's automorphism
+group (`Lattice.coset`, scanned once per lattice).  The meet table is
+fixed by the join table, so on that coset its part is fixed too, and
+only times || residuum is minimised, over the coset alone.  That is the
+same lexicographic minimum, so the key bytes are those of a minimum
+over every relabeling.  Every emitted structure passes full validation;
+isomorphic structures pass or fail together, so each class is validated
+once, when its representative is emitted.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from .normality import normality_report
 from .spectra import spectrum
 from .structure import Structure, is_mtl, order_tables, validate_structure
 
-MAX_SIZE = 6
+MAX_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -47,6 +58,11 @@ class Lattice:
     @cached_property
     def meet(self):
         return self.tables[1]
+
+    @cached_property
+    def coset(self):
+        """The relabelings that minimise the relabeled join table."""
+        return _join_coset(self.n, self.join, self.bot, self.top)
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
@@ -170,27 +186,53 @@ def enumerate_lattices(size: int) -> list[Lattice]:
     ]
 
 
-def canonical_key(s: Structure) -> bytes:
+def _relabeled(tables, pi) -> bytearray:
+    """The tables concatenated, with every element x renamed to pi[x]."""
+    n = len(pi)
+    buf = bytearray(len(tables) * n * n)
+    for k, table in enumerate(tables):
+        for x in range(n):
+            row = table[x]
+            base = (k * n + pi[x]) * n
+            for y in range(n):
+                buf[base + pi[y]] = pi[row[y]]
+    return buf
+
+
+def _join_coset(n: int, join, bot: int, top: int) -> tuple[list[int], ...]:
+    """Every relabeling that sends bot to 0 and top to n - 1 and gives
+    the least relabeled join table: one coset pi0 * Aut(L)."""
+    best, coset = None, []
+    for pi in _relabelings(n, bot, top):
+        buf = _relabeled((join,), pi)
+        if best is None or buf < best:
+            best, coset = buf, [pi]
+        elif buf == best:
+            coset.append(pi)
+    return tuple(coset)
+
+
+def canonical_key(s: Structure, lat: Lattice | None = None) -> bytes:
     """Isomorphism-invariant bytes of all four tables.
 
-    Minimized over the relabelings that send bot to 0 and top to n - 1;
-    two structures get equal keys exactly when some bijection carries
-    all four tables of one onto the other.
+    The least join || meet || times || residuum over the relabelings that
+    send bot to 0 and top to n - 1; two structures get equal keys exactly
+    when some bijection carries all four tables of one onto the other.
+    A lexicographic minimum first minimises the join part, and the
+    relabelings that do so form one coset of Aut(L), on which the meet
+    part, fixed by the join table, is constant.  So the minimum is taken
+    over that coset alone, for times || residuum, with the same bytes as
+    a minimum over every relabeling.  `lat`, the lattice reduct of s with
+    the same labels, supplies its cached coset; without it the coset is
+    computed from s.join.
     """
-    n = s.n
-    tables = (s.join, s.meet, s.times, s.residuum)
-
-    def relabeled(pi):
-        buf = bytearray(4 * n * n)
-        for k, table in enumerate(tables):
-            for x in range(n):
-                row = table[x]
-                base = (k * n + pi[x]) * n
-                for y in range(n):
-                    buf[base + pi[y]] = pi[row[y]]
-        return buf
-
-    return bytes(min(map(relabeled, _relabelings(n, s.bot, s.top))))
+    if lat is not None:
+        coset = lat.coset
+    else:
+        coset = _join_coset(s.n, s.join, s.bot, s.top)
+    head = _relabeled((s.join, s.meet), coset[0])
+    tail = min(_relabeled((s.times, s.residuum), pi) for pi in coset)
+    return bytes(head + tail)
 
 
 @dataclass(frozen=True)
@@ -341,6 +383,9 @@ def enumerate_residuated(spec: SearchSpec):
     Records are emitted in canonical-key order.  With canonical_only
     (the default) one representative per isomorphism class is kept;
     otherwise every completed assignment is emitted, still sorted.
+    Validation runs on the records about to be emitted, after the
+    duplicate check: structures with equal keys are isomorphic, so they
+    pass or fail together.
     """
     lattices = (
         [spec.base_lattice]
@@ -360,10 +405,7 @@ def enumerate_residuated(spec: SearchSpec):
                 bot=lat.bot,
                 top=lat.top,
             )
-            if not validate_structure(s).valid:
-                continue
-            key = canonical_key(s)
-            records.append((key, s))
+            records.append((canonical_key(s, lat), s))
     records.sort(key=lambda kv: kv[0])
     seen = set()
     emitted = 0
@@ -374,6 +416,8 @@ def enumerate_residuated(spec: SearchSpec):
             seen.add(key)
         if spec.limit is not None and emitted >= spec.limit:
             return
+        if not validate_structure(s).valid:
+            continue
         yield CensusRecord(
             structure=s,
             canonical_key=key,

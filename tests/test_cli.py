@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +300,25 @@ def test_export_dot_filters(capsys):
     assert code == 0
     assert out.count("label=") == 5
     assert '"{d,1}"' in out
+
+
+@pytest.mark.parametrize(
+    "argv", [("search", "--size", "5"), ("normality", fixture("a6.json"))]
+)
+def test_closed_stdout_ends_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "reslat", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 def test_console_entry_point():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -8,6 +9,7 @@ from reslat.modelgen import (
     SearchSpec,
     _derive_residuum,
     _lattice_key,
+    _relabelings,
     _times_tables,
     canonical_key,
     enumerate_lattices,
@@ -91,7 +93,7 @@ def test_lattice_size_bounds():
     with pytest.raises(SizeOutOfRange):
         enumerate_lattices(1)
     with pytest.raises(SizeOutOfRange):
-        enumerate_lattices(7)
+        enumerate_lattices(9)
 
 
 def _times_tables_oracle(lat):
@@ -252,6 +254,31 @@ def test_size_two_census():
 @pytest.mark.parametrize("size, count", [(2, 1), (3, 2), (4, 7), (5, 26), (6, 129)])
 def test_census_matches_published_counts(size, count):
     assert sum(1 for _ in enumerate_residuated(SearchSpec(size=size))) == count
+
+
+def _index_mtl_counts(size):
+    return Counter(
+        (r.stats.normality_index, r.stats.mtl)
+        for r in enumerate_residuated(SearchSpec(size=size))
+    )
+
+
+def test_size_seven_census_counts():
+    counts = _index_mtl_counts(7)
+    assert sum(counts.values()) == 723
+    assert counts == {(1, False): 258, (1, True): 451, (2, False): 1, (2, True): 13}
+
+
+@pytest.mark.slow
+def test_size_eight_census_counts():
+    counts = _index_mtl_counts(8)
+    assert sum(counts.values()) == 4712
+    assert counts == {
+        (1, False): 2248,
+        (1, True): 2393,
+        (2, False): 11,
+        (2, True): 60,
+    }
 
 
 def test_census_structures_validate():
@@ -417,3 +444,70 @@ def test_canonical_key_matches_isomorphism_oracle():
     reps = [members[0] for members in classes.values()]
     for i, s in enumerate(reps):
         assert not any(_isomorphic(s, t) for t in reps[i + 1 :])
+
+
+def _single_stage_key(s):
+    """Reference key: the least join || meet || times || residuum over
+    every relabeling that sends bot to 0 and top to n - 1."""
+    n = s.n
+    tables = (s.join, s.meet, s.times, s.residuum)
+
+    def relabeled(pi):
+        buf = bytearray(4 * n * n)
+        for k, table in enumerate(tables):
+            for x in range(n):
+                for y in range(n):
+                    buf[(k * n + pi[x]) * n + pi[y]] = pi[table[x][y]]
+        return bytes(buf)
+
+    return min(map(relabeled, _relabelings(n, s.bot, s.top)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_two_stage_key_matches_single_stage(n):
+    rng = random.Random(n)
+    for lat in enumerate_lattices(n):
+        for times in _times_tables(lat):
+            s = Structure(
+                n=n,
+                names=lat.names,
+                join=lat.join,
+                meet=lat.meet,
+                times=times,
+                residuum=_derive_residuum(lat, times),
+                bot=lat.bot,
+                top=lat.top,
+            )
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for t in (s, _relabel(s, perm)):
+                key = _single_stage_key(t)
+                assert canonical_key(t) == key
+                assert canonical_key(t, lattice_of(t)) == key
+
+
+def _automorphism_count(lat):
+    n = lat.n
+    mids = [i for i in range(n) if i not in (lat.bot, lat.top)]
+    count = 0
+    for image in permutations(mids):
+        pi = {lat.bot: lat.bot, lat.top: lat.top, **dict(zip(mids, image))}
+        if all(
+            lat.leq(pi[x], pi[y]) == lat.leq(x, y) for x in range(n) for y in range(n)
+        ):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_coset_is_one_automorphism_coset(n):
+    for lat in enumerate_lattices(n):
+        assert len(lat.coset) == _automorphism_count(lat)
+        images = set()
+        for pi in lat.coset:
+            image = [[0] * n for _ in range(n)]
+            for x in range(n):
+                for y in range(n):
+                    image[pi[x]][pi[y]] = pi[lat.join[x][y]]
+            images.add(tuple(map(tuple, image)))
+        assert len(images) == 1
