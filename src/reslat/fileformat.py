@@ -141,6 +141,8 @@ def _read_json(path: Path):
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise StructureFileError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise StructureFileError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise StructureFileError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:

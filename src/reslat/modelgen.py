@@ -60,6 +60,14 @@ class Lattice:
         return self.tables[1]
 
     @cached_property
+    def down(self):
+        """down[y] is the bitmask of {x | x <= y}."""
+        return tuple(
+            sum(1 << x for x in range(self.n) if self.up[x] >> y & 1)
+            for y in range(self.n)
+        )
+
+    @cached_property
     def coset(self):
         """The relabelings that minimise the relabeled join table."""
         return _join_coset(self.n, self.join, self.bot, self.top)
@@ -282,8 +290,10 @@ def _times_tables(lat: Lattice):
     (a, b) with a = join(p, q) for two filled cells (p, b) and (q, b) is
     forced to the join of their values; the census numbers each join below
     its parts, so this matters for base lattices numbered bottom up.
-    Associativity is checked on completion (triples touching bot or top
-    are automatic).
+    The table stays symmetric at every node (each cell is written with its
+    mirror, and the bot and top lines are fixed), so column b is read as
+    row b.  Associativity is checked on completion (triples touching bot
+    or top are automatic).
     """
     n, bot, top, up, join = lat.n, lat.bot, lat.top, lat.up, lat.join
     joins_to = [[0] * n for _ in range(n)]
@@ -305,7 +315,7 @@ def _times_tables(lat: Lattice):
     def candidates(x, y):
         mask = (1 << n) - 1
         for a, b in ((x, y), (y, x)):
-            column = [row[b] for row in table]
+            column = table[b]
             for p, w in enumerate(column):
                 if w is None:
                     continue
@@ -346,22 +356,28 @@ def _times_tables(lat: Lattice):
 
 
 def _derive_residuum(lat: Lattice, times) -> tuple:
-    """residuum[y][z] = join of {x | x * y <= z}.
+    """residuum[y][z] = join of {x | x * y <= z}, from principal down-sets.
 
-    The product preserves joins, so that join is itself in the set: the
-    residuum is the adjoint the search guaranteed.
+    With by_value[v] the mask of the x with x * y = v (row y of the
+    commutative product), that set is the union of by_value[v] over v in
+    down(z).  The product preserves joins, so the set holds its own join
+    and is that element's down-set: residuum[y][z] is looked up by mask,
+    the adjoint the search guaranteed.
     """
-    n = lat.n
-    join = lat.join
+    n, down = lat.n, lat.down
+    element = {mask: x for x, mask in enumerate(down)}
+    below = [list(bits(mask)) for mask in down]
     rows = []
     for y in range(n):
+        by_value = [0] * n
+        for x, v in enumerate(times[y]):
+            by_value[v] |= 1 << x
         row = []
-        for z in range(n):
-            best = lat.bot
-            for x in range(n):
-                if lat.leq(times[x][y], z):
-                    best = join[best][x]
-            row.append(best)
+        for low in below:
+            mask = 0
+            for v in low:
+                mask |= by_value[v]
+            row.append(element[mask])
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -14,6 +14,7 @@ from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq
 
 from .bitsets import bits
 from .errors import MalformedTables
@@ -55,6 +56,8 @@ class Structure:
             object.__setattr__(self, attr, _frozen(getattr(self, attr)))
         if self.n < 2:
             raise MalformedTables("carrier must have at least two elements")
+        if self.n > 256:
+            raise MalformedTables("carrier has more than 256 elements")
         if len(self.names) != self.n:
             raise MalformedTables("name list size disagrees with carrier size")
         for attr in ("join", "meet", "times", "residuum"):
@@ -179,75 +182,118 @@ class ValidationReport:
 def validate_structure(s: Structure) -> ValidationReport:
     """Check every axiom; collect the first witness per violated law.
 
-    Witnesses are found by lexicographic scan over element tuples, so
-    the report is deterministic.  Two derived laws (product distributes
-    over join; a join of products bounds the product of joins) hold in
-    every residuated lattice; if every axiom passes yet one of them
-    fails, the report carries an internal-consistency violation.
+    Each side of a law is one `bytes` string: its value at every element
+    tuple, tuples in lexicographic order.  The strings are assembled from
+    table rows, and composing a table with a row is one `bytes.translate`
+    (the left side of join associativity, x v (y v z) for every (y, z), is
+    the flat join table translated by row x), so the law is checked by
+    one comparison, with the 0/1 row of x <= v standing in for the order.
+    The witness of a violated law is its first differing position, read
+    as an element tuple: the first failing tuple in lexicographic order,
+    so the report is deterministic.  Element indices must fit in a byte,
+    which is why `Structure` caps carriers at 256 elements.  Two derived
+    laws (product distributes over join; a join of products bounds the
+    product of joins) hold in every residuated lattice; if every axiom
+    passes yet one of them fails, the report carries an
+    internal-consistency violation.
     """
-    jn, mt, tm, rs = s.join, s.meet, s.times, s.residuum
-    rng = range(s.n)
-    top, bot = s.top, s.bot
+    n, top, bot = s.n, s.top, s.bot
+    rng = range(n)
+    pad = bytes(256 - n)
+    jn, mt, tm, rs = (
+        [bytes(row) for row in table] for table in (s.join, s.meet, s.times, s.residuum)
+    )
+    le = [bytes(map(eq, row, rng)) for row in jn]  # le[x][v] = 1 iff x <= v
+    # Row x as a translate table: the map v -> table[x][v].
+    jn_of, mt_of, tm_of, le_of = (
+        [row + pad for row in rows] for rows in (jn, mt, tm, le)
+    )
+    # Flat tables: entry (x, y) at x * n + y.
+    JN, MT, TM, RS, LE = map(b"".join, (jn, mt, tm, rs, le))
+    ident = bytes(rng)
+    firsts = b"".join(bytes((x,)) * n for x in rng)  # x at every (x, y)
 
-    def le(x: int, y: int) -> bool:
-        return jn[x][y] == y
+    def transpose(flat):
+        return b"".join(flat[y::n] for y in rng)
 
     violations: list[tuple[str, tuple[int, ...]]] = []
 
-    def scan1(name, pred):
-        for x in rng:
-            if not pred(x):
-                violations.append((name, (x,)))
-                return
+    def law(name, arity, lhs, rhs):
+        if lhs == rhs:
+            return
+        k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        violations.append((name, tuple(k // n**e % n for e in reversed(range(arity)))))
 
-    def scan2(name, pred):
-        for x in rng:
-            for y in rng:
-                if not pred(x, y):
-                    violations.append((name, (x, y)))
-                    return
-
-    def scan3(name, pred):
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    if not pred(x, y, z):
-                        violations.append((name, (x, y, z)))
-                        return
-
-    scan2("join-commutative", lambda x, y: jn[x][y] == jn[y][x])
-    scan3("join-associative", lambda x, y, z: jn[x][jn[y][z]] == jn[jn[x][y]][z])
-    scan1("join-idempotent", lambda x: jn[x][x] == x)
-    scan2("meet-commutative", lambda x, y: mt[x][y] == mt[y][x])
-    scan3("meet-associative", lambda x, y, z: mt[x][mt[y][z]] == mt[mt[x][y]][z])
-    scan1("meet-idempotent", lambda x: mt[x][x] == x)
-    scan2("absorption-join-meet", lambda x, y: jn[x][mt[x][y]] == x)
-    scan2("absorption-meet-join", lambda x, y: mt[x][jn[x][y]] == x)
-    scan1("bottom-least", lambda x: jn[bot][x] == x)
-    scan1("top-greatest", lambda x: jn[x][top] == top)
-    scan2("product-commutative", lambda x, y: tm[x][y] == tm[y][x])
-    scan3(
+    law("join-commutative", 2, JN, transpose(JN))
+    law(
+        "join-associative",
+        3,
+        b"".join(map(JN.translate, jn_of)),
+        b"".join(map(jn.__getitem__, JN)),
+    )
+    law("join-idempotent", 1, JN[:: n + 1], ident)
+    law("meet-commutative", 2, MT, transpose(MT))
+    law(
+        "meet-associative",
+        3,
+        b"".join(map(MT.translate, mt_of)),
+        b"".join(map(mt.__getitem__, MT)),
+    )
+    law("meet-idempotent", 1, MT[:: n + 1], ident)
+    law(
+        "absorption-join-meet",
+        2,
+        b"".join(map(bytes.translate, mt, jn_of)),
+        firsts,
+    )
+    law(
+        "absorption-meet-join",
+        2,
+        b"".join(map(bytes.translate, jn, mt_of)),
+        firsts,
+    )
+    law("bottom-least", 1, jn[bot], ident)
+    law("top-greatest", 1, JN[top::n], bytes((top,)) * n)
+    law("product-commutative", 2, TM, transpose(TM))
+    law(
         "product-associative",
-        lambda x, y, z: tm[x][tm[y][z]] == tm[tm[x][y]][z],
+        3,
+        b"".join(map(TM.translate, tm_of)),
+        b"".join(map(tm.__getitem__, TM)),
     )
-    scan1("product-identity", lambda x: tm[x][top] == x)
-    scan3(
+    law("product-identity", 1, TM[top::n], ident)
+    law(
         "adjointness",
-        lambda x, y, z: le(tm[x][y], z) == le(x, rs[y][z]),
+        3,
+        b"".join(map(le.__getitem__, TM)),
+        b"".join(map(RS.translate, le_of)),
     )
-    scan2(
-        "order-residuum-agreement",
-        lambda x, y: le(x, y) == (rs[x][y] == top),
-    )
+    is_top = bytearray(256)
+    is_top[top] = 1
+    law("order-residuum-agreement", 2, LE, RS.translate(is_top))
 
     if not violations:
-        scan3(
+        law(
             "internal-consistency:product-distributes-over-join",
-            lambda x, y, z: tm[x][jn[y][z]] == jn[tm[x][y]][tm[x][z]],
+            3,
+            b"".join(map(JN.translate, tm_of)),
+            b"".join(row.translate(jn_of[v]) for row in tm for v in row),
         )
-        scan3(
+        products_of_joins = b"".join(
+            row.translate(tm_of[v]) for row in jn for v in row
+        )
+        joins_of_products = b"".join(map(TM.translate, jn_of))
+        law(
             "internal-consistency:join-of-products-bound",
-            lambda x, y, z: le(tm[jn[x][y]][jn[x][z]], jn[x][tm[y][z]]),
+            3,
+            bytes(
+                map(
+                    bytes.__getitem__,
+                    map(le.__getitem__, products_of_joins),
+                    joins_of_products,
+                )
+            ),
+            bytes((1,)) * n**3,
         )
 
     return ValidationReport(valid=not violations, violations=tuple(violations))

@@ -265,6 +265,46 @@ def test_deeply_nested_json_is_usage_error(capsys, tmp_path):
     assert "too deeply" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [("validate",), ("search", "--base-lattice")])
+def test_non_utf8_file_is_usage_error(capsys, tmp_path, command):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, *command, str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("reslat: error: ") and err.count("\n") == 1
+    assert "is not UTF-8 text" in err
+
+
+def test_carrier_over_256_elements_is_usage_error(tmp_path):
+    n = 257
+    names = [str(x) for x in range(n)]
+
+    def table(op):
+        return [[names[op(x, y)] for y in range(n)] for x in range(n)]
+
+    data = {
+        "elements": names,
+        "bot": names[0],
+        "top": names[-1],
+        "join": table(max),
+        "meet": table(min),
+        "times": table(min),
+        "residuum": table(lambda x, y: n - 1 if x <= y else y),
+    }
+    p = tmp_path / "chain257.json"
+    p.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "reslat", "validate", str(p)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "reslat: error: carrier has more than 256 elements\n"
+
+
 @pytest.mark.parametrize("limit", ["0", "-1"])
 def test_search_rejects_non_positive_limit(capsys, limit):
     code, out, err = run_cli(capsys, "search", "--size", "3", "--limit", limit)

@@ -172,6 +172,28 @@ def test_every_product_table_derives_a_residuum(n):
             assert validate_structure(s).valid
 
 
+def _residuum_by_definition(lat, times):
+    """residuum[y][z] as the join, folded from bot, of {x | x * y <= z}."""
+    rows = []
+    for y in range(lat.n):
+        row = []
+        for z in range(lat.n):
+            best = lat.bot
+            for x in range(lat.n):
+                if lat.leq(times[x][y], z):
+                    best = lat.join[best][x]
+            row.append(best)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_residuum_matches_definition(n):
+    for lat in _both_labelings(n):
+        for times in _times_tables(lat):
+            assert _derive_residuum(lat, times) == _residuum_by_definition(lat, times)
+
+
 def _raw_residuated_oracle(lat):
     """No-pruning reference: enumerate every commutative table with the
     identity row fixed, derive the residuum by definition, and keep the

@@ -1,11 +1,16 @@
 import json
+import random
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from reslat.errors import MalformedTables, StructureFileError
 from reslat.fileformat import load_structure, parse_structure
+from reslat.modelgen import SearchSpec, enumerate_residuated
 from reslat.structure import (
     Structure,
+    ValidationReport,
     is_mtl,
     leq,
     negate,
@@ -201,3 +206,164 @@ def test_load_structure_reports_bad_entries(fixtures_dir, tmp_path):
     p.write_text(json.dumps(data))
     with pytest.raises(StructureFileError, match="zz"):
         load_structure(p)
+
+
+def test_carrier_of_more_than_256_elements_rejected():
+    n = 257
+    chain = [[max(x, y) for y in range(n)] for x in range(n)]
+    meet = [[min(x, y) for y in range(n)] for x in range(n)]
+    residuum = [[n - 1 if x <= y else y for y in range(n)] for x in range(n)]
+    with pytest.raises(MalformedTables, match="more than 256"):
+        Structure(
+            n=n,
+            names=tuple(map(str, range(n))),
+            join=chain,
+            meet=meet,
+            times=meet,
+            residuum=residuum,
+            bot=0,
+            top=n - 1,
+        )
+
+
+def _reference_validate(s):
+    """The definitional scanner: every law as a predicate on element
+    tuples, each scanned in lexicographic order to its first failure."""
+    jn, mt, tm, rs = s.join, s.meet, s.times, s.residuum
+    rng = range(s.n)
+    top, bot = s.top, s.bot
+
+    def le(x, y):
+        return jn[x][y] == y
+
+    violations = []
+
+    def scan(name, arity, pred):
+        for t in product(rng, repeat=arity):
+            if not pred(*t):
+                violations.append((name, t))
+                return
+
+    scan("join-commutative", 2, lambda x, y: jn[x][y] == jn[y][x])
+    scan("join-associative", 3, lambda x, y, z: jn[x][jn[y][z]] == jn[jn[x][y]][z])
+    scan("join-idempotent", 1, lambda x: jn[x][x] == x)
+    scan("meet-commutative", 2, lambda x, y: mt[x][y] == mt[y][x])
+    scan("meet-associative", 3, lambda x, y, z: mt[x][mt[y][z]] == mt[mt[x][y]][z])
+    scan("meet-idempotent", 1, lambda x: mt[x][x] == x)
+    scan("absorption-join-meet", 2, lambda x, y: jn[x][mt[x][y]] == x)
+    scan("absorption-meet-join", 2, lambda x, y: mt[x][jn[x][y]] == x)
+    scan("bottom-least", 1, lambda x: jn[bot][x] == x)
+    scan("top-greatest", 1, lambda x: jn[x][top] == top)
+    scan("product-commutative", 2, lambda x, y: tm[x][y] == tm[y][x])
+    scan("product-associative", 3, lambda x, y, z: tm[x][tm[y][z]] == tm[tm[x][y]][z])
+    scan("product-identity", 1, lambda x: tm[x][top] == x)
+    scan("adjointness", 3, lambda x, y, z: le(tm[x][y], z) == le(x, rs[y][z]))
+    scan("order-residuum-agreement", 2, lambda x, y: le(x, y) == (rs[x][y] == top))
+    if not violations:
+        scan(
+            "internal-consistency:product-distributes-over-join",
+            3,
+            lambda x, y, z: tm[x][jn[y][z]] == jn[tm[x][y]][tm[x][z]],
+        )
+        scan(
+            "internal-consistency:join-of-products-bound",
+            3,
+            lambda x, y, z: le(tm[jn[x][y]][jn[x][z]], jn[x][tm[y][z]]),
+        )
+    return ValidationReport(valid=not violations, violations=tuple(violations))
+
+
+AXIOM_LAWS = {
+    "join-commutative",
+    "join-associative",
+    "join-idempotent",
+    "meet-commutative",
+    "meet-associative",
+    "meet-idempotent",
+    "absorption-join-meet",
+    "absorption-meet-join",
+    "bottom-least",
+    "top-greatest",
+    "product-commutative",
+    "product-associative",
+    "product-identity",
+    "adjointness",
+    "order-residuum-agreement",
+}
+
+
+def _relabeled_off_bounds(s, rng):
+    """s renamed by a seeded permutation that sends bot off 0 and top off
+    n - 1."""
+    n = s.n
+    while True:
+        pi = list(range(n))
+        rng.shuffle(pi)
+        if pi[s.bot] != 0 and pi[s.top] != n - 1:
+            break
+    inv = [0] * n
+    for x in range(n):
+        inv[pi[x]] = x
+
+    def table(rows):
+        return [[pi[rows[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
+
+    return Structure(
+        n=n,
+        names=tuple(s.names[inv[x]] for x in range(n)),
+        join=table(s.join),
+        meet=table(s.meet),
+        times=table(s.times),
+        residuum=table(s.residuum),
+        bot=pi[s.bot],
+        top=pi[s.top],
+    )
+
+
+def _mutant(s, rng):
+    """s with one to three cells of its four tables changed, each cell
+    mirrored across the diagonal half of the time."""
+    tables = {
+        attr: [list(row) for row in getattr(s, attr)]
+        for attr in ("join", "meet", "times", "residuum")
+    }
+    for _ in range(rng.randint(1, 3)):
+        rows = tables[rng.choice(sorted(tables))]
+        x, y = rng.randrange(s.n), rng.randrange(s.n)
+        v = rng.choice([u for u in range(s.n) if u != rows[x][y]])
+        rows[x][y] = v
+        if rng.random() < 0.5:
+            rows[y][x] = v
+    return replace(s, **tables)
+
+
+@pytest.fixture(scope="module")
+def census_2_to_6():
+    return [
+        record.structure
+        for n in range(2, 7)
+        for record in enumerate_residuated(SearchSpec(size=n))
+    ]
+
+
+def test_validation_matches_reference_on_census(census_2_to_6):
+    rng = random.Random(2010)
+    assert len(census_2_to_6) == 1 + 2 + 7 + 26 + 129
+    for s in census_2_to_6:
+        for t in (s, _relabeled_off_bounds(s, rng)):
+            report = validate_structure(t)
+            assert report.valid
+            assert report == _reference_validate(t)
+
+
+def test_validation_matches_reference_on_mutants(census_2_to_6, a6):
+    rng = random.Random(12)
+    sources = [a6, *census_2_to_6]
+    sources += [_relabeled_off_bounds(s, rng) for s in sources]
+    hit = set()
+    for _ in range(4000):
+        m = _mutant(rng.choice(sources), rng)
+        report = validate_structure(m)
+        assert report == _reference_validate(m)
+        hit.update(name for name, _ in report.violations)
+    assert hit == AXIOM_LAWS
