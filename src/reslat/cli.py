@@ -4,12 +4,14 @@ Exit codes: 0 on success (all checks passed), 1 when a verification
 condition failed or a predicate answered no, 2 on input or usage
 errors.  Diagnostics go to stderr, data to stdout.  A reader that
 closes stdout early (`reslat search --size 5 | head -1`) ends the run
-with exit 0 and nothing on stderr.
+with exit 0 and nothing on stderr; any other failed write (a full disk)
+ends it with exit 2 and one `cannot write` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -254,6 +256,35 @@ def cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _write_census(out, spec: SearchSpec, size: int) -> None:
+    count = 0
+    for record in enumerate_residuated(spec):
+        count += 1
+        key = record.canonical_key.hex()
+        doc = {
+            "structure": dump_structure(
+                record.structure, f"R{record.structure.n}-{count:03d}"
+            ),
+            "canonical_key": key,
+            "stats": {
+                "filters": record.stats.filters,
+                "primes": record.stats.primes,
+                "minimal_primes": record.stats.minimal_primes,
+                "normality_index": record.stats.normality_index,
+                "mtl": record.stats.mtl,
+            },
+        }
+        out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    out.write(
+        json.dumps(
+            {"census_counts": {str(size): count}, "total": count},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        + "\n"
+    )
+
+
 def cmd_search(args) -> int:
     base = None
     size = args.size
@@ -269,40 +300,16 @@ def cmd_search(args) -> int:
         limit=args.limit,
         canonical_only=not args.all_labelings,
     )
+    if not args.out:
+        _write_census(sys.stdout, spec, size)
+        return 0
     try:
-        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+        with open(args.out, "w", encoding="utf-8") as out:
+            _write_census(out, spec, size)
+    except BrokenPipeError:
+        raise  # a reader that went away ends the run quietly, as on stdout
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc.strerror}") from None
-    count = 0
-    try:
-        for record in enumerate_residuated(spec):
-            count += 1
-            key = record.canonical_key.hex()
-            doc = {
-                "structure": dump_structure(
-                    record.structure, f"R{record.structure.n}-{count:03d}"
-                ),
-                "canonical_key": key,
-                "stats": {
-                    "filters": record.stats.filters,
-                    "primes": record.stats.primes,
-                    "minimal_primes": record.stats.minimal_primes,
-                    "normality_index": record.stats.normality_index,
-                    "mtl": record.stats.mtl,
-                },
-            }
-            out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-        out.write(
-            json.dumps(
-                {"census_counts": {str(size): count}, "total": count},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -356,7 +363,15 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `reslat` argument parser, built on the first call.
+
+    Every later call returns the same parser object, which `main` shares
+    across calls in one process: do not add arguments to it or change
+    its defaults.  `parse_args` returns a fresh namespace each time, and
+    `--help` reads the terminal width when it formats, not here.
+    """
     parser = argparse.ArgumentParser(
         prog=TOOL,
         description="Analyze finite residuated lattices given by operation tables.",
@@ -424,17 +439,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one `reslat` command in process and return its exit code.
+
+    A failed write to stdout ends the command: a reader that closed the
+    pipe gives exit 0 and no message, any other failure (a full disk)
+    exit 2 and one `cannot write stdout` line.  `sys.stdout` is left as
+    the caller set it, so a later call writes to it as usual.
+    """
+    args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # Point stdout at devnull so that the flush at exit is silent too.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except OSError as exc:
+        # Every file a command opens turns its own OSError into an error
+        # that names the file, so what reaches here is a write to stdout.
+        sys.stderr.write(f"{TOOL}: error: cannot write stdout: {exc.strerror}\n")
+        return 2
     except (
         BadN,
         CliError,
@@ -448,5 +471,22 @@ def main(argv=None) -> int:
         return 2
 
 
+def console_main() -> None:
+    """Entry point of the `reslat` script and of `python -m reslat`.
+
+    What `main` could not write stays in the stdout buffer; if it still
+    cannot be flushed, stdout is pointed at devnull so that the flush at
+    interpreter exit is silent too.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

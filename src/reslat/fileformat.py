@@ -26,17 +26,28 @@ def _name_index(elements) -> dict[str, int]:
 
 
 def _parse_table(data, field: str, index: dict[str, int]):
+    """The rows of an n x n table of element names, as index tuples.
+
+    Each row is looked up with one `map` over `index`.  A cell that is
+    not a str never equals a key (an unhashable one raises TypeError), so
+    a row fails to map exactly when it holds a cell that is not an element
+    name; only then is the row scanned again, to name its first such cell.
+    """
     n = len(index)
     if not isinstance(data, list) or len(data) != n:
         raise StructureFileError(f"{field} must be a list of {n} rows")
     rows = []
+    lookup = index.__getitem__
     for row in data:
         if not isinstance(row, list) or len(row) != n:
             raise StructureFileError(f"{field} rows must have {n} entries")
-        for v in row:
-            if not isinstance(v, str) or v not in index:
-                raise StructureFileError(f"{field} entry is not an element name: {v!r}")
-        rows.append(tuple(index[v] for v in row))
+        try:
+            rows.append(tuple(map(lookup, row)))
+        except (KeyError, TypeError):
+            bad = next(v for v in row if not isinstance(v, str) or v not in index)
+            raise StructureFileError(
+                f"{field} entry is not an element name: {bad!r}"
+            ) from None
     return tuple(rows)
 
 
@@ -102,7 +113,7 @@ def _parse_lattice(data, index: dict[str, int]):
             _parse_table(data["meet"], "meet", index),
         )
     if has_order:
-        derived = order_tables(len(index), _parse_order(data, index))
+        derived = order_tables(len(index), _parse_order(data, index), tuple(index))
         if has_tables and derived != tables:
             raise MalformedTables(
                 "explicit join/meet tables disagree with the order relation"

@@ -326,12 +326,14 @@ def order_from_pairs(n: int, pairs) -> tuple[int, ...]:
     return tuple(up)
 
 
-def order_tables(n: int, up) -> tuple[Table, Table]:
+def order_tables(n: int, up, names=None) -> tuple[Table, Table]:
     """Join and meet tables of the bounded lattice with upset masks `up`.
 
     Raises MalformedTables when some pair lacks a least upper bound or a
-    greatest lower bound, i.e. when the order is not a lattice.
+    greatest lower bound, i.e. when the order is not a lattice.  The
+    message names the pair by `names`, or by index when none are given.
     """
+    names = names or range(n)
     up = tuple(up)
     down = tuple(
         sum(1 << x for x in range(n) if up[x] >> y & 1) for y in range(n)
@@ -345,13 +347,15 @@ def order_tables(n: int, up) -> tuple[Table, Table]:
             ub = up[x] & up[y]
             least = [m for m in bits(ub) if not (ub & ~up[m])]
             if len(least) != 1:
-                raise MalformedTables(f"elements {x},{y} have no least upper bound")
+                raise MalformedTables(
+                    f"elements {names[x]},{names[y]} have no least upper bound"
+                )
             jr.append(least[0])
             lb = down[x] & down[y]
             greatest = [m for m in bits(lb) if not (lb & ~down[m])]
             if len(greatest) != 1:
                 raise MalformedTables(
-                    f"elements {x},{y} have no greatest lower bound"
+                    f"elements {names[x]},{names[y]} have no greatest lower bound"
                 )
             mr.append(greatest[0])
         join_rows.append(tuple(jr))

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -6,10 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from reslat.cli import main
+from reslat.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 REPO = Path(__file__).resolve().parents[1]
+SUBPROCESS_ENV = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
+
+
+def _run_module(*argv, **kw):
+    return subprocess.run([sys.executable, "-m", "reslat", *argv], env=SUBPROCESS_ENV, **kw)
 
 
 def run_cli(capsys, *argv):
@@ -294,12 +300,7 @@ def test_carrier_over_256_elements_is_usage_error(tmp_path):
     }
     p = tmp_path / "chain257.json"
     p.write_text(json.dumps(data))
-    proc = subprocess.run(
-        [sys.executable, "-m", "reslat", "validate", str(p)],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-    )
+    proc = _run_module("validate", str(p), capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "reslat: error: carrier has more than 256 elements\n"
@@ -349,12 +350,7 @@ def test_closed_stdout_ends_quietly(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to stdout fails with EPIPE
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "reslat", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-        )
+        proc = _run_module(*argv, stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert proc.returncode == 0
@@ -362,11 +358,170 @@ def test_closed_stdout_ends_quietly(argv):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "reslat", "validate", fixture("a6.json")],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-    )
+    proc = _run_module("validate", fixture("a6.json"), capture_output=True, text=True)
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="no /dev/full on this system"
+)
+NO_SPACE = os.strerror(errno.ENOSPC)
+
+
+@needs_dev_full
+@pytest.mark.parametrize(
+    "argv", [("validate", fixture("a6.json")), ("search", "--size", "3")]
+)
+def test_full_stdout_is_usage_error(argv):
+    with open("/dev/full", "w") as full:
+        proc = _run_module(*argv, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == f"reslat: error: cannot write stdout: {NO_SPACE}\n"
+
+
+@needs_dev_full
+def test_full_out_file_is_usage_error():
+    proc = _run_module(
+        "search", "--size", "3", "--out", "/dev/full", capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"reslat: error: cannot write /dev/full: {NO_SPACE}\n"
+
+
+# Calls `main` once with a stdout on fd 1 whose writes fail as on a full
+# disk, then once with the process's own stdout.
+_FAILED_WRITE_THEN_CALL = """
+import contextlib, errno, io, os, sys
+from reslat.cli import main
+
+class FullStdout(io.StringIO):
+    def fileno(self):
+        return 1
+
+    def write(self, s):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+with contextlib.redirect_stdout(FullStdout()):
+    first = main(sys.argv[1:])
+second = main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(f"{first} {second}\\n")
+"""
+
+
+def test_failed_write_leaves_stdout_to_the_next_call():
+    argv = ["validate", fixture("a6.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILED_WRITE_THEN_CALL, *argv],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+    )
+    fresh = _run_module(*argv, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == f"reslat: error: cannot write stdout: {NO_SPACE}\n2 0\n"
+    assert proc.stdout == fresh.stdout != ""
+
+
+@pytest.mark.parametrize(
+    "command,order,message",
+    [
+        (("validate",), [], "elements a,b have no least upper bound"),
+        (("validate",), [["a", "c"], ["b", "c"]], "elements a,b have no greatest lower bound"),
+        (("search", "--base-lattice"), [], "elements a,b have no least upper bound"),
+    ],
+)
+def test_lattice_errors_name_elements(capsys, tmp_path, command, order, message):
+    data = {
+        "elements": ["a", "b", "c"],
+        "bot": "a",
+        "top": "c",
+        "order": order,
+        "times": [],
+        "residuum": [],
+    }
+    p = tmp_path / "not-a-lattice.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *command, str(p))
+    assert code == 2
+    assert out == ""
+    assert err == f"reslat: error: {message}\n"
+
+
+# Runs each argv of a JSON list through `main` in one interpreter and
+# prints [exit code, stdout, stderr] per call as JSON.
+_CALLS_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from reslat.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _calls_in_one_process(*argvs):
+    proc = subprocess.run(
+        [sys.executable, "-c", _CALLS_IN_ONE_PROCESS, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "first,second,first_code",
+    [
+        (
+            ["coann", fixture("a6.json"), "--base", "d,1", "--of", "b"],
+            ["coann", fixture("a6.json")],
+            0,
+        ),
+        (
+            ["spectrum", fixture("a6.json"), "--base-gen", "a"],
+            ["spectrum", fixture("a6.json")],
+            0,
+        ),
+        (
+            # --base and --base-gen exclude each other: a usage error
+            ["spectrum", fixture("a6.json"), "--base", "d,1", "--base-gen", "a"],
+            ["validate", fixture("a6.json")],
+            2,
+        ),
+        (["--version"], ["filters", fixture("a6.json")], 0),
+    ],
+)
+def test_repeated_calls_are_independent(first, second, first_code):
+    before, again = _calls_in_one_process(first, second)
+    [fresh] = _calls_in_one_process(second)
+    assert before[0] == first_code
+    assert again == fresh
+    assert fresh[0] == 0 and fresh[1] and not fresh[2]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_help_wraps_to_the_width_of_each_call(capsys, monkeypatch):
+    def help_at(columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    narrow, wide, narrow_again = help_at(40), help_at(200), help_at(40)
+    assert narrow == narrow_again
+    assert len(narrow.splitlines()) > len(wide.splitlines())
+    assert max(map(len, narrow.splitlines())) < max(map(len, wide.splitlines()))

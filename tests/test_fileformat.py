@@ -1,14 +1,17 @@
 import json
+import random
 
 import pytest
 
 from reslat.errors import InvalidBaseLattice, StructureFileError
 from reslat.fileformat import (
+    _parse_table,
     dump_structure,
     load_lattice,
     load_structure,
     parse_structure,
 )
+from reslat.modelgen import SearchSpec, enumerate_residuated
 
 
 def test_round_trip(a6):
@@ -109,3 +112,70 @@ def test_leq_entries_must_be_zero_or_one(a6, fixtures_dir, entry):
     data["leq"][0][1] = entry
     with pytest.raises(StructureFileError, match="leq entries must be 0 or 1"):
         parse_structure(data)
+
+
+def _reference_parse_table(data, field: str, index: dict[str, int]):
+    """The per-cell loop that `_parse_table` replaced, kept as its oracle."""
+    n = len(index)
+    if not isinstance(data, list) or len(data) != n:
+        raise StructureFileError(f"{field} must be a list of {n} rows")
+    rows = []
+    for row in data:
+        if not isinstance(row, list) or len(row) != n:
+            raise StructureFileError(f"{field} rows must have {n} entries")
+        for v in row:
+            if not isinstance(v, str) or v not in index:
+                raise StructureFileError(f"{field} entry is not an element name: {v!r}")
+        rows.append(tuple(index[v] for v in row))
+    return tuple(rows)
+
+
+def _outcome(parse, table, field, index):
+    try:
+        return parse(table, field, index)
+    except StructureFileError as exc:
+        return str(exc)
+
+
+def _mutate(rng: random.Random, data: dict):
+    """One table of `data` with one cell or one row length changed."""
+    field = rng.choice(("join", "meet", "times", "residuum"))
+    table = [list(row) for row in data[field]]
+    row = table[rng.randrange(len(table))]
+    col = rng.randrange(len(row))
+    names = data["elements"]
+    kind = rng.choice(
+        ("name", "unknown", "int", "float", "null", "bool", "list", "dict", "short", "long")
+    )
+    if kind == "short":
+        del row[col]
+    elif kind == "long":
+        row.insert(col, rng.choice(names))
+    else:
+        row[col] = {
+            "name": lambda: rng.choice(names),
+            "unknown": lambda: rng.choice(("zz", "", " a", rng.choice(names) + "'")),
+            "int": lambda: rng.randrange(-2, 10),
+            "float": lambda: rng.choice((0.0, 1.0, 2.5, float("nan"))),
+            "null": lambda: None,
+            "bool": lambda: rng.choice((True, False)),
+            "list": lambda: [rng.choice(names)],
+            "dict": lambda: {rng.choice(names): rng.choice(names)},
+        }[kind]()
+    return field, table
+
+
+def test_parse_table_matches_reference_on_mutants(a6):
+    files = [dump_structure(a6, "A6")] + [
+        dump_structure(r.structure, "R5") for r in enumerate_residuated(SearchSpec(size=5))
+    ]
+    rng = random.Random(2010)
+    outcomes = set()
+    for _ in range(2400):
+        data = rng.choice(files)
+        index = {name: i for i, name in enumerate(data["elements"])}
+        field, table = _mutate(rng, data)
+        expected = _outcome(_reference_parse_table, table, field, index)
+        assert _outcome(_parse_table, table, field, index) == expected, (field, table)
+        outcomes.add(type(expected))
+    assert outcomes == {tuple, str}
