@@ -4,6 +4,15 @@ A filter is a nonempty subset closed under the product and upward
 closed; an ideal (of the lattice reduct) is a nonempty downward closed
 subset closed under join.  The empty generating set yields the least
 element of the respective lattice: {top} for filters, {bot} for ideals.
+
+In a finite residuated lattice both are principal (Galatos, Jipsen,
+Kowalski & Ono, *Residuated Lattices*, 2007).  A filter F holds the
+product p of its members, which lies below them all, so F = up(p), and
+p is idempotent; each up(e) with e idempotent is a filter, and
+up(e) v up(f) = up(e * f).  An ideal I is down(v I).  So the routines
+below read filters off idempotents and ideals off elements, and assume
+a structure that passes `validate_structure`; only the membership tests
+and the subset scans go by the definitions.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bitsets import closed_under, closure_under, union_over
+from .bitsets import bits, closed_under, union_over
 from .errors import UnknownFilter
 from .structure import Structure, memo
 
@@ -45,15 +54,26 @@ def generated_ideal(s: Structure, gens: int) -> int:
 
 
 def filter_closure(s: Structure, gens: int) -> int:
-    """Upward closure of the product closure of `gens` and top, without
-    the memo."""
-    return union_over(s.up, closure_under(s.times, gens | 1 << s.top))
+    """up(e), without the memo, where e is the idempotent power of the
+    product x of `gens` (top when `gens` is empty): the powers of x
+    descend, so squaring stops where they settle."""
+    times = s.times
+    x = s.top
+    for g in bits(gens):
+        x = times[x][g]
+    while (sq := times[x][x]) != x:
+        x = sq
+    return s.up[x]
 
 
 def ideal_closure(s: Structure, gens: int) -> int:
-    """Downward closure of the join closure of `gens` and bot, without
+    """down of the join of `gens` (bot when `gens` is empty), without
     the memo."""
-    return union_over(s.down, closure_under(s.join, gens | 1 << s.bot))
+    join = s.join
+    x = s.bot
+    for g in bits(gens):
+        x = join[x][g]
+    return s.down[x]
 
 
 def principal_filter(s: Structure, x: int) -> int:
@@ -63,27 +83,6 @@ def principal_filter(s: Structure, x: int) -> int:
 def filter_extension(s: Structure, f: int, x: int) -> int:
     """The join of filter f with the principal filter of x."""
     return generated_filter(s, f | 1 << x)
-
-
-def _upsets(s: Structure) -> list[int]:
-    """Every upward closed subset, found by include/exclude propagation."""
-    n = s.n
-    out: list[int] = []
-
-    def rec(i: int, inc: int, exc: int) -> None:
-        if i == n:
-            out.append(inc)
-            return
-        b = 1 << i
-        if inc & b or exc & b:
-            rec(i + 1, inc, exc)
-            return
-        rec(i + 1, inc, exc | s.down[i])
-        if not s.up[i] & exc:
-            rec(i + 1, inc | s.up[i], exc)
-
-    rec(0, 0, 0)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,22 +124,15 @@ def canonical_sort(masks) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def all_filters(s: Structure) -> FilterLattice:
-    """Enumerate every filter by scanning the upward closed subsets."""
-    found = [m for m in _upsets(s) if m and closed_under(s.times, m)]
-    filters = canonical_sort(found)
+    """Every filter, as up(e) for each idempotent e; the join of up(e)
+    and up(f) is up(e * f).  Assumes a valid structure."""
+    up, times = s.up, s.times
+    idempotents = [e for e in range(s.n) if times[e][e] == e]
+    filters = canonical_sort(up[e] for e in idempotents)
     index = {m: i for i, m in enumerate(filters)}
-    k = len(filters)
-    join_t = [[0] * k for _ in range(k)]
-    for i, f in enumerate(filters):
-        for j in range(i, k):
-            jt = index[generated_filter(s, f | filters[j])]
-            join_t[i][j] = join_t[j][i] = jt
-    return FilterLattice(
-        structure=s,
-        filters=filters,
-        index=index,
-        join_table=tuple(tuple(r) for r in join_t),
-    )
+    least = sorted(idempotents, key=lambda e: index[up[e]])
+    join_t = tuple(tuple(index[up[times[e][f]]] for f in least) for e in least)
+    return FilterLattice(structure=s, filters=filters, index=index, join_table=join_t)
 
 
 def filter_join(lat: FilterLattice, f: int, g: int) -> int:
@@ -162,10 +154,9 @@ def ideal_join(s: Structure, i: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def all_ideals(s: Structure) -> tuple[int, ...]:
-    """Every ideal of the lattice reduct, canonically sorted."""
-    downs = (s.full ^ u for u in _upsets(s))
-    found = [m for m in downs if m and closed_under(s.join, m)]
-    return canonical_sort(found)
+    """Every ideal of the lattice reduct, canonically sorted: the
+    principal down-sets.  Assumes a valid structure."""
+    return canonical_sort(s.down)
 
 
 def ideals_by_subset_scan(s: Structure) -> tuple[int, ...]:

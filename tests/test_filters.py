@@ -1,20 +1,33 @@
+import random
+
 import pytest
 
-from reslat.bitsets import mask_of
+from reslat import filters
+from reslat.battery import CHECKS
+from reslat.bitsets import closed_under, closure_under, mask_of, union_over
 from reslat.errors import UnknownFilter
+from reslat.fileformat import load_structure
 from reslat.filters import (
+    FilterLattice,
     all_filters,
     all_ideals,
+    canonical_sort,
+    filter_closure,
     filter_join,
     filter_meet,
     filters_by_subset_scan,
     generated_filter,
     generated_ideal,
+    ideal_closure,
     ideals_by_subset_scan,
     is_filter,
     is_ideal,
 )
 from reslat.structure import subset_repr
+
+from conftest import FIXTURES
+from test_closure import census
+from test_structure import _relabeled_off_bounds
 
 
 def named_mask(s, names):
@@ -156,3 +169,108 @@ def test_subset_repr_of_filters(a6):
         "{a,b,d,1}",
         "{0,a,b,c,d,1}",
     ]
+
+
+# Reference routes: the up-set scan and the fixpoint closures that
+# `filters` used before it read filters off idempotents and ideals off
+# elements.
+
+
+def upsets_scan(s) -> list[int]:
+    """Every upward closed subset, found by include/exclude propagation."""
+    out = []
+
+    def rec(i, inc, exc):
+        if i == s.n:
+            out.append(inc)
+            return
+        b = 1 << i
+        if inc & b or exc & b:
+            rec(i + 1, inc, exc)
+            return
+        rec(i + 1, inc, exc | s.down[i])
+        if not s.up[i] & exc:
+            rec(i + 1, inc | s.up[i], exc)
+
+    rec(0, 0, 0)
+    return out
+
+
+def reference_filter_closure(s, m):
+    return union_over(s.up, closure_under(s.times, m | 1 << s.top))
+
+
+def reference_ideal_closure(s, m):
+    return union_over(s.down, closure_under(s.join, m | 1 << s.bot))
+
+
+def reference_filters(s):
+    found = canonical_sort(m for m in upsets_scan(s) if m and closed_under(s.times, m))
+    index = {m: i for i, m in enumerate(found)}
+    join_t = tuple(
+        tuple(index[reference_filter_closure(s, f | g)] for g in found) for f in found
+    )
+    return found, join_t
+
+
+def reference_ideals(s):
+    downs = (s.full ^ u for u in upsets_scan(s))
+    return canonical_sort(m for m in downs if m and closed_under(s.join, m))
+
+
+@pytest.fixture(scope="module")
+def oracle_structures():
+    """Every census class of sizes 2-6, a seeded relabeling of each that
+    moves bot off 0 and top off n - 1, and every fixture."""
+    classes = census(2, 3, 4, 5, 6)
+    rng = random.Random(15)
+    relabeled = [_relabeled_off_bounds(s, rng) for s in classes]
+    fixtures = [load_structure(p)[0] for p in sorted(FIXTURES.glob("*.json"))]
+    assert len(classes) == 1 + 2 + 7 + 26 + 129
+    assert any(s.n == 9 for s in fixtures)
+    return classes + relabeled + fixtures
+
+
+def test_enumerations_match_reference_routes(oracle_structures):
+    for s in oracle_structures:
+        lat = all_filters(s)
+        assert (lat.filters, lat.join_table) == reference_filters(s)
+        assert all_ideals(s) == reference_ideals(s)
+
+
+def test_closures_match_reference_routes_on_every_mask(oracle_structures):
+    for s in oracle_structures:
+        for m in range(1 << s.n):
+            assert filter_closure(s, m) == reference_filter_closure(s, m)
+            assert ideal_closure(s, m) == reference_ideal_closure(s, m)
+
+
+def enumeration_check(name):
+    return next(fn for _group, check, fn in CHECKS if check == name)
+
+
+def test_enumeration_oracle_catches_a_dropped_idempotent(a6, monkeypatch):
+    def drop_bot(s):
+        # bot is always idempotent; up(bot) is the whole carrier.
+        kept = canonical_sort(
+            s.up[e] for e in range(s.n) if s.times[e][e] == e and e != s.bot
+        )
+        index = {m: i for i, m in enumerate(kept)}
+        return FilterLattice(structure=s, filters=kept, index=index, join_table=())
+
+    monkeypatch.setattr(filters, "all_filters", drop_bot)
+    check = enumeration_check("filter-enumeration-matches-subset-scan")
+    for s in census(2, 3, 4, 5) + [a6]:
+        witness, _notes = check(s)
+        assert witness is not None
+
+
+def test_enumeration_oracle_catches_a_dropped_down_set(a6, monkeypatch):
+    def drop_top(s):
+        return canonical_sort(s.down[x] for x in range(s.n) if x != s.top)
+
+    monkeypatch.setattr(filters, "all_ideals", drop_top)
+    check = enumeration_check("ideal-enumeration-matches-subset-scan")
+    for s in census(2, 3, 4, 5) + [a6]:
+        witness, _notes = check(s)
+        assert witness is not None
