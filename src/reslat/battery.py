@@ -986,7 +986,13 @@ def run_battery(
     groups=GROUPS,
     name: str | None = None,
 ) -> VerificationReport:
-    """Run every selected check against a validated structure."""
+    """Run every selected check against a validated structure.
+
+    A check that raises fails with the witness {"error": message}: the
+    message of a domain error (no minimal prime, a family that misses
+    its base, an exhausted search), "<ExceptionType>: <message>" for any
+    other exception.  So one broken check never ends the run.
+    """
     report = validate_structure(s)
     if not report.valid:
         raise ValueError(f"structure fails validation: {report.violations[0][0]}")
@@ -999,6 +1005,8 @@ def run_battery(
             witness, notes = fn(s)
         except (NotMinimalPrime, RepresentationMismatch, SearchExhausted) as exc:
             witness, notes = {"error": str(exc)}, ()
+        except Exception as exc:
+            witness, notes = {"error": f"{type(exc).__name__}: {exc}"}, ()
         outcomes.append(
             CheckOutcome(
                 name=check_name,

@@ -11,15 +11,14 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .bitsets import bits, subset_fold
 from .errors import UnknownMember
 from .filters import canonical_sort
-from .structure import Structure, memo
+from .structure import Structure, memo, per_structure
 
 
-@lru_cache(maxsize=None)
+@per_structure
 def coannulet_table(s: Structure, f: int) -> tuple[int, ...]:
     """(f : x) for every element x."""
     out = []
@@ -74,7 +73,7 @@ class CoannFamily:
             raise UnknownMember(f"not a member of the family: {g:#x}") from None
 
 
-@lru_cache(maxsize=None)
+@per_structure
 def coann_family(s: Structure, f: int) -> CoannFamily:
     """Materialize the family by closing the coannulets under intersection.
 

@@ -18,11 +18,10 @@ and the subset scans go by the definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .bitsets import bits, closed_under, union_over
 from .errors import UnknownFilter
-from .structure import Structure, memo
+from .structure import Structure, memo, per_structure
 
 
 def _closed_cone(s: Structure, m: int, cone, table) -> bool:
@@ -122,7 +121,7 @@ def canonical_sort(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
-@lru_cache(maxsize=None)
+@per_structure
 def all_filters(s: Structure) -> FilterLattice:
     """Every filter, as up(e) for each idempotent e; the join of up(e)
     and up(f) is up(e * f).  Assumes a valid structure."""
@@ -152,7 +151,7 @@ def ideal_join(s: Structure, i: int, j: int) -> int:
     return generated_ideal(s, i | j)
 
 
-@lru_cache(maxsize=None)
+@per_structure
 def all_ideals(s: Structure) -> tuple[int, ...]:
     """Every ideal of the lattice reduct, canonically sorted: the
     principal down-sets.  Assumes a valid structure."""

@@ -11,13 +11,12 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .bitsets import subset_fold, union_over
 from .coann import coannulet_table
 from .errors import EmptyArgument, ImproperFilter, RepresentationMismatch, UnknownMember
 from .filters import all_ideals, canonical_sort, generated_filter, generated_ideal, is_ideal
-from .structure import Structure, memo, subset_repr
+from .structure import Structure, memo, per_structure, subset_repr
 
 
 def omega_table(s: Structure, f: int) -> Sequence[int]:
@@ -84,7 +83,7 @@ class OmegaFamily:
         return self.witnesses[self.position(g)]
 
 
-@lru_cache(maxsize=None)
+@per_structure
 def omega_family(s: Structure, f: int) -> OmegaFamily:
     by_member: dict[int, int] = {}
     best_single: dict[int, int] = {}

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bitsets import closed_under, closure_under
 from .errors import Overlap
 from .filters import all_filters, canonical_sort
-from .structure import Structure, memo
+from .structure import Structure, memo, per_structure
 
 
 def is_prime(s: Structure, f: int) -> bool:
@@ -32,12 +31,12 @@ def prime_by_complement(s: Structure, f: int) -> bool:
     return f != s.full and is_join_closed(s, s.full ^ f)
 
 
-@lru_cache(maxsize=None)
+@per_structure
 def primes_of(s: Structure) -> tuple[int, ...]:
     return tuple(f for f in all_filters(s).filters if is_prime(s, f))
 
 
-@lru_cache(maxsize=None)
+@per_structure
 def maximal_filters(s: Structure) -> tuple[int, ...]:
     proper = [f for f in all_filters(s).filters if f != s.full]
     return tuple(
@@ -96,7 +95,7 @@ def is_join_closed(s: Structure, c: int) -> bool:
     return closed_under(s.join, c)
 
 
-@lru_cache(maxsize=None)
+@per_structure
 def join_closed_subsets(s: Structure) -> tuple[int, ...]:
     """All nonempty join-closed subsets, canonically sorted."""
     return canonical_sort(

@@ -4,17 +4,18 @@ A structure carries join, meet, product and residuum tables over the
 carrier {0, .., n-1} together with designated bottom and top constants.
 The partial order is the one derived from the join table (x <= y iff
 x v y = y); every other notion in the package is defined against that
-order.  Structures are immutable and hashable, so derived data and
-whole-structure analyses can be cached on them.
+order.  Structures are immutable, so derived data and the answers of
+the analyses can be kept on them, and die with them.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import eq
+from weakref import WeakValueDictionary
 
 from .bitsets import bits
 from .errors import MalformedTables
@@ -34,11 +35,14 @@ class Structure:
     satisfy the axioms is decided by `validate_structure`.
 
     Derived data lives in lazily built `cached_property` slots that die
-    with the structure: the order masks `up`/`down`, the hash (computed
-    once, since every cached analysis hashes its structure on each
-    lookup), and `memos`, the one memo that `memo` fills for every
-    per-subset analysis (generated filters and ideals, minimal primes
-    over a set, and the coannihilator and omega tables of each base).
+    with the structure: the order masks `up`/`down`, and `memos`, the one
+    store of analysis answers.  `memos` holds the answers of the routines
+    decorated with `per_structure` (the filter lattice, the primes, and
+    per base the coannulets and the coannihilator and omega families)
+    and of the per-subset analyses that `memo` fills (generated filters
+    and ideals, minimal primes over a set, and per base the
+    coannihilator and omega tables).  No module-level table refers to a
+    structure, so a dropped structure takes its answers with it.
     """
 
     n: int
@@ -73,17 +77,11 @@ class Structure:
         if self.bot == self.top:
             raise MalformedTables("bot and top must be distinct")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        tables = (self.join, self.meet, self.times, self.residuum)
-        return hash((self.n, self.names, *tables, self.bot, self.top))
-
     @cached_property
     def memos(self) -> defaultdict[Callable, dict]:
-        """Routine -> {argument: routine(self, argument)}, filled by `memo`."""
+        """Routine -> {argument: answer}, filled by `memo` and by the
+        routines decorated with `per_structure`."""
+        _HOLDERS[id(self)] = self
         return defaultdict(dict)
 
     @cached_property
@@ -133,6 +131,62 @@ class Structure:
             return self.names.index(name)
         except ValueError:
             raise KeyError(name) from None
+
+
+# id -> structure, for every live structure whose `memos` exists.  Keyed
+# by identity: equal structures keep separate memos.
+_HOLDERS: WeakValueDictionary[int, Structure] = WeakValueDictionary()
+
+
+def live_memos() -> list[defaultdict[Callable, dict]]:
+    """The `memos` of every live structure that has one."""
+    return [s.memos for s in list(_HOLDERS.values())]
+
+
+CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+def per_structure(routine: Callable) -> Callable:
+    """Decorate routine(s) or routine(s, arg): each answer is computed
+    once per structure and argument and kept in `s.memos`, so it dies
+    with the structure.
+
+    `routine` must depend on nothing but its arguments.  As with
+    `functools.lru_cache`, the decorated routine has `cache_info()`
+    (hits and misses since the last `cache_clear()`; `currsize` counts
+    the answers held by live structures) and `cache_clear()`, which
+    also drops the routine's answers from every live structure.
+    """
+    hits = misses = 0
+
+    @wraps(routine)
+    def cached(s: Structure, *args):
+        nonlocal hits, misses
+        table = s.memos[routine]
+        try:
+            out = table[args]
+        except KeyError:
+            pass
+        else:
+            hits += 1
+            return out
+        misses += 1
+        out = table[args] = routine(s, *args)
+        return out
+
+    def cache_info() -> CacheInfo:
+        held = sum(len(memos.get(routine, ())) for memos in live_memos())
+        return CacheInfo(hits, misses, None, held)
+
+    def cache_clear() -> None:
+        nonlocal hits, misses
+        hits = misses = 0
+        for memos in live_memos():
+            memos.pop(routine, None)
+
+    cached.cache_info = cache_info
+    cached.cache_clear = cache_clear
+    return cached
 
 
 def memo(s: Structure, routine: Callable, arg):

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from reslat import battery, cli
 from reslat.battery import AGREEMENT_CHECKS, CHECKS, GROUPS, run_battery
 from reslat.structure import Structure
 
@@ -51,3 +54,32 @@ def test_battery_names_are_unique_and_grouped():
     names = [name for _, name, _ in CHECKS]
     assert len(names) == len(set(names))
     assert {group for group, _, _ in CHECKS} == set(GROUPS)
+
+
+def test_check_that_raises_fails_alone(a6, fixtures_dir, monkeypatch, capsys):
+    """An exception escaping a check is that check's failure, not the
+    run's: the other checks still run and pass, and `verify` exits 1
+    with its JSON report and no traceback."""
+    k = 5
+    group, name, _fn = CHECKS[k]
+
+    def broken(s):
+        raise KeyError("no such slot")
+
+    checks = list(CHECKS)
+    checks[k] = (group, name, broken)
+    monkeypatch.setattr(battery, "CHECKS", tuple(checks))
+
+    report = battery.run_battery(a6)
+    assert len(report.outcomes) == len(CHECKS) == 64
+    [failed] = report.failures()
+    assert failed.name == name
+    assert failed.witness == {"error": "KeyError: 'no such slot'"}
+
+    code = cli.main(["verify", str(fixtures_dir / "a6.json"), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out)
+    assert not doc["all_passed"]
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == [name]

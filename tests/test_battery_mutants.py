@@ -2,8 +2,9 @@
 
 Each mutant breaks one table that the table-driven checks read, and the
 census of sizes 2 to 5 plus a6 must make the named checks fail.  Every
-run starts from rebuilt structures (an empty memo) and cleared
-`lru_cache`s, so no broken result outlives its test.
+run starts from rebuilt structures (an empty memo), and `cold_caches`
+empties the memo of every live structure before and after each test, so
+no broken result outlives its test.
 """
 
 import importlib

@@ -1,13 +1,15 @@
 """The shared closure helpers, and the battery's power to catch a broken closure."""
 
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
-from reslat import bitsets, filters
+from reslat import bitsets, filters, spectra
 from reslat.battery import run_battery
 from reslat.modelgen import SearchSpec, enumerate_residuated
+from reslat.structure import live_memos
 
 
 def census(*sizes):
@@ -46,20 +48,49 @@ def package_modules():
     ]
 
 
-@pytest.fixture
-def cold_caches():
-    """Empty every `lru_cache` in the package before and after the test,
-    so that neither correct nor broken results leak across it."""
+@contextmanager
+def forgotten_answers():
+    """Forget every answer on entry and on exit: call each `cache_clear`
+    in the package and empty the `memos` of every live structure, the
+    shared session fixtures included."""
 
     def clear():
         for module in package_modules():
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
+        for memos in live_memos():
+            memos.clear()
 
     clear()
-    yield
-    clear()
+    try:
+        yield
+    finally:
+        clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Forget every answer before and after the test, so that neither
+    correct nor broken results leak across it."""
+    with forgotten_answers():
+        yield
+
+
+def test_no_answer_of_a_mutant_outlives_it(a6):
+    """Answers computed on the shared a6 under a broken `is_prime`, by a
+    cached routine and by a memo, are gone once the block ends."""
+
+    def answers():
+        primes = spectra.primes_of(a6)
+        return primes, [spectra.minimal_primes_over(a6, m) for m in range(1 << a6.n)]
+
+    right = answers()
+    with pytest.MonkeyPatch.context() as mp, forgotten_answers():
+        mp.setattr(spectra, "is_prime", lambda s, f: f != s.full)
+        wrong = answers()
+        assert wrong[0] != right[0] and wrong[1] != right[1]
+    assert answers() == right
 
 
 def failed_checks(structures) -> set[str]:

@@ -1,5 +1,6 @@
 """The per-structure memo answers exactly as the uncached routines."""
 
+import gc
 import operator
 from dataclasses import replace
 
@@ -114,6 +115,24 @@ def test_large_carrier_shares_the_memo():
     for m in range(1 << s.n):
         assert minimal_primes_over(s, m) == minimal_primes_scan(s, m)
     assert len(s.memos[minimal_primes_scan]) == 1 << s.n
+
+
+def test_cache_info_counts_answers_of_live_structures(a6):
+    all_filters.cache_clear()
+    s = replace(a6, names=a6.names)
+    assert all_filters(s) is all_filters(s)
+    info = all_filters.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    all_filters(a6)
+    assert all_filters.cache_info().currsize == 2
+    del s
+    gc.collect()
+    assert all_filters.cache_info().currsize == 1
+    assert all_filters.__wrapped__ in a6.memos
+    all_filters.cache_clear()
+    assert all_filters.cache_info()[:2] == (0, 0)
+    assert all_filters.__wrapped__ not in a6.memos
+    assert all_filters.cache_info().currsize == 0
 
 
 def test_bits_lists_set_bits_ascending():
