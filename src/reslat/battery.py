@@ -589,7 +589,7 @@ def _omega_family_lattice(s):
         joins = {}
         for i in range(k):
             for j in range(i, k):
-                val = omega_join(fam, members[i], members[j])
+                val = omega_join(s, fam, members[i], members[j])
                 joins[(members[i], members[j])] = val
                 joins[(members[j], members[i])] = val
         for g in members:
@@ -632,7 +632,7 @@ def _coannulets_inside_omega_family(s):
                 return _fail(base=_fmt(s, f), element=s.names[x])
         for x in range(s.n):
             for y in range(s.n):
-                if omega_join(fam, table[x], table[y]) != table[s.join[x][y]]:
+                if omega_join(s, fam, table[x], table[y]) != table[s.join[x][y]]:
                     return _fail(base=_fmt(s, f), x=s.names[x], y=s.names[y])
     return _pass()
 
@@ -644,7 +644,7 @@ def _coannulet_join_full_when_base_join(s):
         for x in range(s.n):
             for y in range(s.n):
                 if f >> s.join[x][y] & 1:
-                    if omega_join(fam, table[x], table[y]) != s.full:
+                    if omega_join(s, fam, table[x], table[y]) != s.full:
                         return _fail(base=_fmt(s, f), x=s.names[x], y=s.names[y])
     return _pass()
 
@@ -715,7 +715,7 @@ def _minimal_primes_family_comaximal(s):
         for m1, m2 in combinations(mins, 2):
             if m1 not in fam or m2 not in fam:
                 return _fail(base=_fmt(s, f), minimal=_fmt(s, m1 if m1 not in fam else m2))
-            if omega_join(fam, m1, m2) != s.full:
+            if omega_join(s, fam, m1, m2) != s.full:
                 return _fail(base=_fmt(s, f), first=_fmt(s, m1), second=_fmt(s, m2))
     return _pass()
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .bitsets import bits, subset_fold
 from .errors import UnknownMember
 from .filters import canonical_sort
-from .structure import Structure, memo, per_structure
+from .structure import Structure, per_structure
 
 
 @per_structure
@@ -37,12 +37,9 @@ def coannihilator(s: Structure, f: int, x_set: int) -> int:
     return out
 
 
+@per_structure
 def coann_subset_table(s: Structure, f: int) -> Sequence[int]:
-    """(f : X) for every subset mask X, memoised per structure and base."""
-    return memo(s, _coann_fold, f)
-
-
-def _coann_fold(s: Structure, f: int) -> list[int]:
+    """(f : X) for every subset mask X."""
     return subset_fold(coannulet_table(s, f), s.full, operator.and_)
 
 
@@ -55,7 +52,6 @@ class CoannFamily:
     table lookups.
     """
 
-    structure: Structure
     base: int
     members: tuple[int, ...]
     coannulets: tuple[int, ...]
@@ -104,7 +100,6 @@ def coann_family(s: Structure, f: int) -> CoannFamily:
             val = coannihilator(s, f, coannihilator(s, f, g | h))
             join_idx[i][j] = join_idx[j][i] = index[val]
     return CoannFamily(
-        structure=s,
         base=f,
         members=ordered,
         coannulets=lets,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .bitsets import bits, closed_under, union_over
 from .errors import UnknownFilter
-from .structure import Structure, memo, per_structure
+from .structure import Structure, per_structure
 
 
 def _closed_cone(s: Structure, m: int, cone, table) -> bool:
@@ -42,20 +42,11 @@ def is_ideal(s: Structure, m: int) -> bool:
     return _closed_cone(s, m, s.down, s.join)
 
 
+@per_structure
 def generated_filter(s: Structure, gens: int) -> int:
-    """Least filter containing `gens`, memoised per structure."""
-    return memo(s, filter_closure, gens)
-
-
-def generated_ideal(s: Structure, gens: int) -> int:
-    """Least ideal containing `gens`, memoised per structure."""
-    return memo(s, ideal_closure, gens)
-
-
-def filter_closure(s: Structure, gens: int) -> int:
-    """up(e), without the memo, where e is the idempotent power of the
-    product x of `gens` (top when `gens` is empty): the powers of x
-    descend, so squaring stops where they settle."""
+    """Least filter containing `gens`: up(e), where e is the idempotent
+    power of the product x of `gens` (top when `gens` is empty); the
+    powers of x descend, so squaring stops where they settle."""
     times = s.times
     x = s.top
     for g in bits(gens):
@@ -65,9 +56,10 @@ def filter_closure(s: Structure, gens: int) -> int:
     return s.up[x]
 
 
-def ideal_closure(s: Structure, gens: int) -> int:
-    """down of the join of `gens` (bot when `gens` is empty), without
-    the memo."""
+@per_structure
+def generated_ideal(s: Structure, gens: int) -> int:
+    """Least ideal containing `gens`: down of their join (bot when
+    `gens` is empty)."""
     join = s.join
     x = s.bot
     for g in bits(gens):
@@ -93,7 +85,6 @@ class FilterLattice:
     containing their union.
     """
 
-    structure: Structure
     filters: tuple[int, ...]
     index: dict[int, int] = field(repr=False)
     join_table: tuple[tuple[int, ...], ...] = field(repr=False)
@@ -131,7 +122,7 @@ def all_filters(s: Structure) -> FilterLattice:
     index = {m: i for i, m in enumerate(filters)}
     least = sorted(idempotents, key=lambda e: index[up[e]])
     join_t = tuple(tuple(index[up[times[e][f]]] for f in least) for e in least)
-    return FilterLattice(structure=s, filters=filters, index=index, join_table=join_t)
+    return FilterLattice(filters=filters, index=index, join_table=join_t)
 
 
 def filter_join(lat: FilterLattice, f: int, g: int) -> int:

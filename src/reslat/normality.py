@@ -179,6 +179,23 @@ def _check_minimal_prime(s: Structure, f: int, m: int) -> None:
         raise NotMinimalPrime(subset_repr(s, m) + " is not base-minimal prime")
 
 
+def _separating_tuple(s: Structure, f: int, ms, prefix) -> tuple[int, ...] | None:
+    """The lexicographically first extension of `prefix` to a tuple with
+    one element outside each ms[i], every two joining into f; None if
+    there is none."""
+    i = len(prefix)
+    if i == len(ms):
+        return prefix
+    for x in range(s.n):
+        if ms[i] >> x & 1:
+            continue
+        if all(f >> s.join[x][p] & 1 for p in prefix):
+            found = _separating_tuple(s, f, ms, prefix + (x,))
+            if found is not None:
+                return found
+    return None
+
+
 def separating_elements(s: Structure, f: int, ms) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Witnesses separating distinct base-minimal primes.
 
@@ -196,20 +213,7 @@ def separating_elements(s: Structure, f: int, ms) -> tuple[tuple[int, ...], tupl
     for m in ms:
         _check_minimal_prime(s, f, m)
 
-    def search(prefix):
-        i = len(prefix)
-        if i == k:
-            return prefix
-        for x in range(s.n):
-            if ms[i] >> x & 1:
-                continue
-            if all(f >> s.join[x][p] & 1 for p in prefix):
-                found = search(prefix + (x,))
-                if found is not None:
-                    return found
-        return None
-
-    a = search(())
+    a = _separating_tuple(s, f, ms, ())
     if a is None:
         raise SearchExhausted("no separating tuple exists; theory violated")
 
@@ -400,7 +404,7 @@ def omega_sublattice_verdict(s: Structure) -> EquivalenceVerdict:
     c1 = True
     for i, g in enumerate(members):
         for h in members[i:]:
-            if omega_join(fam, g, h) == s.full and generated_filter(s, g | h) != s.full:
+            if omega_join(s, fam, g, h) == s.full and generated_filter(s, g | h) != s.full:
                 c1 = False
                 witness["comaximal-in-family-but-not-in-filters"] = (
                     subset_repr(s, g) + ", " + subset_repr(s, h)

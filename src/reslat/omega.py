@@ -16,16 +16,12 @@ from .bitsets import subset_fold, union_over
 from .coann import coannulet_table
 from .errors import EmptyArgument, ImproperFilter, RepresentationMismatch, UnknownMember
 from .filters import all_ideals, canonical_sort, generated_filter, generated_ideal, is_ideal
-from .structure import Structure, memo, per_structure, subset_repr
+from .structure import Structure, per_structure, subset_repr
 
 
+@per_structure
 def omega_table(s: Structure, f: int) -> Sequence[int]:
-    """Slot X is the union of (f : x) over x in X, for every subset mask X;
-    memoised per structure and base."""
-    return memo(s, _omega_fold, f)
-
-
-def _omega_fold(s: Structure, f: int) -> list[int]:
+    """Slot X is the union of (f : x) over x in X, for every subset mask X."""
     return subset_fold(coannulet_table(s, f), 0, operator.or_)
 
 
@@ -63,7 +59,6 @@ class OmegaFamily:
     falls back to the largest single witness and records a note.
     """
 
-    structure: Structure
     base: int
     members: tuple[int, ...]
     witnesses: tuple[int, ...]
@@ -107,7 +102,6 @@ def omega_family(s: Structure, f: int) -> OmegaFamily:
                 + subset_repr(s, h)
             )
     fam = OmegaFamily(
-        structure=s,
         base=f,
         members=members,
         witnesses=tuple(witnesses),
@@ -119,27 +113,26 @@ def omega_family(s: Structure, f: int) -> OmegaFamily:
     return fam
 
 
-def least_member_above(fam: OmegaFamily, mask: int) -> int:
+def least_member_above(s: Structure, fam: OmegaFamily, mask: int) -> int:
     """Least member containing mask; exists since members are closed
     under intersection and the carrier is a member."""
-    out = fam.structure.full
+    out = s.full
     for g in fam.members:
         if not (mask & ~g):
             out &= g
     if out not in fam:
         raise RepresentationMismatch(
-            "members are not intersection closed above "
-            + subset_repr(fam.structure, mask)
+            "members are not intersection closed above " + subset_repr(s, mask)
         )
     return out
 
 
-def omega_join(fam: OmegaFamily, g: int, h: int) -> int:
+def omega_join(s: Structure, fam: OmegaFamily, g: int, h: int) -> int:
     """Least member above g and h, cross-checked against the ideal-join
-    formula on the stored witnesses."""
-    s, f = fam.structure, fam.base
-    least = least_member_above(fam, g | h)
-    via_ideals = omega_table(s, f)[generated_ideal(s, fam.witness(g) | fam.witness(h))]
+    formula on the stored witnesses.  One omega union, so the call builds
+    no 2^n table."""
+    least = least_member_above(s, fam, g | h)
+    via_ideals = omega(s, fam.base, generated_ideal(s, fam.witness(g) | fam.witness(h)))
     if via_ideals != least:
         raise RepresentationMismatch(
             "ideal-join formula disagrees with the least member for "

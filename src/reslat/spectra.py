@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .bitsets import closed_under, closure_under
 from .errors import Overlap
 from .filters import all_filters, canonical_sort
-from .structure import Structure, memo, per_structure
+from .structure import Structure, per_structure
 
 
 def is_prime(s: Structure, f: int) -> bool:
@@ -46,18 +46,13 @@ def maximal_filters(s: Structure) -> tuple[int, ...]:
     )
 
 
+@per_structure
 def minimal_primes_over(s: Structure, x_set: int) -> tuple[int, ...]:
     """Minimal elements of the primes containing x_set.
 
     Empty exactly when x_set generates the whole carrier, since in a
-    finite structure every proper filter sits below a prime.  Memoised
-    per structure.
+    finite structure every proper filter sits below a prime.
     """
-    return memo(s, minimal_primes_scan, x_set)
-
-
-def minimal_primes_scan(s: Structure, x_set: int) -> tuple[int, ...]:
-    """`minimal_primes_over` without the memo: filter and sort the primes."""
     over = [p for p in primes_of(s) if not (x_set & ~p)]
     return canonical_sort(
         p for p in over if not any(q != p and not (q & ~p) for q in over)

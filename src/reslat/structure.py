@@ -36,13 +36,13 @@ class Structure:
 
     Derived data lives in lazily built `cached_property` slots that die
     with the structure: the order masks `up`/`down`, and `memos`, the one
-    store of analysis answers.  `memos` holds the answers of the routines
-    decorated with `per_structure` (the filter lattice, the primes, and
-    per base the coannulets and the coannihilator and omega families)
-    and of the per-subset analyses that `memo` fills (generated filters
-    and ideals, minimal primes over a set, and per base the
-    coannihilator and omega tables).  No module-level table refers to a
-    structure, so a dropped structure takes its answers with it.
+    store of analysis answers, filled by the routines decorated with
+    `per_structure` (the filter lattice, the ideals, the primes, generated
+    filters and ideals, minimal primes over a set, and per base the
+    coannulets, the coannihilator and omega tables and families).  No
+    module-level table refers to a structure and no answer refers back to
+    it, so a dropped structure and its answers are freed as soon as its
+    last reference goes.
     """
 
     n: int
@@ -79,8 +79,8 @@ class Structure:
 
     @cached_property
     def memos(self) -> defaultdict[Callable, dict]:
-        """Routine -> {argument: answer}, filled by `memo` and by the
-        routines decorated with `per_structure`."""
+        """Routine -> {argument: answer}, filled by the routines
+        decorated with `per_structure`."""
         _HOLDERS[id(self)] = self
         return defaultdict(dict)
 
@@ -148,30 +148,32 @@ CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
 def per_structure(routine: Callable) -> Callable:
     """Decorate routine(s) or routine(s, arg): each answer is computed
-    once per structure and argument and kept in `s.memos`, so it dies
-    with the structure.
+    once per structure and argument and kept in `s.memos[routine]`, keyed
+    by the argument (None for routine(s)), so it dies with the structure
+    and a hit is two dict lookups.
 
-    `routine` must depend on nothing but its arguments.  As with
+    `routine` must depend on nothing but its arguments, and its answer
+    must not refer to `s`, or the structure would outlive its last
+    reference until the cyclic collector runs.  As with
     `functools.lru_cache`, the decorated routine has `cache_info()`
     (hits and misses since the last `cache_clear()`; `currsize` counts
-    the answers held by live structures) and `cache_clear()`, which
-    also drops the routine's answers from every live structure.
+    the answers held by live structures) and `cache_clear()`, which also
+    drops the routine's answers from every live structure.
     """
     hits = misses = 0
+    unary = routine.__code__.co_argcount == 1
 
     @wraps(routine)
-    def cached(s: Structure, *args):
+    def cached(s: Structure, arg=None):
         nonlocal hits, misses
         table = s.memos[routine]
         try:
-            out = table[args]
+            out = table[arg]
         except KeyError:
-            pass
-        else:
-            hits += 1
+            misses += 1
+            out = table[arg] = routine(s) if unary else routine(s, arg)
             return out
-        misses += 1
-        out = table[args] = routine(s, *args)
+        hits += 1
         return out
 
     def cache_info() -> CacheInfo:
@@ -187,20 +189,6 @@ def per_structure(routine: Callable) -> Callable:
     cached.cache_info = cache_info
     cached.cache_clear = cache_clear
     return cached
-
-
-def memo(s: Structure, routine: Callable, arg):
-    """routine(s, arg), computed once per structure and argument.
-
-    `routine` must depend on nothing but its two arguments; its answers
-    live in `s.memos` and die with the structure.
-    """
-    table = s.memos[routine]
-    try:
-        return table[arg]
-    except KeyError:
-        out = table[arg] = routine(s, arg)
-        return out
 
 
 def subset_repr(s: Structure, mask: int) -> str:
@@ -245,11 +233,9 @@ def validate_structure(s: Structure) -> ValidationReport:
     The witness of a violated law is its first differing position, read
     as an element tuple: the first failing tuple in lexicographic order,
     so the report is deterministic.  Element indices must fit in a byte,
-    which is why `Structure` caps carriers at 256 elements.  Two derived
-    laws (product distributes over join; a join of products bounds the
-    product of joins) hold in every residuated lattice; if every axiom
-    passes yet one of them fails, the report carries an
-    internal-consistency violation.
+    which is why `Structure` caps carriers at 256 elements.  Only the
+    axioms are checked: laws they imply, such as the product distributing
+    over joins, are checks of the battery (`run_battery`).
     """
     n, top, bot = s.n, s.top, s.bot
     rng = range(n)
@@ -325,30 +311,6 @@ def validate_structure(s: Structure) -> ValidationReport:
     is_top = bytearray(256)
     is_top[top] = 1
     law("order-residuum-agreement", 2, LE, RS.translate(is_top))
-
-    if not violations:
-        law(
-            "internal-consistency:product-distributes-over-join",
-            3,
-            b"".join(map(JN.translate, tm_of)),
-            b"".join(row.translate(jn_of[v]) for row in tm for v in row),
-        )
-        products_of_joins = b"".join(
-            row.translate(tm_of[v]) for row in jn for v in row
-        )
-        joins_of_products = b"".join(map(TM.translate, jn_of))
-        law(
-            "internal-consistency:join-of-products-bound",
-            3,
-            bytes(
-                map(
-                    bytes.__getitem__,
-                    map(le.__getitem__, products_of_joins),
-                    joins_of_products,
-                )
-            ),
-            bytes((1,)) * n**3,
-        )
 
     return ValidationReport(valid=not violations, violations=tuple(violations))
 

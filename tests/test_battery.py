@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from reslat import battery, cli
 from reslat.battery import AGREEMENT_CHECKS, CHECKS, GROUPS, run_battery
-from reslat.structure import Structure
+from reslat.structure import Structure, ValidationReport, validate_structure
 
 
 def test_battery_passes_on_fixtures(a6, chain2, chain3_godel, chain3_luk):
@@ -83,3 +84,17 @@ def test_check_that_raises_fails_alone(a6, fixtures_dir, monkeypatch, capsys):
     doc = json.loads(out)
     assert not doc["all_passed"]
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == [name]
+
+
+def test_derived_laws_fail_on_a_product_that_does_not_preserve_joins(a6, monkeypatch):
+    """`validate_structure` checks the axioms only; the two laws they
+    imply are the battery's first checks, and those can fail.  a6 with
+    meet as its product is commutative, but its lattice is not
+    distributive: b * (a v c) = b and (b * a) v (b * c) = a."""
+    s = replace(a6, times=a6.meet)
+    assert not validate_structure(s).valid
+    monkeypatch.setattr(battery, "validate_structure", lambda s: ValidationReport(True, ()))
+    witness = {o.name: o.witness for o in run_battery(s).failures()}
+    assert witness["product-distributes-over-join"] == {"x": "b", "y": "a", "z": "c"}
+    # (a v b) * (a v c) = b is not below a v (b * c) = a.
+    assert witness["join-of-products-bound"] == {"x": "a", "y": "b", "z": "c"}

@@ -106,8 +106,9 @@ def test_stale_minimal_primes_memo(a6, monkeypatch, cold_caches):
         # and answers stale.  Kept on the structure, under the real name,
         # so that the other memoised answers are still computed once.
         if "memos" not in vars(s):
+            stale = dict.fromkeys(range(1 << s.n), ())
             vars(s)["memos"] = defaultdict(
-                dict, {spectra.minimal_primes_scan: dict.fromkeys(range(1 << s.n), ())}
+                dict, {spectra.minimal_primes_over.__wrapped__: stale}
             )
         return vars(s)["memos"]
 

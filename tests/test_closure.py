@@ -78,8 +78,9 @@ def cold_caches():
 
 
 def test_no_answer_of_a_mutant_outlives_it(a6):
-    """Answers computed on the shared a6 under a broken `is_prime`, by a
-    cached routine and by a memo, are gone once the block ends."""
+    """Answers computed on the shared a6 under a broken `is_prime`, by
+    whole-structure and per-subset cached routines, are gone once the
+    block ends."""
 
     def answers():
         primes = spectra.primes_of(a6)
@@ -96,8 +97,8 @@ def test_no_answer_of_a_mutant_outlives_it(a6):
 def failed_checks(structures) -> set[str]:
     """Names of the battery checks that fail on some of the structures.
 
-    Each structure is rebuilt first, since the closure memos live on the
-    structure object.
+    Each structure is rebuilt first, since the cached answers live on
+    the structure object.
     """
     out = set()
     for s in structures:
@@ -118,7 +119,7 @@ def test_battery_catches_filter_closure_without_up_cone(a6, monkeypatch, cold_ca
     def no_cone(s, gens):
         return bitsets.closure_under(s.times, gens | 1 << s.top)
 
-    monkeypatch.setattr(filters, "filter_closure", no_cone)
+    patch_everywhere(monkeypatch, filters.generated_filter, no_cone)
     failed = failed_checks([a6])
     assert "generated-filter-is-prime-intersection" in failed
     assert len(failed) >= 6
@@ -128,7 +129,7 @@ def test_battery_catches_ideal_closure_without_down_cone(a6, monkeypatch, cold_c
     def no_cone(s, gens):
         return bitsets.closure_under(s.join, gens | 1 << s.bot)
 
-    monkeypatch.setattr(filters, "ideal_closure", no_cone)
+    patch_everywhere(monkeypatch, filters.generated_ideal, no_cone)
     assert "principal-ideal-join-rule" in failed_checks([a6])
 
 
@@ -141,7 +142,7 @@ def test_battery_catches_closure_stopped_after_one_round(a6, monkeypatch, cold_c
             x = s.times[x][g]
         return s.up[x]
 
-    monkeypatch.setattr(filters, "filter_closure", product_only)
+    patch_everywhere(monkeypatch, filters.generated_filter, product_only)
     failed = failed_checks(census(4, 5) + [a6])
     assert "generated-filter-idempotent" in failed
     assert len(failed) >= 4

@@ -7,17 +7,11 @@ from dataclasses import replace
 import pytest
 
 from reslat.bitsets import bits, subset_fold, union_over
-from reslat.coann import _coann_fold, coann_subset_table, coannulet_table
-from reslat.filters import (
-    all_filters,
-    filter_closure,
-    generated_filter,
-    generated_ideal,
-    ideal_closure,
-)
+from reslat.coann import coann_subset_table, coannulet_table
+from reslat.filters import all_filters, generated_filter, generated_ideal
 from reslat.modelgen import SearchSpec, enumerate_residuated
-from reslat.omega import _omega_fold, omega, omega_table
-from reslat.spectra import minimal_primes_over, minimal_primes_scan
+from reslat.omega import omega, omega_table
+from reslat.spectra import minimal_primes_over
 from reslat.structure import Structure, validate_structure
 
 
@@ -51,11 +45,10 @@ def godel_chain(n: int) -> Structure:
 
 
 @pytest.mark.parametrize(
-    "generated,closure",
-    [(generated_filter, filter_closure), (generated_ideal, ideal_closure)],
-    ids=["filter", "ideal"],
+    "generated", [generated_filter, generated_ideal], ids=["filter", "ideal"]
 )
-def test_generated_memo_matches_closure(structures, generated, closure):
+def test_generated_memo_matches_closure(structures, generated):
+    closure = generated.__wrapped__
     for s in structures:
         for _ in range(2):  # the first pass may fill slots, the second reads them
             for m in range(1 << s.n):
@@ -74,7 +67,7 @@ def test_omega_table_matches_coannulet_union(structures):
                     expected |= table[x]
                 assert omega(s, f, x_set) == expected
                 assert unions[x_set] == expected == union_over(table, x_set)
-            assert s.memos[_omega_fold][f] is omega_table(s, f)
+            assert s.memos[omega_table.__wrapped__][f] is omega_table(s, f)
 
 
 def test_coann_memo_matches_subset_fold(structures):
@@ -82,10 +75,11 @@ def test_coann_memo_matches_subset_fold(structures):
         for f in all_filters(s).filters:
             expected = subset_fold(coannulet_table(s, f), s.full, operator.and_)
             assert list(coann_subset_table(s, f)) == expected
-            assert s.memos[_coann_fold][f] is coann_subset_table(s, f)
+            assert s.memos[coann_subset_table.__wrapped__][f] is coann_subset_table(s, f)
 
 
 def test_minimal_primes_memo_matches_scan(structures):
+    minimal_primes_scan = minimal_primes_over.__wrapped__
     for s in structures:
         for _ in range(2):  # the first pass may fill slots, the second reads them
             for m in range(1 << s.n):
@@ -107,11 +101,12 @@ def test_large_carrier_shares_the_memo():
         # except the carrier, so up is the only minimal prime over x.
         assert minimal_primes_over(s, 1 << x) == ((up,) if x else ())
     # Single omega queries build no 2^n table.
-    assert _omega_fold not in s.memos
+    assert omega_table.__wrapped__ not in s.memos
     for f in all_filters(s).filters:
         table = coannulet_table(s, f)
         assert omega_table(s, f) == subset_fold(table, 0, operator.or_)
         assert coann_subset_table(s, f) == subset_fold(table, s.full, operator.and_)
+    minimal_primes_scan = minimal_primes_over.__wrapped__
     for m in range(1 << s.n):
         assert minimal_primes_over(s, m) == minimal_primes_scan(s, m)
     assert len(s.memos[minimal_primes_scan]) == 1 << s.n

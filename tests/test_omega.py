@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from reslat.bitsets import mask_of
@@ -10,6 +12,7 @@ from reslat.omega import (
     omega,
     omega_family,
     omega_join,
+    omega_table,
     sigma,
 )
 from reslat.spectra import join_closed_subsets
@@ -86,10 +89,23 @@ def test_omega_join(a6):
     f2 = named_mask(a6, "d1")
     fam = omega_family(a6, f2)
     f3, f4 = named_mask(a6, "abd1"), named_mask(a6, "cd1")
-    assert omega_join(fam, f3, f4) == a6.full
+    assert omega_join(a6, fam, f3, f4) == a6.full
     for g in fam.members:
-        assert omega_join(fam, g, f2) == g
-        assert omega_join(fam, g, g) == g
+        assert omega_join(a6, fam, g, f2) == g
+        assert omega_join(a6, fam, g, g) == g
+
+
+def test_omega_join_builds_no_omega_table(a6):
+    """One join reads one omega union, not a 2^n table of them."""
+    s = replace(a6, names=a6.names)
+    held = omega_table.cache_info().currsize
+    for f in all_filters(s).filters:
+        fam = omega_family(s, f)
+        for g in fam.members:
+            for h in fam.members:
+                omega_join(s, fam, g, h)
+    assert omega_table.cache_info().currsize == held
+    assert omega_table.__wrapped__ not in s.memos
 
 
 def test_divisor_examples(a6):

@@ -259,17 +259,6 @@ def _reference_validate(s):
     scan("product-identity", 1, lambda x: tm[x][top] == x)
     scan("adjointness", 3, lambda x, y, z: le(tm[x][y], z) == le(x, rs[y][z]))
     scan("order-residuum-agreement", 2, lambda x, y: le(x, y) == (rs[x][y] == top))
-    if not violations:
-        scan(
-            "internal-consistency:product-distributes-over-join",
-            3,
-            lambda x, y, z: tm[x][jn[y][z]] == jn[tm[x][y]][tm[x][z]],
-        )
-        scan(
-            "internal-consistency:join-of-products-bound",
-            3,
-            lambda x, y, z: le(tm[jn[x][y]][jn[x][z]], jn[x][tm[y][z]]),
-        )
     return ValidationReport(valid=not violations, violations=tuple(violations))
 
 
