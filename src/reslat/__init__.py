@@ -12,8 +12,6 @@ from .filters import (
     FilterLattice,
     all_filters,
     all_ideals,
-    filter_join,
-    filter_meet,
     generated_filter,
     generated_ideal,
     is_filter,
@@ -61,8 +59,6 @@ __all__ = [
     "FilterLattice",
     "all_filters",
     "all_ideals",
-    "filter_join",
-    "filter_meet",
     "generated_filter",
     "generated_ideal",
     "is_filter",

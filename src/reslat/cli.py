@@ -195,8 +195,6 @@ def cmd_omega(args) -> int:
         for g, w in zip(fam.members, fam.witnesses)
     ]
     human.append(f"dense elements: {subset_repr(s, dense.mask)}")
-    for note in fam.notes:
-        human.append(f"note: {note}")
     _emit(args.format, "omega", name, payload, human)
     return 0
 

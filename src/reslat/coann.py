@@ -1,9 +1,15 @@
-"""Coannihilators (F : X) and the Boolean family they generate.
+"""Coannihilators (F : X) and the Boolean family they form.
 
 (F : X) collects the elements whose join with every member of X lands in
 F.  For a fixed base filter F the coannihilators of all subsets form a
 Boolean algebra; the coannihilators of singletons (coannulets) form a
 sublattice of it.
+
+On a finite structure the two sets are equal: (F : x) and (F : y) meet
+in (F : x * y), since a v x and a v y in F put (a v x)(a v y) <= a v xy
+in F (the join-of-products bound; Galatos, Jipsen, Kowalski & Ono,
+*Residuated Lattices*, 2007), and a v xy <= a v x.  So (F : X) is the
+coannulet (F : prod X), and (F : {}) = (F : top) is the carrier.
 """
 
 from __future__ import annotations
@@ -45,16 +51,14 @@ def coann_subset_table(s: Structure, f: int) -> Sequence[int]:
 
 @dataclass(frozen=True, eq=False)
 class CoannFamily:
-    """All coannihilators of one base filter, closed under intersection.
+    """All coannihilators of one base filter, canonically sorted.
 
-    `members` and `coannulets` are canonically sorted.  Join and
-    complement are precomputed as index tables so law checking loops are
-    table lookups.
+    Join and complement are precomputed as index tables so law checking
+    loops are table lookups.
     """
 
     base: int
     members: tuple[int, ...]
-    coannulets: tuple[int, ...]
     index: dict[int, int] = field(repr=False)
     join_index: tuple[tuple[int, ...], ...] = field(repr=False)
     complement_index: tuple[int, ...] = field(repr=False)
@@ -71,24 +75,8 @@ class CoannFamily:
 
 @per_structure
 def coann_family(s: Structure, f: int) -> CoannFamily:
-    """Materialize the family by closing the coannulets under intersection.
-
-    Every (f : X) is the intersection of the coannulets of the elements
-    of X, so the closure together with the empty intersection (the whole
-    carrier) is exactly the set of coannihilators.
-    """
-    lets = canonical_sort(set(coannulet_table(s, f)))
-    members = set(lets)
-    members.add(s.full)
-    worklist = list(members)
-    while worklist:
-        g = worklist.pop()
-        for h in list(members):
-            gh = g & h
-            if gh not in members:
-                members.add(gh)
-                worklist.append(gh)
-    ordered = canonical_sort(members)
+    """The family as the distinct coannulets (see the module docstring)."""
+    ordered = canonical_sort(set(coannulet_table(s, f)))
     index = {g: i for i, g in enumerate(ordered)}
     k = len(ordered)
     join_idx = [[0] * k for _ in range(k)]
@@ -102,7 +90,6 @@ def coann_family(s: Structure, f: int) -> CoannFamily:
     return CoannFamily(
         base=f,
         members=ordered,
-        coannulets=lets,
         index=index,
         join_index=tuple(tuple(r) for r in join_idx),
         complement_index=tuple(comp_idx),

@@ -56,7 +56,6 @@ def generated_filter(s: Structure, gens: int) -> int:
     return s.up[x]
 
 
-@per_structure
 def generated_ideal(s: Structure, gens: int) -> int:
     """Least ideal containing `gens`: down of their join (bot when
     `gens` is empty)."""
@@ -123,14 +122,6 @@ def all_filters(s: Structure) -> FilterLattice:
     least = sorted(idempotents, key=lambda e: index[up[e]])
     join_t = tuple(tuple(index[up[times[e][f]]] for f in least) for e in least)
     return FilterLattice(filters=filters, index=index, join_table=join_t)
-
-
-def filter_join(lat: FilterLattice, f: int, g: int) -> int:
-    return lat.join(f, g)
-
-
-def filter_meet(lat: FilterLattice, f: int, g: int) -> int:
-    return lat.meet(f, g)
 
 
 def filters_by_subset_scan(s: Structure) -> tuple[int, ...]:

@@ -454,7 +454,6 @@ def omega_sublattice_verdict(s: Structure) -> EquivalenceVerdict:
             ("coannulet-joins-stay-in-coannulets", c5),
         ],
         witness=witness or None,
-        notes=fam.notes,
     )
 
 

@@ -4,6 +4,11 @@ omega_F(X) is the union of the coannulets (F : x) over x in X.  Applied
 to ideals of the lattice reduct it always yields a filter; the filters
 reachable this way form a bounded distributive lattice under inclusion,
 with intersection as meet.
+
+On a finite structure that family is the set of coannulets: every ideal
+is down(v), and (F : x) grows with x, so omega_F(down v) = (F : v).  The
+ideals sent to h = (F : w) cover {x : (F : x) <= h}: for such x and any
+a in (F : x v w), a v w lies in (F : x) <= (F : w), so (F : x v w) = h.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 from .bitsets import subset_fold, union_over
 from .coann import coannulet_table
 from .errors import EmptyArgument, ImproperFilter, RepresentationMismatch, UnknownMember
-from .filters import all_ideals, canonical_sort, generated_filter, generated_ideal, is_ideal
+from .filters import canonical_sort, generated_filter, generated_ideal
 from .structure import Structure, per_structure, subset_repr
 
 
@@ -52,17 +57,13 @@ def dense_set(s: Structure, f: int) -> DenseSet:
 class OmegaFamily:
     """All filters of the form omega_F(I) for an ideal I.
 
-    Each member is stored with one witness ideal, the union of every
-    ideal mapping to it.  That union maps back to the member because
-    omega distributes over unions; when it also happens to be an ideal
-    it is the largest witness.  If it is not an ideal the construction
-    falls back to the largest single witness and records a note.
+    Each member h is stored with its largest witness ideal, the union
+    of every ideal mapping to h: {x : (F : x) <= h}.
     """
 
     base: int
     members: tuple[int, ...]
     witnesses: tuple[int, ...]
-    notes: tuple[str, ...] = ()
     index: dict[int, int] = field(default_factory=dict, repr=False)
 
     def __contains__(self, g: int) -> bool:
@@ -80,37 +81,18 @@ class OmegaFamily:
 
 @per_structure
 def omega_family(s: Structure, f: int) -> OmegaFamily:
-    by_member: dict[int, int] = {}
-    best_single: dict[int, int] = {}
-    for ideal in all_ideals(s):
-        h = omega(s, f, ideal)
-        by_member[h] = by_member.get(h, 0) | ideal
-        prev = best_single.get(h)
-        if prev is None or (ideal.bit_count(), ideal) > (prev.bit_count(), prev):
-            best_single[h] = ideal
-    members = canonical_sort(by_member)
-    notes: list[str] = []
-    witnesses = []
-    for h in members:
-        union = by_member[h]
-        if is_ideal(s, union) and omega(s, f, union) == h:
-            witnesses.append(union)
-        else:
-            witnesses.append(best_single[h])
-            notes.append(
-                "witness union is not an ideal for member "
-                + subset_repr(s, h)
-            )
-    fam = OmegaFamily(
+    """The family as the distinct coannulets (see the module docstring)."""
+    table = coannulet_table(s, f)
+    members = canonical_sort(set(table))
+    witnesses = tuple(
+        sum(1 << x for x in range(s.n) if not (table[x] & ~h)) for h in members
+    )
+    return OmegaFamily(
         base=f,
         members=members,
-        witnesses=tuple(witnesses),
-        notes=tuple(notes),
+        witnesses=witnesses,
         index={g: i for i, g in enumerate(members)},
     )
-    if f not in fam or s.full not in fam:
-        raise RepresentationMismatch("family must contain its base and the carrier")
-    return fam
 
 
 def least_member_above(s: Structure, fam: OmegaFamily, mask: int) -> int:
@@ -163,16 +145,6 @@ def sigma(s: Structure, f: int) -> int:
         if generated_filter(s, table[a] | f) == s.full:
             out |= 1 << a
     return out
-
-
-def witness_ideal_candidate(s: Structure, f: int, h: int) -> int:
-    """Diagnostic only: the elements whose coannulet lies inside h.
-
-    This set always contains every witness ideal of h but is not known
-    to be an ideal itself; callers must check before relying on it.
-    """
-    table = coannulet_table(s, f)
-    return sum(1 << x for x in range(s.n) if not (table[x] & ~h))
 
 
 def greatest_omega_within(s: Structure, f: int) -> int | None:

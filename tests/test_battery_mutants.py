@@ -139,3 +139,25 @@ def test_minimal_primes_over_returning_every_prime(a6, monkeypatch, cold_caches)
     # check instead of stopping.
     failed = failed_checks(census_and_a6(a6))
     assert "separating-elements-exist" in failed
+
+
+def test_omega_family_with_bottom_witnesses(a6, monkeypatch, cold_caches):
+    orig = omega_module.omega_family
+
+    def bottom_witnesses(s, f):
+        fam = orig(s, f)
+        return replace(fam, witnesses=(1 << s.bot,) * len(fam.members))
+
+    patch_everywhere(monkeypatch, orig, bottom_witnesses)
+    assert "omega-family-lattice" in failed_checks(census_and_a6(a6))
+
+
+def test_coann_family_one_member_short(a6, monkeypatch, cold_caches):
+    orig = coann.coann_family
+
+    def drop_second_member(s, f):
+        fam = orig(s, f)
+        return replace(fam, members=fam.members[:1] + fam.members[2:])
+
+    patch_everywhere(monkeypatch, orig, drop_second_member)
+    assert "coannihilator-family-matches-subset-scan" in failed_checks(census_and_a6(a6))

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from reslat.bitsets import bits
 from reslat.cli import build_parser, main
+from reslat.fileformat import load_structure
+from reslat.filters import all_filters
 
 GOLDEN = Path(__file__).parent / "golden"
 REPO = Path(__file__).resolve().parents[1]
@@ -88,6 +91,22 @@ def test_golden_outputs(capsys, golden, argv):
     code, out, _ = run_cli(capsys, argv[0], fixture(argv[1]), *argv[2:])
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_family_outputs_match_golden(capsys):
+    """`omega` and `coann` in JSON on every filter base of every fixture."""
+    lines = []
+    for path in sorted((REPO / "fixtures").glob("*.json")):
+        s, _ = load_structure(path)
+        for f in all_filters(s).filters:
+            base = ",".join(s.names[x] for x in bits(f))
+            for command in ("omega", "coann"):
+                code, out, _ = run_cli(
+                    capsys, command, str(path), "--base", base, "--format", "json"
+                )
+                assert code == 0
+                lines.append(out)
+    assert "".join(lines) == (GOLDEN / "families.ndjson").read_text()
 
 
 def test_outputs_are_byte_stable(capsys):

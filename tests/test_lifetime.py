@@ -113,7 +113,6 @@ def test_per_structure_routines_are_found():
         "all_filters",
         "all_ideals",
         "generated_filter",
-        "generated_ideal",
         "primes_of",
         "maximal_filters",
         "minimal_primes_over",

@@ -68,7 +68,6 @@ def test_omega_family_members(a6):
 def test_omega_family_witnesses_map_back(a6):
     for f in all_filters(a6).filters:
         fam = omega_family(a6, f)
-        assert fam.notes == ()
         for member, witness in zip(fam.members, fam.witnesses):
             assert omega(a6, f, witness) == member
 
