@@ -7,9 +7,8 @@ bit vectors throughout.
 
 __version__ = "0.1.0"
 
-from .structure import Structure, ValidationReport, validate_structure, leq, is_mtl, negate
+from .structure import Structure, ValidationReport, validate_structure, leq, is_mtl
 from .filters import (
-    FilterLattice,
     all_filters,
     all_ideals,
     generated_filter,
@@ -21,13 +20,11 @@ from .spectra import (
     SpectrumReport,
     is_join_closed,
     is_prime,
-    maximal_join_closed_avoiding,
     minimal_primes_over,
     spectrum,
 )
 from .coann import CoannFamily, coann_family, coannihilator, gamma_complement, gamma_join
 from .omega import (
-    DenseSet,
     OmegaFamily,
     dense_set,
     divisor,
@@ -55,8 +52,6 @@ __all__ = [
     "validate_structure",
     "leq",
     "is_mtl",
-    "negate",
-    "FilterLattice",
     "all_filters",
     "all_ideals",
     "generated_filter",
@@ -66,7 +61,6 @@ __all__ = [
     "SpectrumReport",
     "is_join_closed",
     "is_prime",
-    "maximal_join_closed_avoiding",
     "minimal_primes_over",
     "spectrum",
     "CoannFamily",
@@ -74,7 +68,6 @@ __all__ = [
     "coannihilator",
     "gamma_complement",
     "gamma_join",
-    "DenseSet",
     "OmegaFamily",
     "dense_set",
     "divisor",

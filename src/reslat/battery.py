@@ -123,7 +123,7 @@ def _maximal_filters_are_prime(s):
 
 
 def _filter_enumeration_oracle(s):
-    fast = flt.all_filters(s).filters
+    fast = flt.all_filters(s)
     slow = flt.filters_by_subset_scan(s)
     if fast != slow:
         return _fail(fast=len(fast), scan=len(slow))
@@ -147,7 +147,7 @@ def _generated_filter_idempotent(s):
 
 
 def _filter_extension_antitone(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         for x in range(s.n):
             for y in range(s.n):
                 if not leq(s, x, y):
@@ -158,7 +158,7 @@ def _filter_extension_antitone(s):
 
 
 def _filter_extension_meet_rule(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         for x in range(s.n):
             for y in range(s.n):
                 both = flt.filter_extension(s, f, x) & flt.filter_extension(s, f, y)
@@ -168,7 +168,7 @@ def _filter_extension_meet_rule(s):
 
 
 def _filter_extension_join_rule(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         for x in range(s.n):
             for y in range(s.n):
                 joined = flt.generated_filter(
@@ -192,18 +192,14 @@ def _principal_filters_sublattice(s):
 
 
 def _filter_lattice_distributive(s):
-    lat = flt.all_filters(s)
-    k = len(lat.filters)
-    for i in range(k):
-        fi = lat.filters[i]
-        for j in range(k):
-            fj = lat.filters[j]
-            for l in range(k):
-                fl = lat.filters[l]
-                lhs = fi & lat.join(fj, fl)
-                rhs = lat.join(fi & fj, fi & fl)
+    filters = flt.all_filters(s)
+    for f in filters:
+        for g in filters:
+            for h in filters:
+                lhs = f & flt.generated_filter(s, g | h)
+                rhs = flt.generated_filter(s, (f & g) | (f & h))
                 if lhs != rhs:
-                    return _fail(f=_fmt(s, fi), g=_fmt(s, fj), h=_fmt(s, fl))
+                    return _fail(f=_fmt(s, f), g=_fmt(s, g), h=_fmt(s, h))
     return _pass()
 
 
@@ -224,7 +220,7 @@ def _principal_ideal_join_rule(s):
 
 
 def _prime_iff_complement_join_closed(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         if spc.is_prime(s, f) != spc.prime_by_complement(s, f):
             return _fail(filter=_fmt(s, f))
     return _pass()
@@ -243,7 +239,7 @@ def _spectrum_matches_subset_scan(s):
 
 def _prime_separation(s):
     for c in spc.join_closed_subsets(s):
-        for f in flt.all_filters(s).filters:
+        for f in flt.all_filters(s):
             if c & f:
                 continue
             p = spc.prime_avoiding(s, f, c)
@@ -262,7 +258,7 @@ def _minimal_prime_iff_maximal_complement(s):
             above[c] = [d for d in jc if d != c and not (c & ~d)]
         return above[c]
 
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         mins = set(spc.minimal_primes_over(s, f))
         for m in mins:
             comp = s.full ^ m
@@ -306,7 +302,7 @@ def _generated_filter_is_minimal_prime_intersection(s):
 
 
 def _coannihilator_is_filter_above_base(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         co = can.coann_subset_table(s, f)
         bad = {g for g in set(co) if f & ~g or not flt.is_filter(s, g)}
         if bad:
@@ -322,7 +318,7 @@ def _coannihilator_flip_rule(s):
     carries the intersection of (F : X) over every X inside g, and Y is
     tested against that once.
     """
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         co = can.coann_subset_table(s, f)
         below = {}
         for g in set(co):
@@ -338,7 +334,7 @@ def _coannihilator_flip_rule(s):
 
 
 def _coannihilator_full_iff_contained(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         co = can.coann_subset_table(s, f)
         for x_set in range(1 << s.n):
             if (co[x_set] == s.full) != (not (x_set & ~f)):
@@ -347,7 +343,7 @@ def _coannihilator_full_iff_contained(s):
 
 
 def _coannulet_monotone(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         table = can.coannulet_table(s, f)
         for x in range(s.n):
             for y in range(s.n):
@@ -357,7 +353,7 @@ def _coannulet_monotone(s):
 
 
 def _coannulet_meet_is_product_coannulet(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         table = can.coannulet_table(s, f)
         for x in range(s.n):
             for y in range(s.n):
@@ -367,7 +363,7 @@ def _coannulet_meet_is_product_coannulet(s):
 
 
 def _double_coannihilator_join_rule(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         table = can.coannulet_table(s, f)
         co = can.coann_subset_table(s, f)
         for x in range(s.n):
@@ -378,7 +374,7 @@ def _double_coannihilator_join_rule(s):
 
 
 def _coannulet_join_bound(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         fam = can.coann_family(s, f)
         table = can.coannulet_table(s, f)
         for x in range(s.n):
@@ -391,7 +387,7 @@ def _coannulet_join_bound(s):
 
 
 def _coann_family_boolean(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         fam = can.coann_family(s, f)
         members = fam.members
         mset = set(members)
@@ -419,7 +415,7 @@ def _coann_family_boolean(s):
 
 
 def _coannulets_form_sublattice(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         fam = can.coann_family(s, f)
         lets = flt.canonical_sort(set(can.coannulet_table(s, f)))
         let_set = set(lets)
@@ -431,22 +427,22 @@ def _coannulets_form_sublattice(s):
 
 
 def _coannihilator_relative_pseudocomplement(s):
-    lat = flt.all_filters(s)
-    for f in lat.filters:
+    filters = flt.all_filters(s)
+    for f in filters:
         co = can.coann_subset_table(s, f)
         for x_set in range(1 << s.n):
             gen = flt.generated_filter(s, x_set)
             best = co[x_set]
             if best & gen & ~f:
                 return _fail(base=_fmt(s, f), set=_fmt(s, x_set), law="bound")
-            for g in lat.filters:
+            for g in filters:
                 if not (g & gen & ~f) and g & ~best:
                     return _fail(base=_fmt(s, f), set=_fmt(s, x_set), larger=_fmt(s, g))
     return _pass()
 
 
 def _coann_family_matches_subset_scan(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         fam = can.coann_family(s, f)
         scan = set(can.coann_subset_table(s, f))
         if set(fam.members) != scan:
@@ -459,7 +455,7 @@ def _coann_family_matches_subset_scan(s):
 
 
 def _omega_routes_agree(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         om = omega_table(s, f)
         table = can.coannulet_table(s, f)
         # By definition a is in omega_F(X) iff x v a is in F for some x in
@@ -481,7 +477,7 @@ def _omega_routes_agree(s):
 
 
 def _omega_contains_base(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         om = omega_table(s, f)
         for x_set in range(1, 1 << s.n):
             if f & ~om[x_set]:
@@ -492,7 +488,7 @@ def _omega_contains_base(s):
 def _omega_monotone_in_set(s):
     """Tested on the pairs (Y minus one element, Y) with both sides
     nonempty; inclusion is transitive, so these give every pair X inside Y."""
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         om = omega_table(s, f)
         for y_set in range(1, 1 << s.n):
             oy = om[y_set]
@@ -504,10 +500,10 @@ def _omega_monotone_in_set(s):
 
 
 def _omega_monotone_in_base(s):
-    lat = flt.all_filters(s).filters
-    for f in lat:
+    filters = flt.all_filters(s)
+    for f in filters:
         om_f = omega_table(s, f)
-        for g in lat:
+        for g in filters:
             if f & ~g:
                 continue
             om_g = omega_table(s, g)
@@ -518,7 +514,7 @@ def _omega_monotone_in_base(s):
 
 
 def _omega_full_iff_meets_base(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         om = omega_table(s, f)
         for x_set in range(1, 1 << s.n):
             if (om[x_set] == s.full) != bool(f & x_set):
@@ -527,9 +523,9 @@ def _omega_full_iff_meets_base(s):
 
 
 def _omega_fixes_base_iff_dense(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         om = omega_table(s, f)
-        dense = dense_set(s, f).mask
+        dense = dense_set(s, f)
         for x_set in range(1, 1 << s.n):
             if (om[x_set] == f) != (not (x_set & ~dense)):
                 return _fail(base=_fmt(s, f), set=_fmt(s, x_set))
@@ -537,15 +533,16 @@ def _omega_fixes_base_iff_dense(s):
 
 
 def _dense_elements_form_ideal(s):
-    for f in flt.all_filters(s).filters:
-        if not flt.is_ideal(s, dense_set(s, f).mask):
-            return _fail(base=_fmt(s, f), dense=_fmt(s, dense_set(s, f).mask))
+    for f in flt.all_filters(s):
+        dense = dense_set(s, f)
+        if not flt.is_ideal(s, dense):
+            return _fail(base=_fmt(s, f), dense=_fmt(s, dense))
     return _pass()
 
 
 def _omega_of_join_closed_is_filter(s):
     jc = spc.join_closed_subsets(s)
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         om = omega_table(s, f)
         bad = {w for w in {om[c] for c in jc} if not flt.is_filter(s, w)}
         if bad:
@@ -555,7 +552,7 @@ def _omega_of_join_closed_is_filter(s):
 
 
 def _omega_properness_equivalences(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         om = omega_table(s, f)
         for c in spc.join_closed_subsets(s):
             w = om[c]
@@ -569,7 +566,7 @@ def _omega_properness_equivalences(s):
 
 def _omega_family_lattice(s):
     ideals = flt.all_ideals(s)
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         fam = omega_family(s, f)
         table = omega_table(s, f)
         members = fam.members
@@ -612,7 +609,7 @@ def _omega_family_lattice(s):
 
 
 def _coannulets_inside_omega_family(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         fam = omega_family(s, f)
         table = can.coannulet_table(s, f)
         for x in range(s.n):
@@ -626,7 +623,7 @@ def _coannulets_inside_omega_family(s):
 
 
 def _coannulet_join_full_when_base_join(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         fam = omega_family(s, f)
         table = can.coannulet_table(s, f)
         for x in range(s.n):
@@ -638,10 +635,10 @@ def _coannulet_join_full_when_base_join(s):
 
 
 def _divisor_set_forms(s):
-    lat = flt.all_filters(s).filters
-    for f in lat:
+    filters = flt.all_filters(s)
+    for f in filters:
         table = can.coannulet_table(s, f)
-        for h in lat:
+        for h in filters:
             if h == s.full:
                 continue
             d = divisor(s, f, h)
@@ -654,7 +651,7 @@ def _divisor_set_forms(s):
 
 
 def _divisor_of_prime_is_omega_member(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         fam = omega_family(s, f)
         for p in spc.primes_of(s):
             d = divisor(s, f, p)
@@ -666,7 +663,7 @@ def _divisor_of_prime_is_omega_member(s):
 
 
 def _minimal_prime_divisor_fixpoint(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         mins = spc.minimal_primes_over(s, f)
         if not mins:
             continue
@@ -680,7 +677,7 @@ def _minimal_prime_divisor_fixpoint(s):
 
 
 def _minimal_prime_divisor_trichotomy(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         mins = set(spc.minimal_primes_over(s, f))
         table = can.coannulet_table(s, f)
         for p in spc.primes_of(s):
@@ -697,7 +694,7 @@ def _minimal_prime_divisor_trichotomy(s):
 
 
 def _minimal_primes_family_comaximal(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         fam = omega_family(s, f)
         mins = spc.minimal_primes_over(s, f)
         for m1, m2 in combinations(mins, 2):
@@ -709,7 +706,7 @@ def _minimal_primes_family_comaximal(s):
 
 
 def _omega_minimal_primes_avoid_set(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         om = omega_table(s, f)
         for c in spc.join_closed_subsets(s):
             for m in spc.minimal_primes_over(s, om[c]):
@@ -719,7 +716,7 @@ def _omega_minimal_primes_avoid_set(s):
 
 
 def _divisor_minimal_primes_inside_prime(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         for p in spc.primes_of(s):
             d = divisor(s, f, p)
             for m in spc.minimal_primes_over(s, d):
@@ -729,7 +726,7 @@ def _divisor_minimal_primes_inside_prime(s):
 
 
 def _omega_minimal_primes_characterized(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         mins_f = spc.minimal_primes_over(s, f)
         om = omega_table(s, f)
         for c in spc.join_closed_subsets(s):
@@ -741,7 +738,7 @@ def _omega_minimal_primes_characterized(s):
 
 
 def _divisor_minimal_primes_characterized(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         mins_f = spc.minimal_primes_over(s, f)
         for p in spc.primes_of(s):
             d = divisor(s, f, p)
@@ -753,7 +750,7 @@ def _divisor_minimal_primes_characterized(s):
 
 
 def _omega_is_minimal_prime_intersection(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         mins_f = spc.minimal_primes_over(s, f)
         om = omega_table(s, f)
         for c in spc.join_closed_subsets(s):
@@ -766,7 +763,7 @@ def _omega_is_minimal_prime_intersection(s):
 
 
 def _divisor_is_minimal_prime_intersection(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         mins_f = spc.minimal_primes_over(s, f)
         for p in spc.primes_of(s):
             expected = spc.intersection_of(
@@ -779,12 +776,12 @@ def _divisor_is_minimal_prime_intersection(s):
 
 def _omega_family_matches_filter_scan(s):
     ideals = flt.all_ideals(s)
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         fam = omega_family(s, f)
         table = omega_table(s, f)
         scan = tuple(
             h
-            for h in flt.all_filters(s).filters
+            for h in flt.all_filters(s)
             if any(table[ideal] == h for ideal in ideals)
         )
         if set(fam.members) != set(scan):
@@ -797,21 +794,19 @@ def _omega_family_matches_filter_scan(s):
 
 
 def _n_prime_agreement(s):
-    notes: list[str] = []
     n_primes = len(spc.primes_of(s))
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         if f == s.full:
             continue
         for n in range(2, n_primes + 2):
             verdict = nrm.is_n_prime(s, f, n)
-            notes.extend(verdict.notes)
             if not verdict.agree:
                 return _fail(base=_fmt(s, f), n=n, conditions=dict(verdict.conditions))
-    return _pass(notes)
+    return _pass()
 
 
 def _separating_elements_exist(s):
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         if f == s.full:
             continue
         mins = spc.minimal_primes_over(s, f)
@@ -826,7 +821,7 @@ def _separating_elements_exist(s):
 
 def _n_normality_agreement(s):
     notes: list[str] = []
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         if f == s.full:
             continue
         top_n = len(spc.minimal_primes_over(s, f)) + 1
@@ -851,12 +846,12 @@ def _omega_sublattice_agreement(s):
     verdict = nrm.omega_sublattice_verdict(s)
     if not verdict.agree:
         return _fail(conditions=dict(verdict.conditions))
-    return _pass(verdict.notes)
+    return _pass()
 
 
 def _sigma_is_omega_member_within(s):
     fam = omega_family(s, 1 << s.top)
-    for f in flt.all_filters(s).filters:
+    for f in flt.all_filters(s):
         sg = sigma(s, f)
         if sg not in fam or sg & ~f:
             return _fail(filter=_fmt(s, f), sigma=_fmt(s, sg))
@@ -866,8 +861,8 @@ def _sigma_is_omega_member_within(s):
 def _sigma_greatest_when_normal(s):
     if nrm.normality_report(s, 1 << s.top).index != 1:
         holds = all(
-            nrm.sigma_greatest_check(s, f).holds
-            for f in flt.all_filters(s).filters
+            nrm.sigma_greatest_check(s, f)
+            for f in flt.all_filters(s)
         )
         return _pass(
             (
@@ -875,9 +870,8 @@ def _sigma_greatest_when_normal(s):
                 f"(holds anyway: {holds})",
             )
         )
-    for f in flt.all_filters(s).filters:
-        res = nrm.sigma_greatest_check(s, f)
-        if not res.holds:
+    for f in flt.all_filters(s):
+        if not nrm.sigma_greatest_check(s, f):
             return _fail(filter=_fmt(s, f))
     return _pass()
 

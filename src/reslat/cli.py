@@ -117,11 +117,9 @@ def cmd_validate(args) -> int:
 
 def cmd_filters(args) -> int:
     s, name = _load_validated(args.path)
-    lat = all_filters(s)
-    payload = {"filters": [_names(s, f) for f in lat.filters]}
-    human = [f"{len(lat.filters)} filters"] + [
-        subset_repr(s, f) for f in lat.filters
-    ]
+    filters = all_filters(s)
+    payload = {"filters": [_names(s, f) for f in filters]}
+    human = [f"{len(filters)} filters"] + [subset_repr(s, f) for f in filters]
     _emit(args.format, "filters", name, payload, human)
     return 0
 
@@ -187,14 +185,14 @@ def cmd_omega(args) -> int:
         "base": _names(s, base),
         "members": [_names(s, g) for g in fam.members],
         "witness_ideals": [_names(s, w) for w in fam.witnesses],
-        "dense": _names(s, dense.mask),
+        "dense": _names(s, dense),
     }
     human = pre + [f"base: {subset_repr(s, base)}"]
     human += [
         f"member {subset_repr(s, g)} from ideal {subset_repr(s, w)}"
         for g, w in zip(fam.members, fam.witnesses)
     ]
-    human.append(f"dense elements: {subset_repr(s, dense.mask)}")
+    human.append(f"dense elements: {subset_repr(s, dense)}")
     _emit(args.format, "omega", name, payload, human)
     return 0
 
@@ -332,26 +330,26 @@ def cmd_export_dot(args) -> int:
             lines.append(f"  e{x} -- e{y};")
         lines.append("}")
     else:
-        lat = all_filters(s)
-        k = len(lat.filters)
+        filters = all_filters(s)
+        k = len(filters)
         lines.append(f"graph filters_{_dot_name(name)} {{")
-        for i, f in enumerate(lat.filters):
+        for i, f in enumerate(filters):
             lines.append(f'  f{i} [label="{subset_repr(s, f)}"];')
         by_size: dict[int, list[int]] = {}
-        for i, f in enumerate(lat.filters):
+        for i, f in enumerate(filters):
             by_size.setdefault(f.bit_count(), []).append(i)
         for c in sorted(by_size):
             row = "; ".join(f"f{i}" for i in by_size[c])
             lines.append(f"  {{ rank=same; {row}; }}")
         for i in range(k):
             for j in range(k):
-                fi, fj = lat.filters[i], lat.filters[j]
+                fi, fj = filters[i], filters[j]
                 if fi == fj or fi & ~fj:
                     continue
                 strictly_between = any(
                     l != i and l != j
-                    and not (fi & ~lat.filters[l])
-                    and not (lat.filters[l] & ~fj)
+                    and not (fi & ~filters[l])
+                    and not (filters[l] & ~fj)
                     for l in range(k)
                 )
                 if not strictly_between:

@@ -9,20 +9,12 @@ class StructureFileError(ValueError):
     """A structure file could not be parsed into operation tables."""
 
 
-class UnknownFilter(LookupError):
-    """A filter argument does not belong to the enumerated filter lattice."""
-
-
 class UnknownMember(LookupError):
     """A family operation was applied to a set that is not a member."""
 
 
 class EmptyArgument(ValueError):
     """An operation that needs a nonempty subset got the empty one."""
-
-
-class Overlap(ValueError):
-    """A separator set was required to avoid a filter but meets it."""
 
 
 class ImproperFilter(ValueError):

@@ -17,10 +17,7 @@ and the subset scans go by the definitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bitsets import bits, closed_under, union_over
-from .errors import UnknownFilter
 from .structure import Structure, per_structure
 
 
@@ -75,53 +72,17 @@ def filter_extension(s: Structure, f: int, x: int) -> int:
     return generated_filter(s, f | 1 << x)
 
 
-@dataclass(frozen=True, eq=False)
-class FilterLattice:
-    """All filters of a structure with their join table.
-
-    Filters are listed canonically (ascending popcount, then bit value).
-    Meet is set intersection; join of F and G is the least filter
-    containing their union.
-    """
-
-    filters: tuple[int, ...]
-    index: dict[int, int] = field(repr=False)
-    join_table: tuple[tuple[int, ...], ...] = field(repr=False)
-
-    def __contains__(self, f: int) -> bool:
-        return f in self.index
-
-    def position(self, f: int) -> int:
-        try:
-            return self.index[f]
-        except KeyError:
-            raise UnknownFilter(f"not an enumerated filter: {f:#x}") from None
-
-    def join(self, f: int, g: int) -> int:
-        return self.filters[self.join_table[self.position(f)][self.position(g)]]
-
-    def meet(self, f: int, g: int) -> int:
-        # Positions only reject what is not a filter: meet is intersection.
-        self.position(f)
-        self.position(g)
-        return f & g
-
-
 def canonical_sort(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
 @per_structure
-def all_filters(s: Structure) -> FilterLattice:
-    """Every filter, as up(e) for each idempotent e; the join of up(e)
-    and up(f) is up(e * f).  Assumes a valid structure."""
-    up, times = s.up, s.times
-    idempotents = [e for e in range(s.n) if times[e][e] == e]
-    filters = canonical_sort(up[e] for e in idempotents)
-    index = {m: i for i, m in enumerate(filters)}
-    least = sorted(idempotents, key=lambda e: index[up[e]])
-    join_t = tuple(tuple(index[up[times[e][f]]] for f in least) for e in least)
-    return FilterLattice(filters=filters, index=index, join_table=join_t)
+def all_filters(s: Structure) -> tuple[int, ...]:
+    """Every filter, canonically sorted: up(e) for each idempotent e.
+    Meet is f & g and join is generated_filter(s, f | g).  Assumes a
+    valid structure."""
+    times = s.times
+    return canonical_sort(s.up[e] for e in range(s.n) if times[e][e] == e)
 
 
 def filters_by_subset_scan(s: Structure) -> tuple[int, ...]:

@@ -385,7 +385,7 @@ def _derive_residuum(lat: Lattice, times) -> tuple:
 def _structure_stats(s: Structure) -> CensusStats:
     spec = spectrum(s)
     return CensusStats(
-        filters=len(all_filters(s).filters),
+        filters=len(all_filters(s)),
         primes=len(spec.primes),
         minimal_primes=len(spec.minimal_primes),
         normality_index=normality_report(s, 1 << s.top).index,

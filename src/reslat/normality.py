@@ -39,12 +39,6 @@ class NormalityReport:
     per_prime: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class SigmaExtremality:
-    applicable: bool
-    holds: bool
-
-
 def _verdict(proposition, labelled, witness=None, notes=()):
     values = [v for _, v in labelled]
     return EquivalenceVerdict(
@@ -109,10 +103,10 @@ def is_n_prime(s: Structure, f: int, n: int) -> EquivalenceVerdict:
         raise BadN("n-prime needs n >= 2")
     if f == s.full:
         raise ImproperFilter("n-prime is defined for proper filters")
-    lat = all_filters(s)
+    filters = all_filters(s)
     witness: dict[str, str] = {}
 
-    others = [g for g in lat.filters if g != f]
+    others = [g for g in filters if g != f]
     bad = next(
         _pairwise_tuples(others, n, lambda a, b: a & b == f), None
     )
@@ -120,7 +114,7 @@ def is_n_prime(s: Structure, f: int, n: int) -> EquivalenceVerdict:
     if bad is not None:
         witness["filters-meeting-at-base"] = ", ".join(subset_repr(s, g) for g in bad)
 
-    not_below = [g for g in lat.filters if g & ~f]
+    not_below = [g for g in filters if g & ~f]
     bad = next(
         _pairwise_tuples(not_below, n, lambda a, b: not (a & b & ~f)), None
     )
@@ -393,8 +387,13 @@ def normality_verdict(s: Structure) -> EquivalenceVerdict:
 
 
 def omega_sublattice_verdict(s: Structure) -> EquivalenceVerdict:
-    """Five equivalent readings of when the trivial-base omega filters
-    form a sublattice of the filter lattice."""
+    """Four equivalent readings of when the trivial-base omega filters
+    form a sublattice of the filter lattice.
+
+    The paper's fifth reading, that joins of coannulets stay among the
+    coannulets, is the fourth here: on a finite structure the family is
+    exactly the set of coannulets (see `omega`).
+    """
     triv = 1 << s.top
     fam = omega_family(s, triv)
     members = fam.members
@@ -432,18 +431,6 @@ def omega_sublattice_verdict(s: Structure) -> EquivalenceVerdict:
                     subset_repr(s, g) + ", " + subset_repr(s, h),
                 )
 
-    lets = sorted(set(coannulet_table(s, triv)))
-    let_set = set(lets)
-    c5 = True
-    for i, g in enumerate(lets):
-        for h in lets[i:]:
-            if generated_filter(s, g | h) not in let_set:
-                c5 = False
-                witness.setdefault(
-                    "coannulet-join-outside-coannulets",
-                    subset_repr(s, g) + ", " + subset_repr(s, h),
-                )
-
     return _verdict(
         "omega-filters-sublattice-characterizations",
         [
@@ -451,19 +438,13 @@ def omega_sublattice_verdict(s: Structure) -> EquivalenceVerdict:
             ("normal", c2),
             ("arbitrary-joins-stay-in-family", c3),
             ("binary-joins-stay-in-family", c4),
-            ("coannulet-joins-stay-in-coannulets", c5),
         ],
         witness=witness or None,
     )
 
 
-def sigma_greatest_check(s: Structure, f: int) -> SigmaExtremality:
-    """In normal structures sigma is the greatest omega filter inside f.
-
-    Not applicable when the structure is not normal; the identity is
-    still evaluated so callers can record whether it happens to hold.
-    """
-    applicable = normality_report(s, 1 << s.top).index == 1
+def sigma_greatest_check(s: Structure, f: int) -> bool:
+    """Whether sigma(f) is the greatest trivial-base omega filter inside
+    f, as it is in every normal structure."""
     best = greatest_omega_within(s, f)
-    holds = best is not None and best == sigma(s, f)
-    return SigmaExtremality(applicable=applicable, holds=holds)
+    return best is not None and best == sigma(s, f)

@@ -40,17 +40,10 @@ def omega(s: Structure, f: int, x_set: int) -> int:
     return union_over(coannulet_table(s, f), x_set)
 
 
-@dataclass(frozen=True)
-class DenseSet:
-    base: int
-    mask: int
-
-
-def dense_set(s: Structure, f: int) -> DenseSet:
+def dense_set(s: Structure, f: int) -> int:
     """Elements x with (f : x) = f.  Always an ideal of the reduct."""
     table = coannulet_table(s, f)
-    mask = sum(1 << x for x in range(s.n) if table[x] == f)
-    return DenseSet(base=f, mask=mask)
+    return sum(1 << x for x in range(s.n) if table[x] == f)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import closed_under, closure_under
-from .errors import Overlap
+from .bitsets import closed_under
 from .filters import all_filters, canonical_sort
 from .structure import Structure, per_structure
 
@@ -33,12 +32,12 @@ def prime_by_complement(s: Structure, f: int) -> bool:
 
 @per_structure
 def primes_of(s: Structure) -> tuple[int, ...]:
-    return tuple(f for f in all_filters(s).filters if is_prime(s, f))
+    return tuple(f for f in all_filters(s) if is_prime(s, f))
 
 
 @per_structure
 def maximal_filters(s: Structure) -> tuple[int, ...]:
-    proper = [f for f in all_filters(s).filters if f != s.full]
+    proper = [f for f in all_filters(s) if f != s.full]
     return tuple(
         f
         for f in proper
@@ -96,27 +95,6 @@ def join_closed_subsets(s: Structure) -> tuple[int, ...]:
     return canonical_sort(
         m for m in range(1, s.full + 1) if is_join_closed(s, m)
     )
-
-
-def maximal_join_closed_avoiding(s: Structure, f: int, c: int) -> int:
-    """Grow c to a join-closed set disjoint from f and maximal as such.
-
-    Extension is greedy in element order, so the result is deterministic
-    even when several maximal extensions exist.  A single pass suffices:
-    once an element cannot be added its closure only grows later.
-    """
-    if c & f:
-        raise Overlap("separator meets the filter it must avoid")
-    if not is_join_closed(s, c):
-        raise ValueError("separator must be a nonempty join-closed set")
-    cur = c
-    for x in range(s.n):
-        if cur >> x & 1 or f >> x & 1:
-            continue
-        cand = closure_under(s.join, cur | 1 << x)
-        if not cand & f:
-            cur = cand
-    return cur
 
 
 def prime_avoiding(s: Structure, f: int, c: int) -> int | None:

@@ -37,7 +37,7 @@ class Structure:
     Derived data lives in lazily built `cached_property` slots that die
     with the structure: the order masks `up`/`down`, and `memos`, the one
     store of analysis answers, filled by the routines decorated with
-    `per_structure` (the filter lattice, the ideals, the primes, generated
+    `per_structure` (the filters, the ideals, the primes, generated
     filters and ideals, minimal primes over a set, and per base the
     coannulets, the coannihilator and omega tables and families).  No
     module-level table refers to a structure and no answer refers back to
@@ -208,11 +208,6 @@ def is_mtl(s: Structure) -> bool:
             if s.join[s.residuum[x][y]][s.residuum[y][x]] != s.top:
                 return False
     return True
-
-
-def negate(s: Structure, a: int) -> int:
-    """The residual complement a -> 0."""
-    return s.residuum[a][s.bot]
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ def test_criterion_1_fixture_fidelity():
         named_mask(s, "cd1"),
         s.full,
     }
-    if set(all_filters(s).filters) != expected_filters:
+    if set(all_filters(s)) != expected_filters:
         problems.append("filter enumeration differs from the known five")
 
     f4 = named_mask(s, "cd1")
@@ -92,7 +92,7 @@ def test_criterion_2_spectral_golden_values():
     if rep.minimal_primes != (f1,):
         problems.append("minimal primes differ")
 
-    for f in all_filters(s).filters:
+    for f in all_filters(s):
         if f != s.full and normality_report(s, f).index != 1:
             problems.append(f"normality index above 1 for {f:#x}")
 
@@ -181,15 +181,15 @@ def test_criterion_5_oracle_equivalences():
         for rec in enumerate_residuated(SearchSpec(size=n)):
             s = rec.structure
             checked += 1
-            if all_filters(s).filters != filters_by_subset_scan(s):
+            if all_filters(s) != filters_by_subset_scan(s):
                 problems.append(f"size {n}: filter scan mismatch")
-            for f in all_filters(s).filters:
+            for f in all_filters(s):
                 fam = coann_family(s, f)
                 if set(fam.members) != set(coann_subset_table(s, f)):
                     problems.append(f"size {n}: coannihilator scan mismatch")
                 members_by_scan = {
                     h
-                    for h in all_filters(s).filters
+                    for h in all_filters(s)
                     if any(omega(s, f, ideal) == h for ideal in all_ideals(s))
                 }
                 if set(omega_family(s, f).members) != members_by_scan:

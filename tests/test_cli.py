@@ -98,7 +98,7 @@ def test_family_outputs_match_golden(capsys):
     lines = []
     for path in sorted((REPO / "fixtures").glob("*.json")):
         s, _ = load_structure(path)
-        for f in all_filters(s).filters:
+        for f in all_filters(s):
             base = ",".join(s.names[x] for x in bits(f))
             for command in ("omega", "coann"):
                 code, out, _ = run_cli(

@@ -37,7 +37,7 @@ def test_coannihilator_examples(a6):
 
 
 def test_coannihilator_full_iff_contained(a6):
-    for f in all_filters(a6).filters:
+    for f in all_filters(a6):
         for x_set in range(1 << a6.n):
             full = coannihilator(a6, f, x_set) == a6.full
             assert full == (not (x_set & ~f))
@@ -100,13 +100,13 @@ def test_unknown_member_raises(a6):
 
 def test_family_matches_subset_scan(a6, chain2, chain3_godel, chain3_luk):
     for s in (a6, chain2, chain3_godel, chain3_luk):
-        for f in all_filters(s).filters:
+        for f in all_filters(s):
             fam = coann_family(s, f)
             assert set(fam.members) == set(coann_subset_table(s, f))
 
 
 def test_family_is_boolean(a6):
-    for f in all_filters(a6).filters:
+    for f in all_filters(a6):
         fam = coann_family(a6, f)
         for g in fam.members:
             comp = gamma_complement(fam, g)
@@ -124,19 +124,19 @@ def test_family_is_boolean(a6):
 def test_coannihilator_is_relative_pseudocomplement(a6):
     from reslat.filters import generated_filter
 
-    lat = all_filters(a6)
-    for f in lat.filters:
+    filters = all_filters(a6)
+    for f in filters:
         co = coann_subset_table(a6, f)
         for x_set in range(1 << a6.n):
             gen = generated_filter(a6, x_set)
             assert not (co[x_set] & gen & ~f)
-            for g in lat.filters:
+            for g in filters:
                 if not (g & gen & ~f):
                     assert not (g & ~co[x_set])
 
 
 def test_flip_rule(a6):
-    for f in all_filters(a6).filters:
+    for f in all_filters(a6):
         co = coann_subset_table(a6, f)
         for x_set in range(1 << a6.n):
             for y_set in range(1 << a6.n):

@@ -62,7 +62,7 @@ def reference_omega_family(s, f):
 
 def test_families_match_reference_routes(oracle_structures):  # noqa: F811
     for s in oracle_structures:
-        for f in all_filters(s).filters:
+        for f in all_filters(s):
             co = coann_family(s, f)
             om = omega_family(s, f)
             assert (co.members, co.join_index, co.complement_index) == (

@@ -5,10 +5,8 @@ import pytest
 from reslat import filters
 from reslat.battery import CHECKS
 from reslat.bitsets import closed_under, closure_under, mask_of, union_over
-from reslat.errors import UnknownFilter
 from reslat.fileformat import load_structure
 from reslat.filters import (
-    FilterLattice,
     all_filters,
     all_ideals,
     canonical_sort,
@@ -31,7 +29,7 @@ def named_mask(s, names):
 
 
 def test_a6_filter_list_is_the_known_five(a6):
-    lat = all_filters(a6)
+    filters = all_filters(a6)
     expected = {
         named_mask(a6, "1"),
         named_mask(a6, "d1"),
@@ -39,13 +37,12 @@ def test_a6_filter_list_is_the_known_five(a6):
         named_mask(a6, "cd1"),
         a6.full,
     }
-    assert set(lat.filters) == expected
-    assert len(lat.filters) == 5
+    assert set(filters) == expected
+    assert len(filters) == 5
 
 
 def test_filters_are_canonically_ordered(a6):
-    lat = all_filters(a6)
-    keys = [(f.bit_count(), f) for f in lat.filters]
+    keys = [(f.bit_count(), f) for f in all_filters(a6)]
     assert keys == sorted(keys)
 
 
@@ -73,35 +70,26 @@ def test_generated_filter_idempotent_on_all_subsets(a6):
 
 
 def test_filter_join_and_meet(a6):
-    lat = all_filters(a6)
+    # Join is the filter generated by the union; meet is intersection.
     f3 = named_mask(a6, "abd1")
     f4 = named_mask(a6, "cd1")
     f2 = named_mask(a6, "d1")
-    assert lat.join(f3, f4) == a6.full
-    assert lat.meet(f3, f4) == f2
-    for f in lat.filters:
-        assert lat.join(f, f) == f
-        assert lat.meet(f, f) == f
-
-
-def test_filter_lattice_rejects_unknown_arguments(a6):
-    lat = all_filters(a6)
-    with pytest.raises(UnknownFilter):
-        lat.join(named_mask(a6, "bd1"), a6.full)
-    with pytest.raises(UnknownFilter):
-        lat.meet(a6.full, named_mask(a6, "b"))
+    assert generated_filter(a6, f3 | f4) == a6.full
+    assert f3 & f4 == f2
+    for f in all_filters(a6):
+        assert generated_filter(a6, f) == f
 
 
 def test_enumeration_matches_subset_scan(a6, chain2, chain3_godel, chain3_luk):
     for s in (a6, chain2, chain3_godel, chain3_luk):
-        assert all_filters(s).filters == filters_by_subset_scan(s)
+        assert all_filters(s) == filters_by_subset_scan(s)
         assert all_ideals(s) == ideals_by_subset_scan(s)
 
 
 def test_chain_filter_lattices(chain2, chain3_godel):
-    assert set(all_filters(chain2).filters) == {1 << chain2.top, chain2.full}
+    assert set(all_filters(chain2)) == {1 << chain2.top, chain2.full}
     m1 = mask_of([chain3_godel.element("m"), chain3_godel.top])
-    assert set(all_filters(chain3_godel).filters) == {
+    assert set(all_filters(chain3_godel)) == {
         1 << chain3_godel.top,
         m1,
         chain3_godel.full,
@@ -135,18 +123,18 @@ def test_is_ideal(a6):
 
 
 def test_filter_lattice_is_distributive(a6):
-    lat = all_filters(a6)
-    for f in lat.filters:
-        for g in lat.filters:
-            for h in lat.filters:
-                assert f & lat.join(g, h) == lat.join(f & g, f & h)
+    filters = all_filters(a6)
+    for f in filters:
+        for g in filters:
+            for h in filters:
+                join = generated_filter(a6, g | h)
+                assert f & join == generated_filter(a6, (f & g) | (f & h))
 
 
 def test_extension_rules_on_a6(a6):
     from reslat.filters import filter_extension
 
-    lat = all_filters(a6)
-    for f in lat.filters:
+    for f in all_filters(a6):
         for x in range(a6.n):
             for y in range(a6.n):
                 ext_x = filter_extension(a6, f, x)
@@ -158,7 +146,7 @@ def test_extension_rules_on_a6(a6):
 
 
 def test_subset_repr_of_filters(a6):
-    assert [subset_repr(a6, f) for f in all_filters(a6).filters] == [
+    assert [subset_repr(a6, f) for f in all_filters(a6)] == [
         "{1}",
         "{d,1}",
         "{c,d,1}",
@@ -201,12 +189,7 @@ def reference_ideal_closure(s, m):
 
 
 def reference_filters(s):
-    found = canonical_sort(m for m in upsets_scan(s) if m and closed_under(s.times, m))
-    index = {m: i for i, m in enumerate(found)}
-    join_t = tuple(
-        tuple(index[reference_filter_closure(s, f | g)] for g in found) for f in found
-    )
-    return found, join_t
+    return canonical_sort(m for m in upsets_scan(s) if m and closed_under(s.times, m))
 
 
 def reference_ideals(s):
@@ -229,8 +212,7 @@ def oracle_structures():
 
 def test_enumerations_match_reference_routes(oracle_structures):
     for s in oracle_structures:
-        lat = all_filters(s)
-        assert (lat.filters, lat.join_table) == reference_filters(s)
+        assert all_filters(s) == reference_filters(s)
         assert all_ideals(s) == reference_ideals(s)
 
 
@@ -243,21 +225,19 @@ def test_closures_match_reference_routes_on_every_mask(oracle_structures):
             assert generated_ideal(s, m) == reference_ideal_closure(s, m)
 
 
-def enumeration_check(name):
+def battery_check(name):
     return next(fn for _group, check, fn in CHECKS if check == name)
 
 
 def test_enumeration_oracle_catches_a_dropped_idempotent(a6, monkeypatch):
     def drop_bot(s):
         # bot is always idempotent; up(bot) is the whole carrier.
-        kept = canonical_sort(
+        return canonical_sort(
             s.up[e] for e in range(s.n) if s.times[e][e] == e and e != s.bot
         )
-        index = {m: i for i, m in enumerate(kept)}
-        return FilterLattice(filters=kept, index=index, join_table=())
 
     monkeypatch.setattr(filters, "all_filters", drop_bot)
-    check = enumeration_check("filter-enumeration-matches-subset-scan")
+    check = battery_check("filter-enumeration-matches-subset-scan")
     for s in census(2, 3, 4, 5) + [a6]:
         witness, _notes = check(s)
         assert witness is not None
@@ -268,7 +248,18 @@ def test_enumeration_oracle_catches_a_dropped_down_set(a6, monkeypatch):
         return canonical_sort(s.down[x] for x in range(s.n) if x != s.top)
 
     monkeypatch.setattr(filters, "all_ideals", drop_top)
-    check = enumeration_check("ideal-enumeration-matches-subset-scan")
+    check = battery_check("ideal-enumeration-matches-subset-scan")
     for s in census(2, 3, 4, 5) + [a6]:
         witness, _notes = check(s)
         assert witness is not None
+
+
+def test_distributivity_check_catches_a_join_that_drops_a_generator(a6, monkeypatch):
+    generate = generated_filter.__wrapped__
+
+    def drop_lowest(s, gens):
+        return generate(s, gens & (gens - 1))
+
+    monkeypatch.setattr(filters, "generated_filter", drop_lowest)
+    witness, _notes = battery_check("filter-lattice-distributive")(a6)
+    assert witness is not None

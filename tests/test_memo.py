@@ -55,7 +55,7 @@ def test_generated_filter_memo_matches_closure(structures):
 
 def test_omega_table_matches_coannulet_union(structures):
     for s in structures:
-        for f in all_filters(s).filters:
+        for f in all_filters(s):
             table = coannulet_table(s, f)
             unions = omega_table(s, f)
             for x_set in range(1, 1 << s.n):
@@ -69,7 +69,7 @@ def test_omega_table_matches_coannulet_union(structures):
 
 def test_coann_memo_matches_subset_fold(structures):
     for s in structures:
-        for f in all_filters(s).filters:
+        for f in all_filters(s):
             expected = subset_fold(coannulet_table(s, f), s.full, operator.and_)
             assert list(coann_subset_table(s, f)) == expected
             assert s.memos[coann_subset_table.__wrapped__][f] is coann_subset_table(s, f)
@@ -99,7 +99,7 @@ def test_large_carrier_shares_the_memo():
         assert minimal_primes_over(s, 1 << x) == ((up,) if x else ())
     # Single omega queries build no 2^n table.
     assert omega_table.__wrapped__ not in s.memos
-    for f in all_filters(s).filters:
+    for f in all_filters(s):
         table = coannulet_table(s, f)
         assert omega_table(s, f) == subset_fold(table, 0, operator.or_)
         assert coann_subset_table(s, f) == subset_fold(table, s.full, operator.and_)

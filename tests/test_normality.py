@@ -40,7 +40,7 @@ def test_is_n_prime_agreement(a6):
 def test_is_n_prime_agreement_everywhere(a6, chain3_luk):
     for s in (a6, chain3_luk):
         top_n = len(primes_of(s)) + 1
-        for f in all_filters(s).filters:
+        for f in all_filters(s):
             if f == s.full:
                 continue
             for n in range(2, top_n + 1):
@@ -55,7 +55,7 @@ def test_n_prime_argument_errors(a6):
 
 
 def test_normality_report_of_a6(a6):
-    for f in all_filters(a6).filters:
+    for f in all_filters(a6):
         if f == a6.full:
             continue
         rep = normality_report(a6, f)
@@ -143,9 +143,8 @@ def test_omega_sublattice_verdict(a6, chain2):
 
 
 def test_sigma_greatest_check_on_normal_structure(a6):
-    for f in all_filters(a6).filters:
-        res = sigma_greatest_check(a6, f)
-        assert res.applicable and res.holds
+    for f in all_filters(a6):
+        assert sigma_greatest_check(a6, f)
 
 
 def _first_non_normal_structure():
@@ -160,9 +159,7 @@ def _first_non_normal_structure():
 def test_non_normal_structure_verdicts():
     s = _first_non_normal_structure()
     v = omega_sublattice_verdict(s)
-    # all five conditions fail together; the equivalence still agrees
+    # all four conditions fail together; the equivalence still agrees
     assert v.agree
     assert not any(val for _, val in v.conditions)
-    res = sigma_greatest_check(s, 1 << s.top)
-    assert not res.applicable
     assert normality_report(s, 1 << s.top).index == 2

@@ -44,7 +44,7 @@ def structure_and_subset(draw, nonempty=False):
 @st.composite
 def structure_filter_subset(draw, nonempty=False):
     s = draw(structures)
-    f = draw(st.sampled_from(all_filters(s).filters))
+    f = draw(st.sampled_from(all_filters(s)))
     low = 1 if nonempty else 0
     return s, f, draw(st.integers(low, s.full))
 

@@ -1,13 +1,9 @@
-import pytest
-
 from reslat.bitsets import mask_of
-from reslat.errors import Overlap
 from reslat.filters import all_filters, generated_filter
 from reslat.spectra import (
     is_join_closed,
     is_prime,
     join_closed_subsets,
-    maximal_join_closed_avoiding,
     minimal_primes_over,
     prime_avoiding,
     prime_by_complement,
@@ -30,7 +26,7 @@ def test_is_prime_examples(a6):
 
 def test_prime_matches_complement_route(a6, chain3_luk):
     for s in (a6, chain3_luk):
-        for f in all_filters(s).filters:
+        for f in all_filters(s):
             assert is_prime(s, f) == prime_by_complement(s, f)
 
 
@@ -94,39 +90,9 @@ def test_is_join_closed(a6):
     assert not is_join_closed(a6, 0)
 
 
-def test_maximal_join_closed_avoiding(a6):
-    f4 = named_mask(a6, "cd1")
-    f1 = named_mask(a6, "1")
-    assert maximal_join_closed_avoiding(a6, f4, named_mask(a6, "0")) == named_mask(
-        a6, "0ab"
-    )
-    assert maximal_join_closed_avoiding(a6, f1, named_mask(a6, "0c")) == named_mask(
-        a6, "0abcd"
-    )
-
-
-def test_maximal_join_closed_avoiding_errors(a6):
-    with pytest.raises(Overlap):
-        maximal_join_closed_avoiding(a6, a6.full, named_mask(a6, "0"))
-    with pytest.raises(ValueError):
-        maximal_join_closed_avoiding(a6, named_mask(a6, "1"), named_mask(a6, "bc"))
-
-
-def test_maximal_complements_are_minimal_primes(a6):
-    # growing any join-closed set avoiding a filter ends at the
-    # complement of a minimal prime over that filter
-    for f in all_filters(a6).filters:
-        mins = set(minimal_primes_over(a6, f))
-        for c in join_closed_subsets(a6):
-            if c & f:
-                continue
-            grown = maximal_join_closed_avoiding(a6, f, c)
-            assert (a6.full ^ grown) in mins
-
-
 def test_prime_separation(a6):
     for c in join_closed_subsets(a6):
-        for f in all_filters(a6).filters:
+        for f in all_filters(a6):
             if c & f:
                 continue
             p = prime_avoiding(a6, f, c)

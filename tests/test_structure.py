@@ -13,7 +13,6 @@ from reslat.structure import (
     ValidationReport,
     is_mtl,
     leq,
-    negate,
     order_from_pairs,
     order_tables,
     subset_repr,
@@ -135,12 +134,6 @@ def test_mtl_witness_pair(a6):
     a, c, d = (a6.element(x) for x in "acd")
     lhs = a6.join[a6.residuum[a][c]][a6.residuum[c][a]]
     assert lhs == d
-
-
-def test_negate_examples(a6):
-    assert negate(a6, a6.element("a")) == a6.element("c")
-    assert negate(a6, a6.top) == a6.bot
-    assert negate(a6, a6.bot) == a6.top
 
 
 def test_covers_of_a6(a6):
