@@ -23,9 +23,8 @@ from .spectra import (
     minimal_primes_over,
     spectrum,
 )
-from .coann import CoannFamily, coann_family, coannihilator, gamma_complement, gamma_join
+from .coann import coann_family, coannihilator, gamma_join
 from .omega import (
-    OmegaFamily,
     dense_set,
     divisor,
     omega,
@@ -63,12 +62,9 @@ __all__ = [
     "is_prime",
     "minimal_primes_over",
     "spectrum",
-    "CoannFamily",
     "coann_family",
     "coannihilator",
-    "gamma_complement",
     "gamma_join",
-    "OmegaFamily",
     "dense_set",
     "divisor",
     "omega",

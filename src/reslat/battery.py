@@ -375,12 +375,13 @@ def _double_coannihilator_join_rule(s):
 
 def _coannulet_join_bound(s):
     for f in flt.all_filters(s):
-        fam = can.coann_family(s, f)
         table = can.coannulet_table(s, f)
+        lets = set(table)
+        joins = {(g, h): can.gamma_join(s, f, g, h) for g in lets for h in lets}
         for x in range(s.n):
             for y in range(s.n):
                 in_lattice = flt.generated_filter(s, table[x] | table[y])
-                gamma = can.gamma_join(fam, table[x], table[y])
+                gamma = joins[table[x], table[y]]
                 if in_lattice & ~gamma or gamma != table[s.join[x][y]]:
                     return _fail(base=_fmt(s, f), x=s.names[x], y=s.names[y])
     return _pass()
@@ -388,40 +389,37 @@ def _coannulet_join_bound(s):
 
 def _coann_family_boolean(s):
     for f in flt.all_filters(s):
-        fam = can.coann_family(s, f)
-        members = fam.members
+        members = can.coann_family(s, f)
         mset = set(members)
         if f not in mset or s.full not in mset:
             return _fail(base=_fmt(s, f), missing="bounds")
         for g in members:
-            comp = can.gamma_complement(fam, g)
+            comp = can.coannihilator(s, f, g)
             if g & comp != f:
                 return _fail(base=_fmt(s, f), member=_fmt(s, g), law="meet-complement")
-            if can.gamma_join(fam, g, comp) != s.full:
+            if can.gamma_join(s, f, g, comp) != s.full:
                 return _fail(base=_fmt(s, f), member=_fmt(s, g), law="join-complement")
-            if can.gamma_complement(fam, comp) != g:
+            if can.coannihilator(s, f, comp) != g:
                 return _fail(base=_fmt(s, f), member=_fmt(s, g), law="involution")
             for h in members:
                 if g & h not in mset:
                     return _fail(base=_fmt(s, f), law="meet-closure")
+        joins = {(h, k): can.gamma_join(s, f, h, k) for h in members for k in members}
         for g in members:
             for h in members:
                 for k in members:
-                    lhs = g & can.gamma_join(fam, h, k)
-                    rhs = can.gamma_join(fam, g & h, g & k)
-                    if lhs != rhs:
+                    if g & joins[h, k] != joins[g & h, g & k]:
                         return _fail(base=_fmt(s, f), law="distributivity")
     return _pass()
 
 
 def _coannulets_form_sublattice(s):
     for f in flt.all_filters(s):
-        fam = can.coann_family(s, f)
         lets = flt.canonical_sort(set(can.coannulet_table(s, f)))
         let_set = set(lets)
         for g in lets:
             for h in lets:
-                if g & h not in let_set or can.gamma_join(fam, g, h) not in let_set:
+                if g & h not in let_set or can.gamma_join(s, f, g, h) not in let_set:
                     return _fail(base=_fmt(s, f), g=_fmt(s, g), h=_fmt(s, h))
     return _pass()
 
@@ -445,8 +443,8 @@ def _coann_family_matches_subset_scan(s):
     for f in flt.all_filters(s):
         fam = can.coann_family(s, f)
         scan = set(can.coann_subset_table(s, f))
-        if set(fam.members) != scan:
-            return _fail(base=_fmt(s, f), fast=len(fam.members), scan=len(scan))
+        if set(fam) != scan:
+            return _fail(base=_fmt(s, f), fast=len(fam), scan=len(scan))
     return _pass()
 
 
@@ -569,27 +567,25 @@ def _omega_family_lattice(s):
     for f in flt.all_filters(s):
         fam = omega_family(s, f)
         table = omega_table(s, f)
-        members = fam.members
-        mset = set(members)
-        if f not in mset or s.full not in mset:
+        if f not in fam or s.full not in fam:
             return _fail(base=_fmt(s, f), missing="bounds")
-        k = len(members)
-        for i in range(k):
-            for j in range(i, k):
-                g, h = members[i], members[j]
-                if g & h not in mset:
+        items = list(fam.items())
+        for i, (g, wg) in enumerate(items):
+            for h, wh in items[i:]:
+                if g & h not in fam:
                     return _fail(base=_fmt(s, f), law="meet-closure")
-                if table[fam.witnesses[i] & fam.witnesses[j]] != g & h:
+                if table[wg & wh] != g & h:
                     return _fail(base=_fmt(s, f), law="meet-formula")
+        # Joins only once every meet has passed, so a broken witness
+        # fails the meet formula rather than the join's cross-check.
+        members = list(fam)
         joins = {}
-        for i in range(k):
-            for j in range(i, k):
-                val = omega_join(s, fam, members[i], members[j])
-                joins[(members[i], members[j])] = val
-                joins[(members[j], members[i])] = val
-        for g in members:
-            for h in members:
-                for w in members:
+        for i, g in enumerate(members):
+            for h in members[i:]:
+                joins[(g, h)] = joins[(h, g)] = omega_join(s, f, g, h)
+        for g in fam:
+            for h in fam:
+                for w in fam:
                     if g & joins[(h, w)] != joins[(g & h, g & w)]:
                         return _fail(base=_fmt(s, f), law="distributivity")
         values = {ideal: table[ideal] for ideal in ideals}
@@ -617,19 +613,18 @@ def _coannulets_inside_omega_family(s):
                 return _fail(base=_fmt(s, f), element=s.names[x])
         for x in range(s.n):
             for y in range(s.n):
-                if omega_join(s, fam, table[x], table[y]) != table[s.join[x][y]]:
+                if omega_join(s, f, table[x], table[y]) != table[s.join[x][y]]:
                     return _fail(base=_fmt(s, f), x=s.names[x], y=s.names[y])
     return _pass()
 
 
 def _coannulet_join_full_when_base_join(s):
     for f in flt.all_filters(s):
-        fam = omega_family(s, f)
         table = can.coannulet_table(s, f)
         for x in range(s.n):
             for y in range(s.n):
                 if f >> s.join[x][y] & 1:
-                    if omega_join(s, fam, table[x], table[y]) != s.full:
+                    if omega_join(s, f, table[x], table[y]) != s.full:
                         return _fail(base=_fmt(s, f), x=s.names[x], y=s.names[y])
     return _pass()
 
@@ -700,7 +695,7 @@ def _minimal_primes_family_comaximal(s):
         for m1, m2 in combinations(mins, 2):
             if m1 not in fam or m2 not in fam:
                 return _fail(base=_fmt(s, f), minimal=_fmt(s, m1 if m1 not in fam else m2))
-            if omega_join(s, fam, m1, m2) != s.full:
+            if omega_join(s, f, m1, m2) != s.full:
                 return _fail(base=_fmt(s, f), first=_fmt(s, m1), second=_fmt(s, m2))
     return _pass()
 
@@ -784,8 +779,8 @@ def _omega_family_matches_filter_scan(s):
             for h in flt.all_filters(s)
             if any(table[ideal] == h for ideal in ideals)
         )
-        if set(fam.members) != set(scan):
-            return _fail(base=_fmt(s, f), fast=len(fam.members), scan=len(scan))
+        if set(fam) != set(scan):
+            return _fail(base=_fmt(s, f), fast=len(fam), scan=len(scan))
     return _pass()
 
 

@@ -165,13 +165,13 @@ def cmd_coann(args) -> int:
     payload = {
         "base": _names(s, base),
         "coannulets": {s.names[x]: _names(s, table[x]) for x in range(s.n)},
-        "members": [_names(s, g) for g in fam.members],
+        "members": [_names(s, g) for g in fam],
     }
     human = pre + [f"base: {subset_repr(s, base)}"]
     human += [
         f"(base : {s.names[x]}) = {subset_repr(s, table[x])}" for x in range(s.n)
     ]
-    human.append("members: " + ", ".join(subset_repr(s, g) for g in fam.members))
+    human.append("members: " + ", ".join(subset_repr(s, g) for g in fam))
     _emit(args.format, "coann", name, payload, human)
     return 0
 
@@ -183,14 +183,14 @@ def cmd_omega(args) -> int:
     dense = dense_set(s, base)
     payload = {
         "base": _names(s, base),
-        "members": [_names(s, g) for g in fam.members],
-        "witness_ideals": [_names(s, w) for w in fam.witnesses],
+        "members": [_names(s, g) for g in fam],
+        "witness_ideals": [_names(s, w) for w in fam.values()],
         "dense": _names(s, dense),
     }
     human = pre + [f"base: {subset_repr(s, base)}"]
     human += [
         f"member {subset_repr(s, g)} from ideal {subset_repr(s, w)}"
-        for g, w in zip(fam.members, fam.witnesses)
+        for g, w in fam.items()
     ]
     human.append(f"dense elements: {subset_repr(s, dense)}")
     _emit(args.format, "omega", name, payload, human)
@@ -313,13 +313,18 @@ def _dot_name(name: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in name)
 
 
+def _dot_label(text: str) -> str:
+    """A quoted DOT string: backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def cmd_export_dot(args) -> int:
     s, name = _load_validated(args.path)
     lines = []
     if args.what == "hasse":
         lines.append(f"graph hasse_{_dot_name(name)} {{")
         for x in range(s.n):
-            lines.append(f'  e{x} [label="{s.names[x]}"];')
+            lines.append(f"  e{x} [label={_dot_label(s.names[x])}];")
         by_height: dict[int, list[int]] = {}
         for x in range(s.n):
             by_height.setdefault(s.heights[x], []).append(x)
@@ -334,7 +339,7 @@ def cmd_export_dot(args) -> int:
         k = len(filters)
         lines.append(f"graph filters_{_dot_name(name)} {{")
         for i, f in enumerate(filters):
-            lines.append(f'  f{i} [label="{subset_repr(s, f)}"];')
+            lines.append(f"  f{i} [label={_dot_label(subset_repr(s, f))}];")
         by_size: dict[int, list[int]] = {}
         for i, f in enumerate(filters):
             by_size.setdefault(f.bit_count(), []).append(i)

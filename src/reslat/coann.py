@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .bitsets import bits, subset_fold
-from .errors import UnknownMember
 from .filters import canonical_sort
 from .structure import Structure, per_structure
 
@@ -49,58 +47,21 @@ def coann_subset_table(s: Structure, f: int) -> Sequence[int]:
     return subset_fold(coannulet_table(s, f), s.full, operator.and_)
 
 
-@dataclass(frozen=True, eq=False)
-class CoannFamily:
-    """All coannihilators of one base filter, canonically sorted.
-
-    Join and complement are precomputed as index tables so law checking
-    loops are table lookups.
-    """
-
-    base: int
-    members: tuple[int, ...]
-    index: dict[int, int] = field(repr=False)
-    join_index: tuple[tuple[int, ...], ...] = field(repr=False)
-    complement_index: tuple[int, ...] = field(repr=False)
-
-    def __contains__(self, g: int) -> bool:
-        return g in self.index
-
-    def position(self, g: int) -> int:
-        try:
-            return self.index[g]
-        except KeyError:
-            raise UnknownMember(f"not a member of the family: {g:#x}") from None
-
-
 @per_structure
-def coann_family(s: Structure, f: int) -> CoannFamily:
-    """The family as the distinct coannulets (see the module docstring)."""
-    ordered = canonical_sort(set(coannulet_table(s, f)))
-    index = {g: i for i, g in enumerate(ordered)}
-    k = len(ordered)
-    join_idx = [[0] * k for _ in range(k)]
-    comp_idx = [0] * k
-    for i, g in enumerate(ordered):
-        comp_idx[i] = index[coannihilator(s, f, g)]
-        for j in range(i, k):
-            h = ordered[j]
-            val = coannihilator(s, f, coannihilator(s, f, g | h))
-            join_idx[i][j] = join_idx[j][i] = index[val]
-    return CoannFamily(
-        base=f,
-        members=ordered,
-        index=index,
-        join_index=tuple(tuple(r) for r in join_idx),
-        complement_index=tuple(comp_idx),
-    )
+def coann_family(s: Structure, f: int) -> tuple[int, ...]:
+    """The family as the distinct coannulets, canonically sorted (see
+    the module docstring).  The complement of a member g is (f : g),
+    `coannihilator(s, f, g)`; the join is `gamma_join`."""
+    return canonical_sort(set(coannulet_table(s, f)))
 
 
-def gamma_join(fam: CoannFamily, g: int, h: int) -> int:
+def gamma_join(s: Structure, f: int, g: int, h: int) -> int:
     """Least member above g and h: (F : (F : g union h))."""
-    return fam.members[fam.join_index[fam.position(g)][fam.position(h)]]
-
-
-def gamma_complement(fam: CoannFamily, g: int) -> int:
-    """(F : g); meets g in the base and joins with g to the carrier."""
-    return fam.members[fam.complement_index[fam.position(g)]]
+    table = coannulet_table(s, f)
+    inner = s.full
+    for x in bits(g | h):
+        inner &= table[x]
+    out = s.full
+    for x in bits(inner):
+        out &= table[x]
+    return out

@@ -9,10 +9,6 @@ class StructureFileError(ValueError):
     """A structure file could not be parsed into operation tables."""
 
 
-class UnknownMember(LookupError):
-    """A family operation was applied to a set that is not a member."""
-
-
 class EmptyArgument(ValueError):
     """An operation that needs a nonempty subset got the empty one."""
 

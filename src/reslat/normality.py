@@ -25,7 +25,6 @@ from .structure import Structure, subset_repr
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
-    proposition: str
     conditions: tuple[tuple[str, bool], ...]
     agree: bool
     witness: Any = None
@@ -39,10 +38,9 @@ class NormalityReport:
     per_prime: tuple[tuple[int, int], ...]
 
 
-def _verdict(proposition, labelled, witness=None, notes=()):
+def _verdict(labelled, witness=None, notes=()):
     values = [v for _, v in labelled]
     return EquivalenceVerdict(
-        proposition=proposition,
         conditions=tuple(labelled),
         agree=all(values) or not any(values),
         witness=witness,
@@ -138,7 +136,6 @@ def is_n_prime(s: Structure, f: int, n: int) -> EquivalenceVerdict:
     c4 = n_prime(s, f, n)
 
     return _verdict(
-        "n-prime-characterizations",
         [
             ("no-distinct-filters-meeting-at-base", c1),
             ("no-distinct-filters-meeting-below-base", c2),
@@ -359,7 +356,6 @@ def n_normality_verdict(s: Structure, f: int, n: int) -> EquivalenceVerdict:
             )
 
     return _verdict(
-        "n-normality-characterizations",
         [
             ("minimal-prime-joins-full", c1),
             ("minimal-primes-per-prime-bounded", c2),
@@ -376,14 +372,7 @@ def n_normality_verdict(s: Structure, f: int, n: int) -> EquivalenceVerdict:
 
 def normality_verdict(s: Structure) -> EquivalenceVerdict:
     """The trivial-base, n = 1 specialization of the n-normality harness."""
-    inner = n_normality_verdict(s, 1 << s.top, 1)
-    return EquivalenceVerdict(
-        proposition="normal-structure-characterizations",
-        conditions=inner.conditions,
-        agree=inner.agree,
-        witness=inner.witness,
-        notes=inner.notes,
-    )
+    return n_normality_verdict(s, 1 << s.top, 1)
 
 
 def omega_sublattice_verdict(s: Structure) -> EquivalenceVerdict:
@@ -396,14 +385,13 @@ def omega_sublattice_verdict(s: Structure) -> EquivalenceVerdict:
     """
     triv = 1 << s.top
     fam = omega_family(s, triv)
-    members = fam.members
-    member_set = set(members)
+    members = tuple(fam)
     witness: dict[str, str] = {}
 
     c1 = True
     for i, g in enumerate(members):
         for h in members[i:]:
-            if omega_join(s, fam, g, h) == s.full and generated_filter(s, g | h) != s.full:
+            if omega_join(s, triv, g, h) == s.full and generated_filter(s, g | h) != s.full:
                 c1 = False
                 witness["comaximal-in-family-but-not-in-filters"] = (
                     subset_repr(s, g) + ", " + subset_repr(s, h)
@@ -416,7 +404,7 @@ def omega_sublattice_verdict(s: Structure) -> EquivalenceVerdict:
         unions |= {u | g for u in unions}
     c3 = True
     for u in sorted(unions):
-        if generated_filter(s, u) not in member_set:
+        if generated_filter(s, u) not in fam:
             c3 = False
             witness["subfamily-join-outside-family"] = subset_repr(s, u)
             break
@@ -424,7 +412,7 @@ def omega_sublattice_verdict(s: Structure) -> EquivalenceVerdict:
     c4 = True
     for i, g in enumerate(members):
         for h in members[i:]:
-            if generated_filter(s, g | h) not in member_set:
+            if generated_filter(s, g | h) not in fam:
                 c4 = False
                 witness.setdefault(
                     "pair-join-outside-family",
@@ -432,7 +420,6 @@ def omega_sublattice_verdict(s: Structure) -> EquivalenceVerdict:
                 )
 
     return _verdict(
-        "omega-filters-sublattice-characterizations",
         [
             ("family-comaximal-implies-filter-comaximal", c1),
             ("normal", c2),

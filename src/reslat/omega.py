@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .bitsets import subset_fold, union_over
 from .coann import coannulet_table
-from .errors import EmptyArgument, ImproperFilter, RepresentationMismatch, UnknownMember
+from .errors import EmptyArgument, ImproperFilter, RepresentationMismatch
 from .filters import canonical_sort, generated_filter, generated_ideal
 from .structure import Structure, per_structure, subset_repr
 
@@ -46,53 +45,24 @@ def dense_set(s: Structure, f: int) -> int:
     return sum(1 << x for x in range(s.n) if table[x] == f)
 
 
-@dataclass(frozen=True, eq=False)
-class OmegaFamily:
-    """All filters of the form omega_F(I) for an ideal I.
-
-    Each member h is stored with its largest witness ideal, the union
-    of every ideal mapping to h: {x : (F : x) <= h}.
-    """
-
-    base: int
-    members: tuple[int, ...]
-    witnesses: tuple[int, ...]
-    index: dict[int, int] = field(default_factory=dict, repr=False)
-
-    def __contains__(self, g: int) -> bool:
-        return g in self.index
-
-    def position(self, g: int) -> int:
-        try:
-            return self.index[g]
-        except KeyError:
-            raise UnknownMember(f"not a member of the family: {g:#x}") from None
-
-    def witness(self, g: int) -> int:
-        return self.witnesses[self.position(g)]
-
-
 @per_structure
-def omega_family(s: Structure, f: int) -> OmegaFamily:
-    """The family as the distinct coannulets (see the module docstring)."""
+def omega_family(s: Structure, f: int) -> dict[int, int]:
+    """All filters of the form omega_F(I) for an ideal I, in canonical
+    order (see the module docstring).  Each member h maps to its largest
+    witness ideal, the union of every ideal sent to h: {x : (F : x) <= h}.
+    """
     table = coannulet_table(s, f)
-    members = canonical_sort(set(table))
-    witnesses = tuple(
-        sum(1 << x for x in range(s.n) if not (table[x] & ~h)) for h in members
-    )
-    return OmegaFamily(
-        base=f,
-        members=members,
-        witnesses=witnesses,
-        index={g: i for i, g in enumerate(members)},
-    )
+    return {
+        h: sum(1 << x for x in range(s.n) if not (table[x] & ~h))
+        for h in canonical_sort(set(table))
+    }
 
 
-def least_member_above(s: Structure, fam: OmegaFamily, mask: int) -> int:
+def least_member_above(s: Structure, fam: dict[int, int], mask: int) -> int:
     """Least member containing mask; exists since members are closed
     under intersection and the carrier is a member."""
     out = s.full
-    for g in fam.members:
+    for g in fam:
         if not (mask & ~g):
             out &= g
     if out not in fam:
@@ -102,12 +72,13 @@ def least_member_above(s: Structure, fam: OmegaFamily, mask: int) -> int:
     return out
 
 
-def omega_join(s: Structure, fam: OmegaFamily, g: int, h: int) -> int:
-    """Least member above g and h, cross-checked against the ideal-join
-    formula on the stored witnesses.  One omega union, so the call builds
-    no 2^n table."""
+def omega_join(s: Structure, f: int, g: int, h: int) -> int:
+    """Least member of `omega_family(s, f)` above the members g and h,
+    cross-checked against the ideal-join formula on their witnesses.
+    One omega union, so the call builds no 2^n table."""
+    fam = omega_family(s, f)
     least = least_member_above(s, fam, g | h)
-    via_ideals = omega(s, fam.base, generated_ideal(s, fam.witness(g) | fam.witness(h)))
+    via_ideals = omega(s, f, generated_ideal(s, fam[g] | fam[h]))
     if via_ideals != least:
         raise RepresentationMismatch(
             "ideal-join formula disagrees with the least member for "
@@ -142,8 +113,7 @@ def sigma(s: Structure, f: int) -> int:
 
 def greatest_omega_within(s: Structure, f: int) -> int | None:
     """Greatest member of the trivial-base family inside f, if one exists."""
-    fam = omega_family(s, 1 << s.top)
-    inside = [g for g in fam.members if not (g & ~f)]
+    inside = [g for g in omega_family(s, 1 << s.top) if not (g & ~f)]
     best = None
     for g in inside:
         if all(not (h & ~g) for h in inside):

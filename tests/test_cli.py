@@ -363,6 +363,23 @@ def test_export_dot_filters(capsys):
 
 
 @pytest.mark.parametrize(
+    "what, labels",
+    [
+        ("hasse", ['label="x\\"0"', 'label="1\\\\"']),
+        ("filters", ['label="{1\\\\}"', 'label="{x\\"0,1\\\\}"']),
+    ],
+)
+def test_export_dot_escapes_labels(capsys, tmp_path, what, labels):
+    text = Path(fixture("chain2.json")).read_text()
+    p = tmp_path / "quoted.json"
+    p.write_text(text.replace('"0"', json.dumps('x"0')).replace('"1"', json.dumps("1\\")))
+    code, out, _ = run_cli(capsys, "export-dot", str(p), "--what", what)
+    assert code == 0
+    found = [line.split("[", 1)[1].rstrip("];") for line in out.splitlines() if "label=" in line]
+    assert found == labels
+
+
+@pytest.mark.parametrize(
     "argv", [("search", "--size", "5"), ("normality", fixture("a6.json"))]
 )
 def test_closed_stdout_ends_quietly(argv):

@@ -1,15 +1,11 @@
-import pytest
-
 from reslat.bitsets import mask_of
 from reslat.coann import (
     coann_family,
     coann_subset_table,
     coannihilator,
     coannulet_table,
-    gamma_complement,
     gamma_join,
 )
-from reslat.errors import UnknownMember
 from reslat.filters import all_filters
 
 
@@ -46,19 +42,19 @@ def test_coannihilator_full_iff_contained(a6):
 def test_family_members(a6):
     f4 = named_mask(a6, "cd1")
     fam = coann_family(a6, f4)
-    assert fam.members == (f4, a6.full)
-    assert set(coannulet_table(a6, f4)) == set(fam.members)
+    assert fam == (f4, a6.full)
+    assert set(coannulet_table(a6, f4)) == set(fam)
 
     f1 = named_mask(a6, "1")
     fam1 = coann_family(a6, f1)
-    assert fam1.members == (f1, a6.full)
+    assert fam1 == (f1, a6.full)
 
     fam_full = coann_family(a6, a6.full)
-    assert fam_full.members == (a6.full,)
+    assert fam_full == (a6.full,)
 
     f2 = named_mask(a6, "d1")
     fam2 = coann_family(a6, f2)
-    assert fam2.members == (
+    assert fam2 == (
         f2,
         named_mask(a6, "cd1"),
         named_mask(a6, "abd1"),
@@ -68,57 +64,46 @@ def test_family_members(a6):
 
 def test_gamma_join_examples(a6):
     f2 = named_mask(a6, "d1")
-    fam = coann_family(a6, f2)
     table = coannulet_table(a6, f2)
     b, c = a6.element("b"), a6.element("c")
-    assert gamma_join(fam, table[b], table[c]) == a6.full
-    for g in fam.members:
-        assert gamma_join(fam, g, f2) == g
-        assert gamma_join(fam, g, g) == g
+    assert gamma_join(a6, f2, table[b], table[c]) == a6.full
+    for g in coann_family(a6, f2):
+        assert gamma_join(a6, f2, g, f2) == g
+        assert gamma_join(a6, f2, g, g) == g
 
 
 def test_gamma_complement_examples(a6):
     f2 = named_mask(a6, "d1")
     f3 = named_mask(a6, "abd1")
     f4 = named_mask(a6, "cd1")
-    fam = coann_family(a6, f2)
-    assert gamma_complement(fam, f4) == f3
+    assert coannihilator(a6, f2, f4) == f3
     assert f3 & f4 == f2
-    assert gamma_complement(fam, f2) == a6.full
-    assert gamma_complement(fam, a6.full) == f2
-    for g in fam.members:
-        assert gamma_complement(fam, gamma_complement(fam, g)) == g
-
-
-def test_unknown_member_raises(a6):
-    fam = coann_family(a6, named_mask(a6, "d1"))
-    with pytest.raises(UnknownMember):
-        gamma_join(fam, named_mask(a6, "1"), a6.full)
-    with pytest.raises(UnknownMember):
-        gamma_complement(fam, named_mask(a6, "b"))
+    assert coannihilator(a6, f2, f2) == a6.full
+    assert coannihilator(a6, f2, a6.full) == f2
+    for g in coann_family(a6, f2):
+        assert coannihilator(a6, f2, coannihilator(a6, f2, g)) == g
 
 
 def test_family_matches_subset_scan(a6, chain2, chain3_godel, chain3_luk):
     for s in (a6, chain2, chain3_godel, chain3_luk):
         for f in all_filters(s):
-            fam = coann_family(s, f)
-            assert set(fam.members) == set(coann_subset_table(s, f))
+            assert set(coann_family(s, f)) == set(coann_subset_table(s, f))
 
 
 def test_family_is_boolean(a6):
     for f in all_filters(a6):
         fam = coann_family(a6, f)
-        for g in fam.members:
-            comp = gamma_complement(fam, g)
+        for g in fam:
+            comp = coannihilator(a6, f, g)
             assert g & comp == f
-            assert gamma_join(fam, g, comp) == a6.full
-        for g in fam.members:
-            for h in fam.members:
-                assert g & h in fam.members
-        for g in fam.members:
-            for h in fam.members:
-                for k in fam.members:
-                    assert g & gamma_join(fam, h, k) == gamma_join(fam, g & h, g & k)
+            assert gamma_join(a6, f, g, comp) == a6.full
+        for g in fam:
+            for h in fam:
+                assert g & h in fam
+        for g in fam:
+            for h in fam:
+                for k in fam:
+                    assert g & gamma_join(a6, f, h, k) == gamma_join(a6, f, g & h, g & k)
 
 
 def test_coannihilator_is_relative_pseudocomplement(a6):

@@ -3,7 +3,7 @@ from the distinct coannulets, against the routes they replace: closing
 the coannulets under intersection, and taking omega of every ideal."""
 
 from reslat.bitsets import union_over
-from reslat.coann import coann_family, coannihilator, coannulet_table
+from reslat.coann import coann_family, coannihilator, coannulet_table, gamma_join
 from reslat.filters import all_filters, all_ideals, canonical_sort, is_ideal
 from reslat.omega import omega_family
 
@@ -11,8 +11,10 @@ from test_filters import oracle_structures  # noqa: F401
 
 
 def reference_coann_family(s, f):
-    """Members, join index and complement index, from the coannulets and
-    the carrier closed under intersection."""
+    """Members, joins and complements, from the coannulets and the
+    carrier closed under intersection: the join of g and h is the least
+    member above both, and the complement of g the largest member that
+    meets g in the base."""
     members = set(coannulet_table(s, f))
     members.add(s.full)
     worklist = list(members)
@@ -24,19 +26,24 @@ def reference_coann_family(s, f):
                 members.add(gh)
                 worklist.append(gh)
     ordered = canonical_sort(members)
-    index = {g: i for i, g in enumerate(ordered)}
-    join_idx = tuple(
-        tuple(
-            index[coannihilator(s, f, coannihilator(s, f, g | h))] for h in ordered
-        )
-        for g in ordered
-    )
-    comp_idx = tuple(index[coannihilator(s, f, g)] for g in ordered)
-    return ordered, join_idx, comp_idx
+
+    def least_above(mask):
+        out = s.full
+        for g in ordered:
+            if not (mask & ~g):
+                out &= g
+        return out
+
+    def largest_meeting_in_base(g):
+        return max((h for h in ordered if g & h == f), key=int.bit_count)
+
+    joins = [[least_above(g | h) for h in ordered] for g in ordered]
+    complements = [largest_meeting_in_base(g) for g in ordered]
+    return ordered, joins, complements
 
 
 def reference_omega_family(s, f):
-    """Members, witnesses and notes, from omega of every ideal; a member
+    """(member, witness) pairs and notes, from omega of every ideal; a member
     whose union of witness ideals is not an ideal falls back to its
     largest single witness, with a note."""
     table = coannulet_table(s, f)
@@ -57,7 +64,7 @@ def reference_omega_family(s, f):
         else:
             witnesses.append(best_single[h])
             notes.append(h)
-    return members, tuple(witnesses), tuple(notes)
+    return list(zip(members, witnesses)), notes
 
 
 def test_families_match_reference_routes(oracle_structures):  # noqa: F811
@@ -65,8 +72,8 @@ def test_families_match_reference_routes(oracle_structures):  # noqa: F811
         for f in all_filters(s):
             co = coann_family(s, f)
             om = omega_family(s, f)
-            assert (co.members, co.join_index, co.complement_index) == (
-                reference_coann_family(s, f)
-            )
-            assert (om.members, om.witnesses, ()) == reference_omega_family(s, f)
-            assert om.members == co.members
+            joins = [[gamma_join(s, f, g, h) for h in co] for g in co]
+            complements = [coannihilator(s, f, g) for g in co]
+            assert (co, joins, complements) == reference_coann_family(s, f)
+            assert (list(om.items()), []) == reference_omega_family(s, f)
+            assert tuple(om) == co

@@ -303,6 +303,42 @@ def test_size_eight_census_counts():
     }
 
 
+def _burnside_count(size):
+    """Isomorphism classes of residuated products by Burnside's lemma,
+    with no canonical key: over each lattice L, the classes on L number
+    (1/|Aut L|) * sum of |Stab(T)| over the product tables T on L, and
+    Aut(L) is found by brute force over the permutations of the middle
+    elements that fix the join table."""
+    total = 0
+    for lat in enumerate_lattices(size):
+        n, join = lat.n, lat.join
+        assert (lat.bot, lat.top) == (0, n - 1)
+        pairs = list(product(range(n), repeat=2))
+        auts = [
+            pi
+            for pi in ((0, *middle, n - 1) for middle in permutations(range(1, n - 1)))
+            if all(join[pi[x]][pi[y]] == pi[join[x][y]] for x, y in pairs)
+        ]
+        fixed = sum(
+            all(t[pi[x]][pi[y]] == pi[t[x][y]] for x, y in pairs)
+            for t in _times_tables(lat)
+            for pi in auts
+        )
+        assert fixed % len(auts) == 0
+        total += fixed // len(auts)
+    return total
+
+
+@pytest.mark.parametrize("size", range(2, 8))
+def test_burnside_count_matches_census(size):
+    assert _burnside_count(size) == sum(1 for _ in enumerate_residuated(SearchSpec(size=size)))
+
+
+@pytest.mark.slow
+def test_burnside_count_size_eight():
+    assert _burnside_count(8) == 4712
+
+
 def test_census_structures_validate():
     for n in (2, 3, 4, 5):
         for rec in enumerate_residuated(SearchSpec(size=n)):
