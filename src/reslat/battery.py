@@ -148,33 +148,33 @@ def _generated_filter_idempotent(s):
 
 def _filter_extension_antitone(s):
     for f in flt.all_filters(s):
+        ext = [flt.filter_extension(s, f, x) for x in range(s.n)]
         for x in range(s.n):
             for y in range(s.n):
                 if not leq(s, x, y):
                     continue
-                if flt.filter_extension(s, f, y) & ~flt.filter_extension(s, f, x):
+                if ext[y] & ~ext[x]:
                     return _fail(base=_fmt(s, f), x=s.names[x], y=s.names[y])
     return _pass()
 
 
 def _filter_extension_meet_rule(s):
     for f in flt.all_filters(s):
+        ext = [flt.filter_extension(s, f, x) for x in range(s.n)]
         for x in range(s.n):
             for y in range(s.n):
-                both = flt.filter_extension(s, f, x) & flt.filter_extension(s, f, y)
-                if both != flt.filter_extension(s, f, s.join[x][y]):
+                if ext[x] & ext[y] != ext[s.join[x][y]]:
                     return _fail(base=_fmt(s, f), x=s.names[x], y=s.names[y])
     return _pass()
 
 
 def _filter_extension_join_rule(s):
     for f in flt.all_filters(s):
+        ext = [flt.filter_extension(s, f, x) for x in range(s.n)]
         for x in range(s.n):
             for y in range(s.n):
-                joined = flt.generated_filter(
-                    s, flt.filter_extension(s, f, x) | flt.filter_extension(s, f, y)
-                )
-                if joined != flt.filter_extension(s, f, s.times[x][y]):
+                joined = flt.generated_filter(s, ext[x] | ext[y])
+                if joined != ext[s.times[x][y]]:
                     return _fail(base=_fmt(s, f), x=s.names[x], y=s.names[y])
     return _pass()
 
@@ -604,6 +604,22 @@ def _omega_family_lattice(s):
     return _pass()
 
 
+def _omega_joins(s, f):
+    """omega_join(s, f, g, h) for coannulets g and h, each distinct pair
+    computed once, on its first use; so a check that reads the pairs in
+    its own order meets the same first failure or error as when it
+    called omega_join on every pair."""
+    joins = {}
+
+    def join(g, h):
+        out = joins.get((g, h))
+        if out is None:
+            out = joins[(g, h)] = omega_join(s, f, g, h)
+        return out
+
+    return join
+
+
 def _coannulets_inside_omega_family(s):
     for f in flt.all_filters(s):
         fam = omega_family(s, f)
@@ -611,9 +627,10 @@ def _coannulets_inside_omega_family(s):
         for x in range(s.n):
             if table[x] not in fam:
                 return _fail(base=_fmt(s, f), element=s.names[x])
+        join = _omega_joins(s, f)
         for x in range(s.n):
             for y in range(s.n):
-                if omega_join(s, f, table[x], table[y]) != table[s.join[x][y]]:
+                if join(table[x], table[y]) != table[s.join[x][y]]:
                     return _fail(base=_fmt(s, f), x=s.names[x], y=s.names[y])
     return _pass()
 
@@ -621,10 +638,11 @@ def _coannulets_inside_omega_family(s):
 def _coannulet_join_full_when_base_join(s):
     for f in flt.all_filters(s):
         table = can.coannulet_table(s, f)
+        join = _omega_joins(s, f)
         for x in range(s.n):
             for y in range(s.n):
                 if f >> s.join[x][y] & 1:
-                    if omega_join(s, f, table[x], table[y]) != s.full:
+                    if join(table[x], table[y]) != s.full:
                         return _fail(base=_fmt(s, f), x=s.names[x], y=s.names[y])
     return _pass()
 

@@ -422,10 +422,14 @@ def enumerate_residuated(spec: SearchSpec):
                 top=lat.top,
             )
             records.append((canonical_key(s, lat), s))
+    # Ascending and stable, then reversed, so that popping from the end
+    # emits in key order and drops each record from the list as it goes.
     records.sort(key=lambda kv: kv[0])
+    records.reverse()
     seen = set()
     emitted = 0
-    for key, s in records:
+    while records:
+        key, s = records.pop()
         if spec.canonical_only:
             if key in seen:
                 continue

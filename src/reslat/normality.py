@@ -11,7 +11,7 @@ exception.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Any
 
 from .bitsets import bits
@@ -49,26 +49,41 @@ def _verdict(labelled, witness=None, notes=()):
 
 
 def _pairwise_tuples(items, k, pairpred):
-    """Ascending k-tuples of distinct items whose pairs all satisfy pairpred."""
+    """Ascending k-tuples of distinct items whose pairs all satisfy
+    pairpred, in lexicographic order of their indices."""
+    count = len(items)
     # later[i] is the mask of the indices j > i with pairpred(items[i], items[j]).
-    later = [
-        sum(1 << j for j in range(i + 1, len(items)) if pairpred(items[i], items[j]))
-        for i in range(len(items))
-    ]
-    chosen: list = []
-
-    def rec(allowed):
-        if len(chosen) == k:
+    later = []
+    for i in range(count):
+        a = items[i]
+        m = 0
+        for j in range(i + 1, count):
+            if pairpred(a, items[j]):
+                m |= 1 << j
+        later.append(m)
+    if k == 0:
+        yield ()
+        return
+    # Depth-first: level d holds the indices still allowed after the
+    # first d choices, and one iterator over them.
+    chosen = [None] * k
+    allowed = [(1 << count) - 1] + [0] * (k - 1)
+    levels = [iter(bits(allowed[0]))]
+    last = k - 1
+    while levels:
+        d = len(levels) - 1
+        i = next(levels[d], None)
+        if i is None:
+            levels.pop()
+            continue
+        chosen[d] = items[i]
+        if d == last:
             yield tuple(chosen)
-            return
-        if allowed.bit_count() < k - len(chosen):
-            return
-        for i in bits(allowed):
-            chosen.append(items[i])
-            yield from rec(allowed & later[i])
-            chosen.pop()
-
-    yield from rec((1 << len(items)) - 1)
+            continue
+        rest = allowed[d] & later[i]
+        if rest.bit_count() >= last - d:
+            allowed[d + 1] = rest
+            levels.append(iter(bits(rest)))
 
 
 def n_prime(s: Structure, f: int, n: int) -> bool:
@@ -239,19 +254,6 @@ def _pairwise_in(s: Structure, f: int):
     return lambda a, b: bool(f >> s.join[a][b] & 1)
 
 
-def _exists_zero_product(s: Structure, cosets) -> bool:
-    reach = cosets[0]
-    for c in cosets[1:]:
-        members = bits(c)
-        nxt = 0
-        for p in bits(reach):
-            row = s.times[p]
-            for x in members:
-                nxt |= 1 << row[x]
-        reach = nxt
-    return bool(reach >> s.bot & 1)
-
-
 def n_normality_verdict(s: Structure, f: int, n: int) -> EquivalenceVerdict:
     """Evaluate the seven equivalent characterizations of n-normality.
 
@@ -260,6 +262,23 @@ def n_normality_verdict(s: Structure, f: int, n: int) -> EquivalenceVerdict:
     them is evaluated as a diagnostic and any divergence is noted.
     Element joins are regrouped freely, so the join table must satisfy
     the lattice laws (as `validate_structure` checks).
+
+    Conditions four and five range over the (n + 1)-tuples of distinct
+    elements that pairwise join into the base.  Condition five asks for
+    members of (F : x_0), ..., (F : x_n) with product bot.  Each (F : x)
+    is a filter, so it is up(e_x) for its least element e_x, and the
+    product is monotone; so such members exist exactly when
+    e_0 * ... * e_n = bot, one product fold per tuple.
+
+    Conditions six and seven range over the antichains of n + 1
+    elements.  If x_i <= x_j for some i != j, dropping x_i leaves the
+    join v unchanged, so the union on the right contains (F : v); every
+    other term is (F : w) for some w <= v, inside (F : v) since
+    coannulets grow with their element.  So the right side is (F : v)
+    and condition six holds; and if v is in F, (F : v) is the carrier
+    and condition seven holds.  The antichains come in the lexicographic
+    order of the scan over all tuples with repetition, so the first
+    failing tuple, the witness, is the one that scan finds.
     """
     if n < 1:
         raise BadN("n-normality needs n >= 1")
@@ -306,19 +325,32 @@ def n_normality_verdict(s: Structure, f: int, n: int) -> EquivalenceVerdict:
             witness["prime-with-non-prime-divisor-set"] = subset_repr(s, p)
             break
 
+    # least[x] is the least element of the filter (F : x).
+    meet = s.meet
+    least_of = {}
+    for c in set(table):
+        e = s.top
+        for a in bits(c):
+            e = meet[e][a]
+        least_of[c] = e
+    least = [least_of[c] for c in table]
+    times = s.times
+
     c4 = True
     c5 = True
-    for xs in _pairwise_tuples(list(range(s.n)), n + 1, _pairwise_in(s, f)):
+    for xs in _pairwise_tuples(range(s.n), n + 1, _pairwise_in(s, f)):
         union = 0
+        prod = s.top
         for x in xs:
             union |= table[x]
+            prod = times[prod][least[x]]
         if generated_filter(s, union) != s.full:
             c4 = False
             witness.setdefault(
                 "tuple-with-small-coannulet-join",
                 ", ".join(s.names[x] for x in xs),
             )
-        if not _exists_zero_product(s, [table[x] for x in xs]):
+        if prod != s.bot:
             c5 = False
             witness.setdefault(
                 "tuple-without-zero-product-witnesses",
@@ -328,7 +360,11 @@ def n_normality_verdict(s: Structure, f: int, n: int) -> EquivalenceVerdict:
     c6 = True
     c7 = True
     jn = s.join
-    for xs in combinations_with_replacement(range(s.n), n + 1):
+
+    def incomparable(a, b):
+        return jn[a][b] != a and jn[a][b] != b
+
+    for xs in _pairwise_tuples(range(s.n), n + 1, incomparable):
         # prefix[i] joins xs[:i] and `suffix` joins xs[i + 1:], so the
         # join of all but xs[i] is prefix[i] v suffix.
         prefix = []

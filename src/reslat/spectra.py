@@ -50,10 +50,11 @@ def minimal_primes_over(s: Structure, x_set: int) -> tuple[int, ...]:
     """Minimal elements of the primes containing x_set.
 
     Empty exactly when x_set generates the whole carrier, since in a
-    finite structure every proper filter sits below a prime.
+    finite structure every proper filter sits below a prime.  Canonically
+    sorted, as `primes_of` is.
     """
     over = [p for p in primes_of(s) if not (x_set & ~p)]
-    return canonical_sort(
+    return tuple(
         p for p in over if not any(q != p and not (q & ~p) for q in over)
     )
 

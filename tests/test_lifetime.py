@@ -95,6 +95,21 @@ def test_dropped_census_frees_its_structures(no_cyclic_gc):
     assert [ref for ref in refs if ref() is not None] == []
 
 
+def test_census_frees_each_record_the_caller_dropped(no_cyclic_gc):
+    """The generator keeps no emitted record: a structure the caller let
+    go is freed while the census is still being consumed."""
+    census = enumerate_residuated(SearchSpec(size=5))
+    refs = []
+    for rec in census:
+        refs.append(weakref.ref(rec.structure))
+        del rec
+        if len(refs) == 3:
+            break
+    rec = next(census)
+    assert [ref() for ref in refs] == [None, None, None]
+    assert rec is not None and sum(1 for _ in census) == 26 - 4
+
+
 def per_structure_routines() -> set:
     """The undecorated routine of every `per_structure` routine of the
     package: those whose `cache_info()` is a `structure.CacheInfo` (a

@@ -1,9 +1,16 @@
-import pytest
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from reslat.battery import run_battery
 from reslat.bitsets import mask_of
 from reslat.errors import BadN, ImproperFilter, NotMinimalPrime
+from reslat.fileformat import load_structure
 from reslat.filters import all_filters
+from reslat.modelgen import SearchSpec, enumerate_residuated
 from reslat.normality import (
+    _pairwise_tuples,
     is_n_prime,
     n_normality_verdict,
     n_prime,
@@ -13,7 +20,15 @@ from reslat.normality import (
     separating_elements,
     sigma_greatest_check,
 )
-from reslat.spectra import primes_of
+from reslat.spectra import minimal_primes_over, primes_of
+from reslat.structure import validate_structure
+
+from conftest import FIXTURES
+from normality_reference import (
+    join_identity_conditions,
+    zero_plus_boolean,
+    zero_product_condition,
+)
 
 
 def named_mask(s, names):
@@ -148,8 +163,6 @@ def test_sigma_greatest_check_on_normal_structure(a6):
 
 
 def _first_non_normal_structure():
-    from reslat.modelgen import SearchSpec, enumerate_residuated
-
     for rec in enumerate_residuated(SearchSpec(size=6)):
         if rec.stats.normality_index > 1:
             return rec.structure
@@ -163,3 +176,100 @@ def test_non_normal_structure_verdicts():
     assert v.agree
     assert not any(val for _, val in v.conditions)
     assert normality_report(s, 1 << s.top).index == 2
+
+
+# ---------------------------------------------------------------------------
+# the narrowed routes of n_normality_verdict against the direct ones
+
+
+def test_zero_product_and_join_identity_match_direct_scans(
+    a6, chain2, chain3_godel, chain3_luk
+):
+    chain9, _ = load_structure(FIXTURES / "chain9-godel.json")
+    structures = [
+        rec.structure
+        for size in range(2, 7)
+        for rec in enumerate_residuated(SearchSpec(size=size))
+    ] + [a6, chain2, chain3_godel, chain3_luk, chain9]
+    assert len(structures) == 1 + 2 + 7 + 26 + 129 + 5
+    failures = {"c5": 0, "c6": 0, "c7": 0}
+    for s in structures:
+        for f in all_filters(s):
+            if f == s.full:
+                continue
+            for n in range(1, len(minimal_primes_over(s, f)) + 3):
+                v = n_normality_verdict(s, f, n)
+                got = dict(v.conditions)
+                seen = v.witness or {}
+                c5, w5 = zero_product_condition(s, f, n)
+                c6, w6, c7, w7 = join_identity_conditions(s, f, n)
+                assert got["zero-product-witnesses-exist"] == c5
+                assert seen.get("tuple-without-zero-product-witnesses") == w5
+                assert got["coannihilator-join-identity"] == c6
+                assert seen.get("tuple-breaking-coannihilator-join-identity") == w6
+                assert got["coannihilator-join-implication"] == c7
+                assert seen.get("tuple-breaking-coannihilator-join-implication") == w7
+                failures["c5"] += not c5
+                failures["c6"] += not c6
+                failures["c7"] += not c7
+    # The failing side is compared too, not only the vacuous one.
+    assert all(failures.values())
+
+
+def _pairs_ok(combo, pred):
+    return all(pred(a, b) for i, a in enumerate(combo) for b in combo[i + 1 :])
+
+
+@given(
+    st.lists(st.integers(0, 5), max_size=9),
+    st.integers(0, 10),
+    st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5))),
+)
+@settings(max_examples=300, deadline=None)
+def test_pairwise_tuples_are_the_filtered_combinations(items, k, related):
+    def pred(a, b):
+        return (a, b) in related
+
+    expected = [c for c in combinations(items, k) if _pairs_ok(c, pred)]
+    assert list(_pairwise_tuples(items, k, pred)) == expected
+
+
+def test_pairwise_tuples_edge_cases():
+    def always(a, b):
+        return True
+
+    assert list(_pairwise_tuples([], 0, always)) == [()]
+    assert list(_pairwise_tuples([], 2, always)) == []
+    assert list(_pairwise_tuples([3, 1, 2], 1, always)) == [(3,), (1,), (2,)]
+    assert list(_pairwise_tuples([3, 1, 2], 4, always)) == []
+    assert list(_pairwise_tuples(range(4), 2, lambda a, b: b - a != 1)) == [
+        (0, 2),
+        (0, 3),
+        (1, 3),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the failing side: 0 (+) B_k has normality index k
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_zero_plus_boolean_has_index_k(k):
+    s = zero_plus_boolean(k)
+    assert validate_structure(s).valid
+    triv = 1 << s.top
+    assert len(minimal_primes_over(s, triv)) == k
+    assert normality_report(s, triv).index == k
+    for n in range(1, k + 2):
+        v = n_normality_verdict(s, triv, n)
+        assert [val for _, val in v.conditions] == [n >= k] * 7, (n, v.conditions)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_zero_plus_boolean_normality_group_passes(k):
+    report = run_battery(zero_plus_boolean(k), groups=("normality",))
+    assert len(report.outcomes) == 7 and report.all_passed
+
+
+def test_zero_plus_boolean_three_passes_the_battery():
+    assert run_battery(zero_plus_boolean(3)).all_passed

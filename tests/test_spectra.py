@@ -1,5 +1,6 @@
 from reslat.bitsets import mask_of
-from reslat.filters import all_filters, generated_filter
+from reslat.filters import all_filters, canonical_sort, generated_filter
+from reslat.modelgen import SearchSpec, enumerate_residuated
 from reslat.spectra import (
     is_join_closed,
     is_prime,
@@ -107,3 +108,12 @@ def test_generated_filter_equals_prime_intersections(a6):
         expected = generated_filter(a6, x_set)
         assert generated_by_primes(a6, x_set) == expected
         assert generated_by_minimal_primes(a6, x_set) == expected
+
+
+def test_minimal_primes_come_canonically_sorted():
+    for size in range(2, 7):
+        for rec in enumerate_residuated(SearchSpec(size=size)):
+            s = rec.structure
+            for x_set in range(1 << s.n):
+                mins = minimal_primes_over(s, x_set)
+                assert mins == canonical_sort(mins)
