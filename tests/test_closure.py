@@ -78,6 +78,10 @@ def cold_caches():
         yield
 
 
+def every_proper_filter_is_prime(monkeypatch):
+    monkeypatch.setattr(spectra, "is_prime", lambda s, f: f != s.full)
+
+
 def test_no_answer_of_a_mutant_outlives_it(a6):
     """Answers computed on the shared a6 under a broken `is_prime`, by
     whole-structure and per-subset cached routines, are gone once the
@@ -89,7 +93,7 @@ def test_no_answer_of_a_mutant_outlives_it(a6):
 
     right = answers()
     with pytest.MonkeyPatch.context() as mp, forgotten_answers():
-        mp.setattr(spectra, "is_prime", lambda s, f: f != s.full)
+        every_proper_filter_is_prime(mp)
         wrong = answers()
         assert wrong[0] != right[0] and wrong[1] != right[1]
     assert answers() == right
@@ -130,25 +134,21 @@ def patch_everywhere(monkeypatch, orig, mutant) -> None:
                 monkeypatch.setattr(module, key, mutant)
 
 
-def test_battery_catches_filter_closure_without_up_cone(a6, monkeypatch, cold_caches):
+def filter_closure_without_up_cone(monkeypatch):
     def no_cone(s, gens):
         return bitsets.closure_under(s.times, gens | 1 << s.top)
 
     patch_everywhere(monkeypatch, filters.generated_filter, no_cone)
-    failed = failed_checks([a6])
-    assert "generated-filter-is-prime-intersection" in failed
-    assert len(failed) >= 6
 
 
-def test_battery_catches_ideal_closure_without_down_cone(a6, monkeypatch, cold_caches):
+def ideal_closure_without_down_cone(monkeypatch):
     def no_cone(s, gens):
         return bitsets.closure_under(s.join, gens | 1 << s.bot)
 
     patch_everywhere(monkeypatch, filters.generated_ideal, no_cone)
-    assert "principal-ideal-join-rule" in failed_checks([a6])
 
 
-def test_battery_catches_closure_stopped_after_one_round(a6, monkeypatch, cold_caches):
+def closure_stopped_after_one_round(monkeypatch):
     # One product of the generators, without its idempotent power: up of
     # that product is upward closed but not product closed in general.
     def product_only(s, gens):
@@ -158,6 +158,31 @@ def test_battery_catches_closure_stopped_after_one_round(a6, monkeypatch, cold_c
         return s.up[x]
 
     patch_everywhere(monkeypatch, filters.generated_filter, product_only)
+
+
+# The mutants of this module, for `test_battery_failures.py`.
+MUTANTS = (
+    every_proper_filter_is_prime,
+    filter_closure_without_up_cone,
+    ideal_closure_without_down_cone,
+    closure_stopped_after_one_round,
+)
+
+
+def test_battery_catches_filter_closure_without_up_cone(a6, monkeypatch, cold_caches):
+    filter_closure_without_up_cone(monkeypatch)
+    failed = failed_checks([a6])
+    assert "generated-filter-is-prime-intersection" in failed
+    assert len(failed) >= 6
+
+
+def test_battery_catches_ideal_closure_without_down_cone(a6, monkeypatch, cold_caches):
+    ideal_closure_without_down_cone(monkeypatch)
+    assert "principal-ideal-join-rule" in failed_checks([a6])
+
+
+def test_battery_catches_closure_stopped_after_one_round(a6, monkeypatch, cold_caches):
+    closure_stopped_after_one_round(monkeypatch)
     failed = failed_checks(census(4, 5) + [a6])
     assert "generated-filter-idempotent" in failed
     assert len(failed) >= 4

@@ -229,7 +229,7 @@ def battery_check(name):
     return next(fn for _group, check, fn in CHECKS if check == name)
 
 
-def test_enumeration_oracle_catches_a_dropped_idempotent(a6, monkeypatch):
+def filter_enumeration_without_bot(monkeypatch):
     def drop_bot(s):
         # bot is always idempotent; up(bot) is the whole carrier.
         return canonical_sort(
@@ -237,6 +237,34 @@ def test_enumeration_oracle_catches_a_dropped_idempotent(a6, monkeypatch):
         )
 
     monkeypatch.setattr(filters, "all_filters", drop_bot)
+
+
+def ideal_enumeration_without_top(monkeypatch):
+    def drop_top(s):
+        return canonical_sort(s.down[x] for x in range(s.n) if x != s.top)
+
+    monkeypatch.setattr(filters, "all_ideals", drop_top)
+
+
+def filter_join_dropping_a_generator(monkeypatch):
+    generate = generated_filter.__wrapped__
+
+    def drop_lowest(s, gens):
+        return generate(s, gens & (gens - 1))
+
+    monkeypatch.setattr(filters, "generated_filter", drop_lowest)
+
+
+# The mutants of this module, for `test_battery_failures.py`.
+MUTANTS = (
+    filter_enumeration_without_bot,
+    ideal_enumeration_without_top,
+    filter_join_dropping_a_generator,
+)
+
+
+def test_enumeration_oracle_catches_a_dropped_idempotent(a6, monkeypatch):
+    filter_enumeration_without_bot(monkeypatch)
     check = battery_check("filter-enumeration-matches-subset-scan")
     for s in census(2, 3, 4, 5) + [a6]:
         witness, _notes = check(s)
@@ -244,10 +272,7 @@ def test_enumeration_oracle_catches_a_dropped_idempotent(a6, monkeypatch):
 
 
 def test_enumeration_oracle_catches_a_dropped_down_set(a6, monkeypatch):
-    def drop_top(s):
-        return canonical_sort(s.down[x] for x in range(s.n) if x != s.top)
-
-    monkeypatch.setattr(filters, "all_ideals", drop_top)
+    ideal_enumeration_without_top(monkeypatch)
     check = battery_check("ideal-enumeration-matches-subset-scan")
     for s in census(2, 3, 4, 5) + [a6]:
         witness, _notes = check(s)
@@ -255,11 +280,6 @@ def test_enumeration_oracle_catches_a_dropped_down_set(a6, monkeypatch):
 
 
 def test_distributivity_check_catches_a_join_that_drops_a_generator(a6, monkeypatch):
-    generate = generated_filter.__wrapped__
-
-    def drop_lowest(s, gens):
-        return generate(s, gens & (gens - 1))
-
-    monkeypatch.setattr(filters, "generated_filter", drop_lowest)
+    filter_join_dropping_a_generator(monkeypatch)
     witness, _notes = battery_check("filter-lattice-distributive")(a6)
     assert witness is not None
