@@ -48,19 +48,14 @@ def _verdict(labelled, witness=None, notes=()):
     )
 
 
-def _pairwise_tuples(items, k, pairpred):
-    """Ascending k-tuples of distinct items whose pairs all satisfy
-    pairpred, in lexicographic order of their indices."""
+def _pairwise_tuples(items, k, later):
+    """Ascending k-tuples of distinct items whose pairs are all related,
+    in lexicographic order of their indices.
+
+    The relation is given as masks over the indices: later[i] has bit j,
+    for j > i only, set when items[j] is related to items[i].
+    """
     count = len(items)
-    # later[i] is the mask of the indices j > i with pairpred(items[i], items[j]).
-    later = []
-    for i in range(count):
-        a = items[i]
-        m = 0
-        for j in range(i + 1, count):
-            if pairpred(a, items[j]):
-                m |= 1 << j
-        later.append(m)
     if k == 0:
         yield ()
         return
@@ -84,6 +79,19 @@ def _pairwise_tuples(items, k, pairpred):
         if rest.bit_count() >= last - d:
             allowed[d + 1] = rest
             levels.append(iter(bits(rest)))
+
+
+def _later_masks(items, pairpred):
+    """A relation given by a predicate as masks for `_pairwise_tuples`:
+    bit j > i of masks[i] is set when pairpred(items[i], items[j])."""
+    masks = []
+    for i, a in enumerate(items):
+        m = 0
+        for j in range(i + 1, len(items)):
+            if pairpred(a, items[j]):
+                m |= 1 << j
+        masks.append(m)
+    return masks
 
 
 def n_prime(s: Structure, f: int, n: int) -> bool:
@@ -120,17 +128,15 @@ def is_n_prime(s: Structure, f: int, n: int) -> EquivalenceVerdict:
     witness: dict[str, str] = {}
 
     others = [g for g in filters if g != f]
-    bad = next(
-        _pairwise_tuples(others, n, lambda a, b: a & b == f), None
-    )
+    meets_at_base = _later_masks(others, lambda a, b: a & b == f)
+    bad = next(_pairwise_tuples(others, n, meets_at_base), None)
     c1 = bad is None
     if bad is not None:
         witness["filters-meeting-at-base"] = ", ".join(subset_repr(s, g) for g in bad)
 
     not_below = [g for g in filters if g & ~f]
-    bad = next(
-        _pairwise_tuples(not_below, n, lambda a, b: not (a & b & ~f)), None
-    )
+    meets_below = _later_masks(not_below, lambda a, b: not (a & b & ~f))
+    bad = next(_pairwise_tuples(not_below, n, meets_below), None)
     c2 = bad is None
     if bad is not None:
         witness["filters-meeting-below-base"] = ", ".join(
@@ -138,10 +144,8 @@ def is_n_prime(s: Structure, f: int, n: int) -> EquivalenceVerdict:
         )
 
     outside = [x for x in range(s.n) if not (f >> x & 1)]
-    bad = next(
-        _pairwise_tuples(outside, n, lambda a, b: bool(f >> s.join[a][b] & 1)),
-        None,
-    )
+    joined_in = _later_masks(outside, lambda a, b: f >> s.join[a][b] & 1)
+    bad = next(_pairwise_tuples(outside, n, joined_in), None)
     c3 = bad is None
     if bad is not None:
         witness["elements-pairwise-joined-into-base"] = ", ".join(
@@ -250,10 +254,6 @@ def separating_elements(s: Structure, f: int, ms) -> tuple[tuple[int, ...], tupl
     return a, b
 
 
-def _pairwise_in(s: Structure, f: int):
-    return lambda a, b: bool(f >> s.join[a][b] & 1)
-
-
 def n_normality_verdict(s: Structure, f: int, n: int) -> EquivalenceVerdict:
     """Evaluate the seven equivalent characterizations of n-normality.
 
@@ -300,6 +300,7 @@ def n_normality_verdict(s: Structure, f: int, n: int) -> EquivalenceVerdict:
             witness["minimal-primes-with-small-join"] = ", ".join(
                 subset_repr(s, m) for m in combo
             )
+            break
     # The variant joins every n of the minimal primes, each set once,
     # when there are n + 1 of them to choose from.
     printed = True
@@ -338,7 +339,9 @@ def n_normality_verdict(s: Structure, f: int, n: int) -> EquivalenceVerdict:
 
     c4 = True
     c5 = True
-    for xs in _pairwise_tuples(range(s.n), n + 1, _pairwise_in(s, f)):
+    # x v y is in F exactly when y is in (F : x).
+    joined_in = [table[x] & -(2 << x) for x in range(s.n)]
+    for xs in _pairwise_tuples(range(s.n), n + 1, joined_in):
         union = 0
         prod = s.top
         for x in xs:
@@ -360,10 +363,7 @@ def n_normality_verdict(s: Structure, f: int, n: int) -> EquivalenceVerdict:
     c6 = True
     c7 = True
     jn = s.join
-
-    def incomparable(a, b):
-        return jn[a][b] != a and jn[a][b] != b
-
+    incomparable = [~(s.up[x] | s.down[x]) & -(2 << x) & s.full for x in range(s.n)]
     for xs in _pairwise_tuples(range(s.n), n + 1, incomparable):
         # prefix[i] joins xs[:i] and `suffix` joins xs[i + 1:], so the
         # join of all but xs[i] is prefix[i] v suffix.
@@ -424,14 +424,20 @@ def omega_sublattice_verdict(s: Structure) -> EquivalenceVerdict:
     members = tuple(fam)
     witness: dict[str, str] = {}
 
-    c1 = True
-    for i, g in enumerate(members):
-        for h in members[i:]:
-            if omega_join(s, triv, g, h) == s.full and generated_filter(s, g | h) != s.full:
-                c1 = False
-                witness["comaximal-in-family-but-not-in-filters"] = (
-                    subset_repr(s, g) + ", " + subset_repr(s, h)
-                )
+    comaximal = next(
+        (
+            (g, h)
+            for i, g in enumerate(members)
+            for h in members[i:]
+            if omega_join(s, triv, g, h) == s.full and generated_filter(s, g | h) != s.full
+        ),
+        None,
+    )
+    c1 = comaximal is None
+    if comaximal is not None:
+        witness["comaximal-in-family-but-not-in-filters"] = ", ".join(
+            subset_repr(s, g) for g in comaximal
+        )
 
     c2 = normality_report(s, triv).index == 1
 

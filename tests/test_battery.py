@@ -5,6 +5,7 @@ import pytest
 
 from reslat import battery, cli
 from reslat.battery import AGREEMENT_CHECKS, CHECKS, GROUPS, run_battery
+from reslat.errors import SearchExhausted
 from reslat.structure import Structure, ValidationReport, validate_structure
 
 
@@ -76,6 +77,8 @@ def test_check_that_raises_fails_alone(a6, fixtures_dir, monkeypatch, capsys):
     [failed] = report.failures()
     assert failed.name == name
     assert failed.witness == {"error": "KeyError: 'no such slot'"}
+    assert failed.crashed
+    assert not any(o.crashed for o in report.outcomes if o.passed)
 
     code = cli.main(["verify", str(fixtures_dir / "a6.json"), "--format", "json"])
     out, err = capsys.readouterr()
@@ -84,6 +87,25 @@ def test_check_that_raises_fails_alone(a6, fixtures_dir, monkeypatch, capsys):
     doc = json.loads(out)
     assert not doc["all_passed"]
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == [name]
+
+
+def test_domain_error_fails_without_crashing(a6, monkeypatch):
+    """A domain error is a law's failure, not a crash: its message, with
+    no type prefix, is the witness, and `crashed` stays False."""
+    k = 5
+    group, name, _fn = CHECKS[k]
+
+    def exhausted(s):
+        raise SearchExhausted("no separating tuple exists; theory violated")
+
+    checks = list(CHECKS)
+    checks[k] = (group, name, exhausted)
+    monkeypatch.setattr(battery, "CHECKS", tuple(checks))
+
+    [failed] = battery.run_battery(a6).failures()
+    assert failed.name == name
+    assert failed.witness == {"error": "no separating tuple exists; theory violated"}
+    assert not failed.crashed
 
 
 def test_derived_laws_fail_on_a_product_that_does_not_preserve_joins(a6, monkeypatch):

@@ -1,6 +1,5 @@
 """The shared closure helpers, and the battery's power to catch a broken closure."""
 
-import re
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -99,17 +98,6 @@ def test_no_answer_of_a_mutant_outlives_it(a6):
     assert answers() == right
 
 
-def crashed(witness) -> bool:
-    """Whether a failed check's witness is a crash: {"error": "<Type>: ..."}
-    for an exception other than the battery's domain errors, whose
-    messages carry no type prefix."""
-    return (
-        isinstance(witness, dict)
-        and witness.keys() == {"error"}
-        and re.match(r"[A-Z]\w*: ", witness["error"]) is not None
-    )
-
-
 def failed_checks(structures) -> set[str]:
     """Names of the battery checks that fail on some of the structures
     with a law witness or a domain error, not by crashing: a mutant
@@ -122,7 +110,7 @@ def failed_checks(structures) -> set[str]:
     out = set()
     for s in structures:
         report = run_battery(replace(s, names=s.names))
-        out |= {o.name for o in report.outcomes if not o.passed and not crashed(o.witness)}
+        out |= {o.name for o in report.outcomes if not o.passed and not o.crashed}
     return out
 
 

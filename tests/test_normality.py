@@ -7,7 +7,7 @@ from reslat.battery import run_battery
 from reslat.bitsets import mask_of
 from reslat.errors import BadN, ImproperFilter, NotMinimalPrime
 from reslat.fileformat import load_structure
-from reslat.filters import all_filters
+from reslat.filters import all_filters, generated_filter
 from reslat.modelgen import SearchSpec, enumerate_residuated
 from reslat.normality import (
     _pairwise_tuples,
@@ -20,8 +20,9 @@ from reslat.normality import (
     separating_elements,
     sigma_greatest_check,
 )
+from reslat.omega import omega_family, omega_join
 from reslat.spectra import minimal_primes_over, primes_of
-from reslat.structure import validate_structure
+from reslat.structure import subset_repr, validate_structure
 
 from conftest import FIXTURES
 from normality_reference import (
@@ -220,6 +221,12 @@ def _pairs_ok(combo, pred):
     return all(pred(a, b) for i, a in enumerate(combo) for b in combo[i + 1 :])
 
 
+def _masks(items, pred):
+    """The relation `pred` as masks over the later indices of `items`."""
+    n = len(items)
+    return [sum(1 << j for j in range(i + 1, n) if pred(items[i], items[j])) for i in range(n)]
+
+
 @given(
     st.lists(st.integers(0, 5), max_size=9),
     st.integers(0, 10),
@@ -231,18 +238,18 @@ def test_pairwise_tuples_are_the_filtered_combinations(items, k, related):
         return (a, b) in related
 
     expected = [c for c in combinations(items, k) if _pairs_ok(c, pred)]
-    assert list(_pairwise_tuples(items, k, pred)) == expected
+    assert list(_pairwise_tuples(items, k, _masks(items, pred))) == expected
 
 
 def test_pairwise_tuples_edge_cases():
-    def always(a, b):
-        return True
-
-    assert list(_pairwise_tuples([], 0, always)) == [()]
-    assert list(_pairwise_tuples([], 2, always)) == []
-    assert list(_pairwise_tuples([3, 1, 2], 1, always)) == [(3,), (1,), (2,)]
-    assert list(_pairwise_tuples([3, 1, 2], 4, always)) == []
-    assert list(_pairwise_tuples(range(4), 2, lambda a, b: b - a != 1)) == [
+    every = [0b110, 0b100, 0]
+    assert list(_pairwise_tuples([], 0, [])) == [()]
+    assert list(_pairwise_tuples([], 2, [])) == []
+    assert list(_pairwise_tuples([3, 1, 2], 1, every)) == [(3,), (1,), (2,)]
+    assert list(_pairwise_tuples([3, 1, 2], 3, every)) == [(3, 1, 2)]
+    assert list(_pairwise_tuples([3, 1, 2], 4, every)) == []
+    gaps = _masks(range(4), lambda a, b: b - a != 1)
+    assert list(_pairwise_tuples(range(4), 2, gaps)) == [
         (0, 2),
         (0, 3),
         (1, 3),
@@ -273,3 +280,32 @@ def test_zero_plus_boolean_normality_group_passes(k):
 
 def test_zero_plus_boolean_three_passes_the_battery():
     assert run_battery(zero_plus_boolean(3)).all_passed
+
+
+def test_first_failing_pair_is_the_witness_of_condition_one():
+    """Condition one of both harnesses reports its first failing pair,
+    as conditions three to seven report their first failing tuple.  On
+    0 (+) B3 every pair of the three minimal primes joins below the
+    carrier, so a scan that kept overwriting would report the third."""
+    s = zero_plus_boolean(3)
+    triv = 1 << s.top
+
+    def named(pair):
+        return ", ".join(subset_repr(s, g) for g in pair)
+
+    mins = minimal_primes_over(s, triv)
+    small = [c for c in combinations(mins, 2) if generated_filter(s, c[0] | c[1]) != s.full]
+    assert len(small) == 3
+    verdict = n_normality_verdict(s, triv, 1)
+    assert verdict.witness["minimal-primes-with-small-join"] == named(small[0])
+
+    members = tuple(omega_family(s, triv))
+    comaximal = [
+        (g, h)
+        for i, g in enumerate(members)
+        for h in members[i:]
+        if omega_join(s, triv, g, h) == s.full and generated_filter(s, g | h) != s.full
+    ]
+    assert len(comaximal) > 1
+    verdict = omega_sublattice_verdict(s)
+    assert verdict.witness["comaximal-in-family-but-not-in-filters"] == named(comaximal[0])

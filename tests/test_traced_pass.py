@@ -4,8 +4,9 @@
 of a traced pass, reads `cache_info()` from the cached analyses.  A
 change that breaks either only shows when the pass fails to print its
 result line, so one pass of two workloads runs here, in a subprocess,
-exactly as `perfbench/run.py` starts it.  Nothing under `perfbench/` is
-changed.
+exactly as `perfbench/run.py` starts it; in the battery pass every
+check must have a span, so a registry the tracer cannot wrap shows.
+Nothing under `perfbench/` is changed.
 """
 
 import json
@@ -38,3 +39,8 @@ def test_traced_pass_ends_with_result_line(workload, tmp_path):
         if not m["name"].startswith(("trace.", "host."))
     ]
     assert [name for name, _unit, _value in result["layers"]] == declared
+    if workload == "battery-census":
+        # A check the tracer no longer wraps would read 0 here.
+        checks = {n: v for n, _u, v in result["layers"] if n.startswith("battery.check.")}
+        assert len(checks) == 64
+        assert [n for n, v in checks.items() if not v > 0] == []
