@@ -24,6 +24,7 @@ globals, so that rebinding one reaches every check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 from typing import Any, Callable
 
@@ -79,44 +80,41 @@ def law(group, name, bases=None, elements=None, subsets=None, notes=False):
     """Register the decorated law as the check `name` of `group`.
 
     A law returns its witness, a dict, or None when it holds.  With
-    `elements` or `subsets` (keys split on spaces) it yields its failing
-    instances instead, each a tuple (a bare value for one key) of
-    elements or masks, and the first is the witness, named by the keys.
-    With `notes` it returns (that result, notes).  The check returns
-    (witness, notes), with the notes of all its bases, or none if it fails.
+    `elements` or `subsets` (keys split on spaces) it returns its first
+    failing instance instead, a tuple (a bare value for one key) of
+    elements or masks, and the check names it by the keys.  With `notes`
+    it returns (that result, notes).  The check returns (witness, notes),
+    with the notes of all its bases, or none if it fails.
     """
-    keys = (elements or subsets or "").split()
-    proper = bases == "proper"
-
-    def named(s, first):
-        """The witness naming the failing instance `first` by `keys`."""
-        name_of = s.names.__getitem__ if elements else lambda m: subset_repr(s, m)
-        return dict(zip(keys, map(name_of, first if len(keys) > 1 else (first,))))
 
     def register(fn):
-        def check(s):
-            found = []
-            for f in flt.all_filters(s) if bases else (None,):
-                if proper and f == s.full:
-                    continue
-                result = fn(s) if f is None else fn(s, f)
-                if notes:
-                    result, more = result
-                    found.extend(more)
-                if keys:
-                    result = next(iter(result), None)
-                    if result is not None:
-                        result = named(s, result)
-                if result is not None:
-                    base = {} if f is None else {"base": subset_repr(s, f)}
-                    return {**base, **result}, ()
-            return None, tuple(found)
-
         global CHECKS
+        keys = tuple((elements or subsets or "").split())
+        check = partial(_check, fn, bases, keys, elements is not None, notes)
         CHECKS += ((group, name, check),)
         return fn
 
     return register
+
+
+def _check(fn, bases, keys, by_element, notes, s):
+    """Run the law `fn` as `law` registered it; (witness, notes)."""
+    found = []
+    for f in flt.all_filters(s) if bases else (None,):
+        if bases == "proper" and f == s.full:
+            continue
+        result = fn(s) if f is None else fn(s, f)
+        if notes:
+            result, more = result
+            found.extend(more)
+        if keys and result is not None:
+            name_of = s.names.__getitem__ if by_element else partial(subset_repr, s)
+            values = result if len(keys) > 1 else (result,)
+            result = dict(zip(keys, map(name_of, values)))
+        if result is not None:
+            base = {} if f is None else {"base": subset_repr(s, f)}
+            return {**base, **result}, ()
+    return None, tuple(found)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +127,7 @@ def _product_distributes_over_join(s):
         tx = s.times[x]
         for y, z in product(range(s.n), repeat=2):
             if tx[s.join[y][z]] != s.join[tx[y]][tx[z]]:
-                yield x, y, z
+                return x, y, z
 
 
 @law("core", "join-of-products-bound", elements="x y z")
@@ -137,14 +135,14 @@ def _join_of_products_bound(s):
     for x, y, z in product(range(s.n), repeat=3):
         lhs = s.times[s.join[x][y]][s.join[x][z]]
         if not leq(s, lhs, s.join[x][s.times[y][z]]):
-            yield x, y, z
+            return x, y, z
 
 
 @law("core", "order-matches-residuum", elements="x y")
 def _order_matches_residuum(s):
     for x, y in product(range(s.n), repeat=2):
         if leq(s, x, y) != (s.residuum[x][y] == s.top):
-            yield x, y
+            return x, y
 
 
 @law("core", "product-monotone", elements="x y z")
@@ -153,13 +151,13 @@ def _product_monotone(s):
         if leq(s, x, y):
             for z in range(s.n):
                 if not leq(s, s.times[x][z], s.times[y][z]):
-                    yield x, y, z
+                    return x, y, z
 
 
 @law("core", "maximal-filters-are-prime", subsets="maximal")
 def _maximal_filters_are_prime(s):
     primes = set(spc.primes_of(s))
-    return (m for m in spc.maximal_filters(s) if m not in primes)
+    return next((m for m in spc.maximal_filters(s) if m not in primes), None)
 
 
 @law("core", "filter-enumeration-matches-subset-scan")
@@ -183,7 +181,7 @@ def _generated_filter_idempotent(s):
     for x_set in range(1 << s.n):
         once = flt.generated_filter(s, x_set)
         if x_set & ~once or flt.generated_filter(s, once) != once:
-            yield x_set
+            return x_set
 
 
 @law("core", "filter-extension-antitone", bases="all", elements="x y")
@@ -191,7 +189,7 @@ def _filter_extension_antitone(s, f):
     ext = [flt.filter_extension(s, f, x) for x in range(s.n)]
     for x, y in product(range(s.n), repeat=2):
         if leq(s, x, y) and ext[y] & ~ext[x]:
-            yield x, y
+            return x, y
 
 
 @law("core", "filter-extension-meet-rule", bases="all", elements="x y")
@@ -199,7 +197,7 @@ def _filter_extension_meet_rule(s, f):
     ext = [flt.filter_extension(s, f, x) for x in range(s.n)]
     for x, y in product(range(s.n), repeat=2):
         if ext[x] & ext[y] != ext[s.join[x][y]]:
-            yield x, y
+            return x, y
 
 
 @law("core", "filter-extension-join-rule", bases="all", elements="x y")
@@ -207,7 +205,7 @@ def _filter_extension_join_rule(s, f):
     ext = [flt.filter_extension(s, f, x) for x in range(s.n)]
     for x, y in product(range(s.n), repeat=2):
         if flt.generated_filter(s, ext[x] | ext[y]) != ext[s.times[x][y]]:
-            yield x, y
+            return x, y
 
 
 @law("core", "principal-filters-sublattice")
@@ -226,28 +224,28 @@ def _filter_lattice_distributive(s):
     for f, g, h in product(flt.all_filters(s), repeat=3):
         lhs = f & flt.generated_filter(s, g | h)
         if lhs != flt.generated_filter(s, (f & g) | (f & h)):
-            yield f, g, h
+            return f, g, h
 
 
 @law("core", "principal-ideal-meet-rule", elements="x y")
 def _principal_ideal_meet_rule(s):
     for x, y in product(range(s.n), repeat=2):
         if s.down[x] & s.down[y] != s.down[s.meet[x][y]]:
-            yield x, y
+            return x, y
 
 
 @law("core", "principal-ideal-join-rule", elements="x y")
 def _principal_ideal_join_rule(s):
     for x, y in product(range(s.n), repeat=2):
         if flt.ideal_join(s, s.down[x], s.down[y]) != s.down[s.join[x][y]]:
-            yield x, y
+            return x, y
 
 
 @law("core", "prime-iff-complement-join-closed", subsets="filter")
 def _prime_iff_complement_join_closed(s):
     for f in flt.all_filters(s):
         if spc.is_prime(s, f) != spc.prime_by_complement(s, f):
-            yield f
+            return f
 
 
 @law("core", "spectrum-matches-subset-scan")
@@ -262,7 +260,7 @@ def _prime_separation(s):
     for c in spc.join_closed_subsets(s):
         for f in flt.all_filters(s):
             if not (c & f) and spc.prime_avoiding(s, f, c) is None:
-                yield c, f
+                return c, f
 
 
 @law("core", "minimal-prime-iff-maximal-complement")
@@ -299,21 +297,21 @@ def _prime_over_set_contains_minimal(s):
         mins = spc.minimal_primes_over(s, x_set)
         for p in spc.primes_of(s):
             if not (x_set & ~p) and not any(not (m & ~p) for m in mins):
-                yield x_set, p
+                return x_set, p
 
 
 @law("core", "generated-filter-is-prime-intersection", subsets="set")
 def _generated_filter_is_prime_intersection(s):
     for x_set in range(1 << s.n):
         if flt.generated_filter(s, x_set) != spc.generated_by_primes(s, x_set):
-            yield x_set
+            return x_set
 
 
 @law("core", "generated-filter-is-minimal-prime-intersection", subsets="set")
 def _generated_filter_is_minimal_prime_intersection(s):
     for x_set in range(1 << s.n):
         if flt.generated_filter(s, x_set) != spc.generated_by_minimal_primes(s, x_set):
-            yield x_set
+            return x_set
 
 
 @law("core", "coannihilator-is-filter-above-base", bases="all", subsets="set")
@@ -321,7 +319,7 @@ def _coannihilator_is_filter_above_base(s, f):
     co = can.coann_subset_table(s, f)
     bad = {g for g in set(co) if f & ~g or not flt.is_filter(s, g)}
     if bad:
-        yield next(x for x in range(1 << s.n) if co[x] in bad)
+        return next(x for x in range(1 << s.n) if co[x] in bad)
 
 
 @law("core", "coannihilator-flip-rule", bases="all", subsets="x y")
@@ -341,7 +339,7 @@ def _coannihilator_flip_rule(s, f):
         below[g] = acc
     for y_set in range(1 << s.n):
         if y_set & ~below[co[y_set]]:
-            yield next(x for x in submasks(co[y_set]) if y_set & ~co[x]), y_set
+            return next(x for x in submasks(co[y_set]) if y_set & ~co[x]), y_set
 
 
 @law("core", "coannihilator-full-iff-contained", bases="all", subsets="set")
@@ -349,7 +347,7 @@ def _coannihilator_full_iff_contained(s, f):
     co = can.coann_subset_table(s, f)
     for x_set in range(1 << s.n):
         if (co[x_set] == s.full) != (not (x_set & ~f)):
-            yield x_set
+            return x_set
 
 
 @law("core", "coannulet-monotone", bases="all", elements="x y")
@@ -357,7 +355,7 @@ def _coannulet_monotone(s, f):
     table = can.coannulet_table(s, f)
     for x, y in product(range(s.n), repeat=2):
         if leq(s, x, y) and table[x] & ~table[y]:
-            yield x, y
+            return x, y
 
 
 @law("core", "coannulet-meet-is-product-coannulet", bases="all", elements="x y")
@@ -365,7 +363,7 @@ def _coannulet_meet_is_product_coannulet(s, f):
     table = can.coannulet_table(s, f)
     for x, y in product(range(s.n), repeat=2):
         if table[x] & table[y] != table[s.times[x][y]]:
-            yield x, y
+            return x, y
 
 
 @law("core", "double-coannihilator-join-rule", bases="all", elements="x y")
@@ -374,7 +372,7 @@ def _double_coannihilator_join_rule(s, f):
     co = can.coann_subset_table(s, f)
     for x, y in product(range(s.n), repeat=2):
         if co[table[x]] & co[table[y]] != co[table[s.join[x][y]]]:
-            yield x, y
+            return x, y
 
 
 @law("core", "coannulet-join-bound", bases="all", elements="x y")
@@ -386,7 +384,7 @@ def _coannulet_join_bound(s, f):
         in_lattice = flt.generated_filter(s, table[x] | table[y])
         gamma = joins[table[x], table[y]]
         if in_lattice & ~gamma or gamma != table[s.join[x][y]]:
-            yield x, y
+            return x, y
 
 
 @law("core", "coannihilator-family-boolean", bases="all")
@@ -417,7 +415,7 @@ def _coannulets_form_sublattice(s, f):
     let_set = set(lets)
     for g, h in product(lets, repeat=2):
         if g & h not in let_set or can.gamma_join(s, f, g, h) not in let_set:
-            yield g, h
+            return g, h
 
 
 @law("core", "coannihilator-relative-pseudocomplement", bases="all")
@@ -464,13 +462,13 @@ def _omega_routes_agree(s, f):
             if hits & x_set:
                 by_def |= bit
         if om[x_set] != by_member or om[x_set] != by_def:
-            yield x_set
+            return x_set
 
 
 @law("omega", "omega-contains-base", bases="all", subsets="set")
 def _omega_contains_base(s, f):
     om = omega_table(s, f)
-    return (x_set for x_set in range(1, 1 << s.n) if f & ~om[x_set])
+    return next((x_set for x_set in range(1, 1 << s.n) if f & ~om[x_set]), None)
 
 
 @law("omega", "omega-monotone-in-set", bases="all", subsets="x y")
@@ -483,7 +481,7 @@ def _omega_monotone_in_set(s, f):
         for x in bits(y_set):
             x_set = y_set ^ 1 << x
             if x_set and om[x_set] & ~oy:
-                yield x_set, y_set
+                return x_set, y_set
 
 
 @law("omega", "omega-monotone-in-base", subsets="small large set")
@@ -497,7 +495,7 @@ def _omega_monotone_in_base(s):
             om_g = omega_table(s, g)
             for x_set in range(1, 1 << s.n):
                 if om_f[x_set] & ~om_g[x_set]:
-                    yield f, g, x_set
+                    return f, g, x_set
 
 
 @law("omega", "omega-full-iff-meets-base", bases="all", subsets="set")
@@ -505,7 +503,7 @@ def _omega_full_iff_meets_base(s, f):
     om = omega_table(s, f)
     for x_set in range(1, 1 << s.n):
         if (om[x_set] == s.full) != bool(f & x_set):
-            yield x_set
+            return x_set
 
 
 @law("omega", "omega-fixes-base-iff-dense", bases="all", subsets="set")
@@ -514,14 +512,14 @@ def _omega_fixes_base_iff_dense(s, f):
     dense = dense_set(s, f)
     for x_set in range(1, 1 << s.n):
         if (om[x_set] == f) != (not (x_set & ~dense)):
-            yield x_set
+            return x_set
 
 
 @law("omega", "dense-elements-form-ideal", bases="all", subsets="dense")
 def _dense_elements_form_ideal(s, f):
     dense = dense_set(s, f)
     if not flt.is_ideal(s, dense):
-        yield dense
+        return dense
 
 
 @law("omega", "omega-of-join-closed-is-filter", bases="all", subsets="separator")
@@ -530,7 +528,7 @@ def _omega_of_join_closed_is_filter(s, f):
     om = omega_table(s, f)
     bad = {w for w in {om[c] for c in jc} if not flt.is_filter(s, w)}
     if bad:
-        yield next(c for c in jc if om[c] in bad)
+        return next(c for c in jc if om[c] in bad)
 
 
 @law("omega", "omega-properness-equivalences", bases="all", subsets="separator")
@@ -542,7 +540,7 @@ def _omega_properness_equivalences(s, f):
         b = w != s.full
         d = not (w & c)
         if not (a == b == d):
-            yield c
+            return c
 
 
 @law("omega", "omega-family-lattice", bases="all")
@@ -610,7 +608,7 @@ def _coannulet_join_full_when_base_join(s, f):
     join = _omega_joins(s, f)
     for x, y in product(range(s.n), repeat=2):
         if f >> s.join[x][y] & 1 and join(table[x], table[y]) != s.full:
-            yield x, y
+            return x, y
 
 
 @law("omega", "divisor-set-forms", bases="all")
@@ -660,7 +658,7 @@ def _minimal_prime_divisor_trichotomy(s, f):
         b2 = divisor(s, f, p) == p
         b3 = all(bool(p >> x & 1) != (not (table[x] & ~p)) for x in range(s.n))
         if not (b1 == b2 == b3):
-            yield p
+            return p
 
 
 @law("omega", "minimal-primes-family-comaximal", bases="all")
@@ -679,7 +677,7 @@ def _omega_minimal_primes_avoid_set(s, f):
     for c in spc.join_closed_subsets(s):
         for m in spc.minimal_primes_over(s, om[c]):
             if m & c:
-                yield c, m
+                return c, m
 
 
 @law("omega", "divisor-minimal-primes-inside-prime", bases="all", subsets="prime minimal")
@@ -687,7 +685,7 @@ def _divisor_minimal_primes_inside_prime(s, f):
     for p in spc.primes_of(s):
         for m in spc.minimal_primes_over(s, divisor(s, f, p)):
             if m & ~p:
-                yield p, m
+                return p, m
 
 
 @law("omega", "omega-minimal-primes-characterized", bases="all", subsets="separator")
@@ -697,7 +695,7 @@ def _omega_minimal_primes_characterized(s, f):
     for c in spc.join_closed_subsets(s):
         lhs = set(spc.minimal_primes_over(s, om[c]))
         if lhs != {m for m in mins_f if not (m & c)}:
-            yield c
+            return c
 
 
 @law("omega", "divisor-minimal-primes-characterized", bases="all", subsets="prime")
@@ -706,7 +704,7 @@ def _divisor_minimal_primes_characterized(s, f):
     for p in spc.primes_of(s):
         lhs = set(spc.minimal_primes_over(s, divisor(s, f, p)))
         if lhs != {m for m in mins_f if not (m & ~p)}:
-            yield p
+            return p
 
 
 @law("omega", "omega-is-minimal-prime-intersection", bases="all", subsets="separator")
@@ -715,7 +713,7 @@ def _omega_is_minimal_prime_intersection(s, f):
     om = omega_table(s, f)
     for c in spc.join_closed_subsets(s):
         if om[c] != spc.intersection_of((m for m in mins_f if not (m & c)), s.full):
-            yield c
+            return c
 
 
 @law("omega", "divisor-is-minimal-prime-intersection", bases="all", subsets="prime")
@@ -724,7 +722,7 @@ def _divisor_is_minimal_prime_intersection(s, f):
     for p in spc.primes_of(s):
         expected = spc.intersection_of((m for m in mins_f if not (m & ~p)), s.full)
         if divisor(s, f, p) != expected:
-            yield p
+            return p
 
 
 @law("omega", "omega-family-matches-filter-scan", bases="all")
@@ -792,18 +790,19 @@ def _sigma_is_omega_member_within(s):
     for f in flt.all_filters(s):
         sg = sigma(s, f)
         if sg not in fam or sg & ~f:
-            yield f, sg
+            return f, sg
 
 
 @law("normality", "sigma-greatest-when-normal", subsets="filter", notes=True)
 def _sigma_greatest_when_normal(s):
     if nrm.normality_report(s, 1 << s.top).index != 1:
         holds = all(nrm.sigma_greatest_check(s, f) for f in flt.all_filters(s))
-        return (), (
+        return None, (
             "structure is not normal; greatest-omega identity skipped "
             f"(holds anyway: {holds})",
         )
-    return (f for f in flt.all_filters(s) if not nrm.sigma_greatest_check(s, f)), ()
+    bad = (f for f in flt.all_filters(s) if not nrm.sigma_greatest_check(s, f))
+    return next(bad, None), ()
 
 
 # ---------------------------------------------------------------------------
