@@ -1,0 +1,152 @@
+"""Test-side references for the census: the product search and the
+relabeling routines as they read before the search was scheduled and
+the relabelings became index maps.
+
+`modelgen._times_tables` works from a per-lattice schedule of cuts, and
+`_lattice_key`, `Lattice.coset` and `canonical_key` relabel through
+precomputed gathers.  The routines here keep the direct routes: a
+product search whose `candidates` rescans both columns of each cell at
+every node, and relabelings written cell by cell.  The census must give
+the same lists, in the same order, and the same key bytes from both.
+"""
+
+from itertools import permutations
+
+from reslat.bitsets import bits
+
+
+def relabelings(n: int, bot: int, top: int):
+    """Every relabeling old -> new (as a list) that sends bot to 0 and top
+    to n - 1, in the permutation order of the middle elements."""
+    middles = [i for i in range(n) if i not in (bot, top)]
+    for perm in permutations(middles):
+        pi = [0] * n
+        pi[bot] = 0
+        pi[top] = n - 1
+        for slot, orig in enumerate(perm, start=1):
+            pi[orig] = slot
+        yield pi
+
+
+def lattice_key(n: int, up, bot: int, top: int) -> bytes:
+    """Canonical bytes of the order relation, minimized over relabelings
+    that send bot to 0 and top to n - 1."""
+
+    def relabeled(pi):
+        rows = bytearray(n * n)
+        for x in range(n):
+            for y in bits(up[x]):
+                rows[pi[x] * n + pi[y]] = 1
+        return bytes(rows)
+
+    return min(map(relabeled, relabelings(n, bot, top)))
+
+
+def relabeled(tables, pi) -> bytearray:
+    """The tables concatenated, with every element x renamed to pi[x]."""
+    n = len(pi)
+    buf = bytearray(len(tables) * n * n)
+    for k, table in enumerate(tables):
+        for x in range(n):
+            row = table[x]
+            base = (k * n + pi[x]) * n
+            for y in range(n):
+                buf[base + pi[y]] = pi[row[y]]
+    return buf
+
+
+def join_coset(n: int, join, bot: int, top: int) -> tuple[list[int], ...]:
+    """Every relabeling that sends bot to 0 and top to n - 1 and gives
+    the least relabeled join table: one coset pi0 * Aut(L)."""
+    best, coset = None, []
+    for pi in relabelings(n, bot, top):
+        buf = relabeled((join,), pi)
+        if best is None or buf < best:
+            best, coset = buf, [pi]
+        elif buf == best:
+            coset.append(pi)
+    return tuple(coset)
+
+
+def canonical_key(s, coset=None) -> bytes:
+    """The least join || meet || times || residuum over the relabelings
+    that send bot to 0 and top to n - 1, taken over the join coset (of
+    s.join when not given)."""
+    if coset is None:
+        coset = join_coset(s.n, s.join, s.bot, s.top)
+    head = relabeled((s.join, s.meet), coset[0])
+    tail = min(relabeled((s.times, s.residuum), pi) for pi in coset)
+    return bytes(head + tail)
+
+
+def times_tables(lat):
+    """Backtracking assignment of a residuated product over one bounded
+    lattice, each cell's candidate mask rebuilt from both columns.
+
+    The middle cells (x, y) of the upper triangle are filled in index
+    order and mirrored.  Each tries, in ascending order, the values of
+    one mask, cut for both orientations (a, b) of the cell by every
+    filled cell (p, b) of value w: to up(w) when p <= a, else, when the
+    cell (join(p, a), b) holds t, to the values v with join(v, w) = t.
+    A cell (a, b) with a = join(p, q) for two filled cells (p, b) and
+    (q, b) is forced to the join of their values.  Associativity is
+    checked on completion.
+    """
+    n, bot, top, up, join = lat.n, lat.bot, lat.top, lat.up, lat.join
+    joins_to = [[0] * n for _ in range(n)]
+    for w in range(n):
+        for v in range(n):
+            joins_to[w][join[v][w]] |= 1 << v
+    splits = [[] for _ in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            if join[p][q] not in (p, q):
+                splits[join[p][q]].append((p, q))
+    mids = [i for i in range(n) if i not in (bot, top)]
+    cells = [(x, y) for i, x in enumerate(mids) for y in mids[i:]]
+    table = [[None] * n for _ in range(n)]
+    for z in range(n):
+        table[bot][z] = table[z][bot] = bot
+        table[top][z] = table[z][top] = z
+
+    def candidates(x, y):
+        mask = (1 << n) - 1
+        for a, b in ((x, y), (y, x)):
+            column = table[b]
+            for p, w in enumerate(column):
+                if w is None:
+                    continue
+                pa = join[p][a]
+                if pa == a:
+                    mask &= up[w]
+                elif column[pa] is not None:
+                    mask &= joins_to[w][column[pa]]
+            for p, q in splits[a]:
+                if column[p] is not None and column[q] is not None:
+                    mask &= 1 << join[column[p]][column[q]]
+        return mask
+
+    def assoc_ok():
+        for x in mids:
+            for y in mids:
+                xy = table[x][y]
+                for z in mids:
+                    if table[xy][z] != table[x][table[y][z]]:
+                        return False
+        return True
+
+    out = []
+
+    def rec(i):
+        if i == len(cells):
+            if assoc_ok():
+                out.append(tuple(tuple(row) for row in table))
+            return
+        x, y = cells[i]
+        for v in bits(candidates(x, y)):
+            table[x][y] = table[y][x] = v
+            rec(i + 1)
+        table[x][y] = table[y][x] = None
+
+    rec(0)
+    return out

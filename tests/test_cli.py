@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -197,6 +198,23 @@ def test_search_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "search", "--size", "5")
     assert code == 0
     assert out.encode() == (GOLDEN / "search_5.ndjson").read_bytes()
+
+
+# SHA-256 of `reslat search --size N` stdout; size 5 is the golden above.
+SEARCH_SHA256 = {
+    6: "f0322eba0007bf261268759d05eaaa44a1bbb2aa9337e43f25098db30353e183",
+    7: "1ae66d1cc5e00ae517c29b1a58ef0f1d8686ace76172cb7aa6f448fef3c00535",
+    8: "e5ab15a70c5e7f780df542141eeee8b26a84f072c11db7105f34a371b53c9ae3",
+}
+
+
+@pytest.mark.parametrize(
+    "size", [6, 7, pytest.param(8, marks=pytest.mark.slow)]
+)
+def test_search_stdout_digest(capsys, size):
+    code, out, _ = run_cli(capsys, "search", "--size", str(size))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_SHA256[size]
 
 
 @pytest.mark.parametrize("where", ["missing-dir/census.ndjson", "."])

@@ -1,7 +1,9 @@
 import random
 from collections import Counter
 from itertools import permutations, product
+from operator import itemgetter
 
+import modelgen_reference as ref
 import pytest
 
 from reslat.errors import BadN, InvalidBaseLattice, MalformedTables, SizeOutOfRange
@@ -569,3 +571,60 @@ def test_coset_is_one_automorphism_coset(n):
                     image[pi[x]][pi[y]] = pi[lat.join[x][y]]
             images.add(tuple(map(tuple, image)))
         assert len(images) == 1
+
+
+def _census_structure(lat, times):
+    return Structure(
+        n=lat.n,
+        names=lat.names,
+        join=lat.join,
+        meet=lat.meet,
+        times=times,
+        residuum=_derive_residuum(lat, times),
+        bot=lat.bot,
+        top=lat.top,
+    )
+
+
+def _assert_census_matches_reference(lat):
+    """The product tables, the coset, the lattice key and every table's
+    canonical key are those of the direct routines, lists in order."""
+    n = lat.n
+    coset = ref.join_coset(n, lat.join, lat.bot, lat.top)
+    assert lat.coset == coset
+    assert _lattice_key(n, lat.up, lat.bot, lat.top) == ref.lattice_key(
+        n, lat.up, lat.bot, lat.top
+    )
+    tables = _times_tables(lat)
+    assert tables == ref.times_tables(lat)
+    for times in tables:
+        s = _census_structure(lat, times)
+        assert canonical_key(s, lat) == ref.canonical_key(s, coset)
+    return tables
+
+
+@pytest.mark.parametrize(
+    "n", [2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)]
+)
+def test_census_routines_match_reference(n):
+    for lat in _both_labelings(n):
+        _assert_census_matches_reference(lat)
+
+
+def test_census_over_renumbered_a6_matches_reference(a6):
+    """Bot and top in the middle of the carrier: the census over a6's
+    lattice emits the reference tables, keyed as the reference keys them."""
+    perm = [2, 0, 4, 5, 1, 3]
+    s = _relabel(a6, perm)
+    lat = lattice_of(s)
+    assert (lat.bot, lat.top) == (2, 3)
+    assert canonical_key(s) == ref.canonical_key(s) == canonical_key(a6)
+    tables = _assert_census_matches_reference(lat)
+    coset = ref.join_coset(lat.n, lat.join, lat.bot, lat.top)
+    expected = sorted(
+        ((ref.canonical_key(_census_structure(lat, t), coset), t) for t in tables),
+        key=itemgetter(0),
+    )
+    spec = SearchSpec(size=6, base_lattice=lat, canonical_only=False)
+    got = [(r.canonical_key, r.structure.times) for r in enumerate_residuated(spec)]
+    assert got == expected

@@ -1,0 +1,115 @@
+"""Census counts of subvarieties against counts that structure theorems fix.
+
+Each class has a predicate on the tables, and its expected count is
+computed here from outside the product search, never typed in:
+
+- idempotent (x * x = x): the product is the meet of a Heyting algebra,
+  so there is one class per distributive lattice of the size;
+- MV (divisible, involutive, prelinear): a finite MV-algebra is a
+  product of Łukasiewicz chains, one class per unordered factorization
+  of the size into factors of at least 2;
+- BL-chains (divisible chains): an ordinal sum of Łukasiewicz chains,
+  one class per composition of size - 1;
+- Boolean (idempotent and involutive): one class exactly when the size
+  is a power of 2.
+
+A product search that loses tables loses classes, and these counts see
+it: `test_skipping_the_last_candidate_fails_a_count` runs the census
+with each cell's last candidate dropped.
+"""
+
+import pytest
+
+from reslat import bitsets, modelgen
+from reslat.modelgen import SearchSpec, enumerate_lattices, enumerate_residuated
+
+
+def _pairs(s):
+    return [(x, y) for x in range(s.n) for y in range(s.n)]
+
+
+def _idempotent(s):
+    return all(s.times[x][x] == x for x in range(s.n))
+
+
+def _involutive(s):
+    neg = [s.residuum[x][s.bot] for x in range(s.n)]
+    return all(neg[neg[x]] == x for x in range(s.n))
+
+
+def _divisible(s):
+    return all(s.meet[x][y] == s.times[x][s.residuum[x][y]] for x, y in _pairs(s))
+
+
+def _prelinear(s):
+    return all(s.join[s.residuum[x][y]][s.residuum[y][x]] == s.top for x, y in _pairs(s))
+
+
+def _chain(s):
+    return all(s.join[x][y] in (x, y) for x, y in _pairs(s))
+
+
+CLASSES = {
+    "idempotent": _idempotent,
+    "MV": lambda s: _divisible(s) and _involutive(s) and _prelinear(s),
+    "BL-chain": lambda s: _divisible(s) and _chain(s),
+    "Boolean": lambda s: _idempotent(s) and _involutive(s),
+}
+
+
+def _distributive(lat):
+    n, join, meet = lat.n, lat.join, lat.meet
+    return all(
+        meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    )
+
+
+def _factorizations(n, least=2):
+    """Unordered factorizations of n into factors of at least `least`."""
+    return (n >= least) + sum(
+        _factorizations(n // f, f) for f in range(least, n) if n % f == 0 and n // f >= f
+    )
+
+
+def _compositions(m):
+    """Ordered sums of positive parts equal to m."""
+    return 1 if m == 0 else sum(_compositions(m - part) for part in range(1, m + 1))
+
+
+def expected_counts(n):
+    return {
+        "idempotent": sum(map(_distributive, enumerate_lattices(n))),
+        "MV": _factorizations(n),
+        "BL-chain": _compositions(n - 1),
+        "Boolean": int(n & (n - 1) == 0),
+    }
+
+
+def census_counts(n):
+    counts = dict.fromkeys(CLASSES, 0)
+    for rec in enumerate_residuated(SearchSpec(size=n)):
+        for name, member in CLASSES.items():
+            counts[name] += member(rec.structure)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "n", [2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)]
+)
+def test_subvariety_counts(n):
+    assert census_counts(n) == expected_counts(n)
+
+
+def test_skipping_the_last_candidate_fails_a_count(monkeypatch):
+    search = modelgen._times_tables
+
+    def skipping_last(lat):
+        with monkeypatch.context() as m:
+            m.setattr(modelgen, "bits", lambda mask: bitsets.bits(mask)[:-1])
+            return search(lat)
+
+    monkeypatch.setattr(modelgen, "_times_tables", skipping_last)
+    assert any(census_counts(n) != expected_counts(n) for n in range(2, 6))
