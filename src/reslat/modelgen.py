@@ -19,13 +19,27 @@ same lexicographic minimum, so the key bytes are those of a minimum
 over every relabeling.  Every emitted structure passes full validation;
 isomorphic structures pass or fail together, so each class is validated
 once, when its representative is emitted.
+
+The stages that grow with the size read index data computed once
+instead of rederiving it per node or per relabeling.  The product search
+follows a schedule of cuts built once per lattice (`_cut_schedule`):
+the cells are filled in a fixed order, so which filled cells cut each
+cell, and by what masks, is known before the search starts.  Each
+relabeling is kept as index maps (`Relabeling`), built on first use once
+per (size, bot, top): an `operator.itemgetter` that gathers a flat table
+into its relabeled cell order, and a `bytes.translate` table for the
+values.  The lattice key, the coset scan and the canonical key each
+relabel a table with one gather and one translation.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import permutations
+from functools import cache, cached_property
+from itertools import chain, permutations, repeat
+from operator import and_, itemgetter
+from typing import NamedTuple
 
 from .bitsets import bits
 from .errors import BadN, InvalidBaseLattice, MalformedTables, SizeOutOfRange
@@ -68,7 +82,7 @@ class Lattice:
         )
 
     @cached_property
-    def coset(self):
+    def coset(self) -> tuple[Relabeling, ...]:
         """The relabelings that minimise the relabeled join table."""
         return _join_coset(self.n, self.join, self.bot, self.top)
 
@@ -126,18 +140,52 @@ def _relabelings(n: int, bot: int, top: int):
         yield pi
 
 
+class Relabeling(NamedTuple):
+    """A relabeling pi, with index maps that apply it to flat tables.
+
+    A table renamed by pi holds pi[t[x][y]] at (pi[x], pi[y]).  `one`
+    gathers a flat n x n table (row-major bytes) into its renamed cell
+    order, `two` does the same for two such tables concatenated, and
+    `values` is the `bytes.translate` table of x -> pi[x]."""
+
+    pi: list[int]
+    one: Callable
+    two: Callable
+    values: bytes
+
+
+@cache
+def _relabeling_maps(n: int, bot: int, top: int) -> tuple[Relabeling, ...]:
+    """The `_relabelings(n, bot, top)`, in order, as index maps; built on
+    first use for each (n, bot, top), never at import."""
+    out = []
+    for pi in _relabelings(n, bot, top):
+        inverse = [0] * n
+        for x, image in enumerate(pi):
+            inverse[image] = x
+        gather = [u * n + v for u in inverse for v in inverse]
+        both = gather + [i + n * n for i in gather]
+        out.append(
+            Relabeling(
+                pi, itemgetter(*gather), itemgetter(*both), bytes(pi) + bytes(range(n, 256))
+            )
+        )
+    return tuple(out)
+
+
+def _flat(*tables) -> bytes:
+    """The tables' rows concatenated, as bytes."""
+    return bytes(chain.from_iterable(chain.from_iterable(tables)))
+
+
 def _lattice_key(n: int, up, bot: int, top: int) -> bytes:
     """Canonical bytes of the order relation, minimized over relabelings
     that send bot to 0 and top to n - 1."""
-
-    def relabeled(pi):
-        rows = bytearray(n * n)
-        for x in range(n):
-            for y in bits(up[x]):
-                rows[pi[x] * n + pi[y]] = 1
-        return bytes(rows)
-
-    return min(map(relabeled, _relabelings(n, bot, top)))
+    order = bytes(up[x] >> y & 1 for x in range(n) for y in range(n))
+    gathers = [r.one for r in _relabeling_maps(n, bot, top)]
+    # The gathered tuples of 0s and 1s order as their bytes would, so
+    # only the least one is made bytes.
+    return bytes(min(map(itemgetter.__call__, gathers, repeat(order))))
 
 
 def _up_masks_from_key(n: int, key: bytes) -> tuple[int, ...]:
@@ -194,29 +242,17 @@ def enumerate_lattices(size: int) -> list[Lattice]:
     ]
 
 
-def _relabeled(tables, pi) -> bytearray:
-    """The tables concatenated, with every element x renamed to pi[x]."""
-    n = len(pi)
-    buf = bytearray(len(tables) * n * n)
-    for k, table in enumerate(tables):
-        for x in range(n):
-            row = table[x]
-            base = (k * n + pi[x]) * n
-            for y in range(n):
-                buf[base + pi[y]] = pi[row[y]]
-    return buf
-
-
-def _join_coset(n: int, join, bot: int, top: int) -> tuple[list[int], ...]:
+def _join_coset(n: int, join, bot: int, top: int) -> tuple[Relabeling, ...]:
     """Every relabeling that sends bot to 0 and top to n - 1 and gives
     the least relabeled join table: one coset pi0 * Aut(L)."""
+    flat = _flat(join)
     best, coset = None, []
-    for pi in _relabelings(n, bot, top):
-        buf = _relabeled((join,), pi)
-        if best is None or buf < best:
-            best, coset = buf, [pi]
-        elif buf == best:
-            coset.append(pi)
+    for r in _relabeling_maps(n, bot, top):
+        image = bytes(r.one(flat)).translate(r.values)
+        if best is None or image < best:
+            best, coset = image, [r]
+        elif image == best:
+            coset.append(r)
     return tuple(coset)
 
 
@@ -230,17 +266,16 @@ def canonical_key(s: Structure, lat: Lattice | None = None) -> bytes:
     relabelings that do so form one coset of Aut(L), on which the meet
     part, fixed by the join table, is constant.  So the minimum is taken
     over that coset alone, for times || residuum, with the same bytes as
-    a minimum over every relabeling.  `lat`, the lattice reduct of s with
-    the same labels, supplies its cached coset; without it the coset is
-    computed from s.join.
+    a minimum over every relabeling.  Each relabeling is applied as one
+    gather of the flat tables and one `bytes.translate` of the values.
+    `lat`, the lattice reduct of s with the same labels, supplies its
+    cached coset; without it the coset is computed from s.join.
     """
-    if lat is not None:
-        coset = lat.coset
-    else:
-        coset = _join_coset(s.n, s.join, s.bot, s.top)
-    head = _relabeled((s.join, s.meet), coset[0])
-    tail = min(_relabeled((s.times, s.residuum), pi) for pi in coset)
-    return bytes(head + tail)
+    coset = lat.coset if lat is not None else _join_coset(s.n, s.join, s.bot, s.top)
+    first = coset[0]
+    head = bytes(first.two(_flat(s.join, s.meet))).translate(first.values)
+    flat = _flat(s.times, s.residuum)
+    return head + min([bytes(r.two(flat)).translate(r.values) for r in coset])
 
 
 @dataclass(frozen=True)
@@ -275,6 +310,81 @@ class CensusRecord:
     stats: CensusStats
 
 
+def _cut_schedule(lat: Lattice):
+    """The cuts of every middle cell of the product search, in fill order.
+
+    The search fills the middle cells (x, y) of the upper triangle in
+    index order, so when a cell's turn comes the filled cells are always
+    the same: the bot and top lines, and the cells before it.  Its cuts
+    (see `_times_tables`) and the cells they read are therefore known
+    before the search starts.  For each cell this gives (x, y, base, ones,
+    twos): `base` ANDs the cuts that read only the bot and top lines;
+    `ones` holds, per filled cell (b, p) that cuts alone, the mask of
+    those cuts for each value the cell may hold; `twos` holds the cuts
+    that read two filled cells, as ((b, p), (b, q), masks[w][t]).
+    """
+    n, bot, top, up, join = lat.n, lat.bot, lat.top, lat.up, lat.join
+    joins_to = [[0] * n for _ in range(n)]
+    for w in range(n):
+        for v in range(n):
+            joins_to[w][join[v][w]] |= 1 << v
+    joins_to = tuple(map(tuple, joins_to))
+    joined_by = tuple(zip(*joins_to))
+    joins_to_self = tuple(joins_to[w][w] for w in range(n))
+    join_bit = tuple(tuple(1 << v for v in row) for row in join)
+    splits = [[] for _ in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            if join[p][q] not in (p, q):
+                splits[join[p][q]].append((p, q))
+    mids = [i for i in range(n) if i not in (bot, top)]
+    cells = [(x, y) for i, x in enumerate(mids) for y in mids[i:]]
+    turn = [[len(cells)] * n for _ in range(n)]
+    for i, (x, y) in enumerate(cells):
+        turn[x][y] = turn[y][x] = i
+
+    def cut_one(ones, cell, masks):
+        old = ones.get(cell)
+        ones[cell] = masks if old is None else tuple(map(and_, old, masks))
+
+    schedule = []
+    for i, (x, y) in enumerate(cells):
+        base, ones, twos = (1 << n) - 1, {}, []
+        for a, b in ((x, y),) if x == y else ((x, y), (y, x)):
+            # What each cell (b, p) holds at this turn: its element on the
+            # bot and top lines, the cell itself once filled, else None.
+            column = [(b, p) if turn[b][p] < i else None for p in range(n)]
+            column[bot], column[top] = bot, b
+            for p, w in enumerate(column):
+                if w is None:
+                    continue
+                pa = join[p][a]
+                if pa == a:
+                    if type(w) is int:
+                        base &= up[w]
+                    else:
+                        cut_one(ones, w, up)
+                    continue
+                t = column[pa]
+                if t is None:
+                    continue
+                if type(w) is int and type(t) is int:
+                    base &= joins_to[w][t]
+                elif type(t) is int:
+                    cut_one(ones, w, joined_by[t])
+                elif type(w) is int:
+                    cut_one(ones, t, joins_to[w])
+                elif w == t:
+                    cut_one(ones, w, joins_to_self)
+                else:
+                    twos.append((w, t, joins_to))
+            for p, q in splits[a]:
+                if column[p] is not None and column[q] is not None:
+                    twos.append((column[p], column[q], join_bit))
+        schedule.append((x, y, base, tuple(ones.items()), tuple(twos)))
+    return schedule
+
+
 def _times_tables(lat: Lattice):
     """Backtracking assignment of a residuated product over one bounded lattice.
 
@@ -294,62 +404,56 @@ def _times_tables(lat: Lattice):
     mirror, and the bot and top lines are fixed), so column b is read as
     row b.  Associativity is checked on completion (triples touching bot
     or top are automatic).
+
+    The cuts are not rederived at each node: `_cut_schedule` lists, once
+    per lattice, which filled cells cut each cell and by what masks, so a
+    node ANDs exactly those masks, read at the cells' current values.
     """
-    n, bot, top, up, join = lat.n, lat.bot, lat.top, lat.up, lat.join
-    joins_to = [[0] * n for _ in range(n)]
-    for w in range(n):
-        for v in range(n):
-            joins_to[w][join[v][w]] |= 1 << v
-    splits = [[] for _ in range(n)]
-    for p in range(n):
-        for q in range(p + 1, n):
-            if join[p][q] not in (p, q):
-                splits[join[p][q]].append((p, q))
+    n, bot, top = lat.n, lat.bot, lat.top
     mids = [i for i in range(n) if i not in (bot, top)]
-    cells = [(x, y) for i, x in enumerate(mids) for y in mids[i:]]
-    table = [[None] * n for _ in range(n)]
+    table = [[0] * n for _ in range(n)]
     for z in range(n):
         table[bot][z] = table[z][bot] = bot
         table[top][z] = table[z][top] = z
-
-    def candidates(x, y):
-        mask = (1 << n) - 1
-        for a, b in ((x, y), (y, x)):
-            column = table[b]
-            for p, w in enumerate(column):
-                if w is None:
-                    continue
-                pa = join[p][a]
-                if pa == a:
-                    mask &= up[w]
-                elif column[pa] is not None:
-                    mask &= joins_to[w][column[pa]]
-            for p, q in splits[a]:
-                if column[p] is not None and column[q] is not None:
-                    mask &= 1 << join[column[p]][column[q]]
-        return mask
+    steps = [
+        (
+            table[x],
+            y,
+            table[y],
+            x,
+            base,
+            tuple((table[b], p, masks) for (b, p), masks in ones),
+            tuple((table[b], p, table[c], q, masks) for (b, p), (c, q), masks in twos),
+        )
+        for x, y, base, ones, twos in _cut_schedule(lat)
+    ]
+    last = len(steps)
 
     def assoc_ok():
         for x in mids:
+            row_x = table[x]
             for y in mids:
-                xy = table[x][y]
+                row_xy, row_y = table[row_x[y]], table[y]
                 for z in mids:
-                    if table[xy][z] != table[x][table[y][z]]:
+                    if row_xy[z] != row_x[row_y[z]]:
                         return False
         return True
 
     out = []
 
     def rec(i):
-        if i == len(cells):
+        if i == last:
             if assoc_ok():
-                out.append(tuple(tuple(row) for row in table))
+                out.append(tuple(map(tuple, table)))
             return
-        x, y = cells[i]
-        for v in bits(candidates(x, y)):
-            table[x][y] = table[y][x] = v
+        row_x, y, row_y, x, mask, ones, twos = steps[i]
+        for row, p, masks in ones:
+            mask &= masks[row[p]]
+        for row, p, row2, q, masks in twos:
+            mask &= masks[row[p]][row2[q]]
+        for v in bits(mask):
+            row_x[y] = row_y[x] = v
             rec(i + 1)
-        table[x][y] = table[y][x] = None
 
     rec(0)
     return out

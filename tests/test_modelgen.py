@@ -1,10 +1,13 @@
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations, product
 from operator import itemgetter
 
 import modelgen_reference as ref
 import pytest
+from conftest import SRC
 
 from reslat.errors import BadN, InvalidBaseLattice, MalformedTables, SizeOutOfRange
 from reslat.modelgen import (
@@ -564,7 +567,7 @@ def test_coset_is_one_automorphism_coset(n):
     for lat in enumerate_lattices(n):
         assert len(lat.coset) == _automorphism_count(lat)
         images = set()
-        for pi in lat.coset:
+        for pi in (r.pi for r in lat.coset):
             image = [[0] * n for _ in range(n)]
             for x in range(n):
                 for y in range(n):
@@ -591,7 +594,7 @@ def _assert_census_matches_reference(lat):
     canonical key are those of the direct routines, lists in order."""
     n = lat.n
     coset = ref.join_coset(n, lat.join, lat.bot, lat.top)
-    assert lat.coset == coset
+    assert tuple(r.pi for r in lat.coset) == coset
     assert _lattice_key(n, lat.up, lat.bot, lat.top) == ref.lattice_key(
         n, lat.up, lat.bot, lat.top
     )
@@ -609,6 +612,23 @@ def _assert_census_matches_reference(lat):
 def test_census_routines_match_reference(n):
     for lat in _both_labelings(n):
         _assert_census_matches_reference(lat)
+
+
+def test_import_builds_no_relabeling_maps():
+    """The relabeling maps are built on first use, not when the package
+    and its command line are imported."""
+    code = (
+        "import reslat, reslat.cli, reslat.modelgen as m; "
+        "print(m._relabeling_maps.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "0\n"
 
 
 def test_census_over_renumbered_a6_matches_reference(a6):
