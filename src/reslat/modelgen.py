@@ -156,8 +156,8 @@ class Relabeling(NamedTuple):
 
 @cache
 def _relabeling_maps(n: int, bot: int, top: int) -> tuple[Relabeling, ...]:
-    """The `_relabelings(n, bot, top)`, in order, as index maps; built on
-    first use for each (n, bot, top), never at import."""
+    """The `_relabelings(n, bot, top)`, in order, as index maps: (n - 2)!
+    of them, built on first use for each (n, bot, top), never at import."""
     out = []
     for pi in _relabelings(n, bot, top):
         inverse = [0] * n
@@ -328,7 +328,6 @@ def _cut_schedule(lat: Lattice):
     for w in range(n):
         for v in range(n):
             joins_to[w][join[v][w]] |= 1 << v
-    joins_to = tuple(map(tuple, joins_to))
     joined_by = tuple(zip(*joins_to))
     joins_to_self = tuple(joins_to[w][w] for w in range(n))
     join_bit = tuple(tuple(1 << v for v in row) for row in join)

@@ -160,21 +160,24 @@ def test_times_tables_match_brute_force(n):
         assert _times_tables(lat) == _times_tables_oracle(lat)
 
 
+def _census_structure(lat, times):
+    return Structure(
+        n=lat.n,
+        names=lat.names,
+        join=lat.join,
+        meet=lat.meet,
+        times=times,
+        residuum=_derive_residuum(lat, times),
+        bot=lat.bot,
+        top=lat.top,
+    )
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_every_product_table_derives_a_residuum(n):
     for lat in _both_labelings(n):
         for times in _times_tables(lat):
-            s = Structure(
-                n=n,
-                names=lat.names,
-                join=lat.join,
-                meet=lat.meet,
-                times=times,
-                residuum=_derive_residuum(lat, times),
-                bot=lat.bot,
-                top=lat.top,
-            )
-            assert validate_structure(s).valid
+            assert validate_structure(_census_structure(lat, times)).valid
 
 
 def _residuum_by_definition(lat, times):
@@ -531,16 +534,7 @@ def test_two_stage_key_matches_single_stage(n):
     rng = random.Random(n)
     for lat in enumerate_lattices(n):
         for times in _times_tables(lat):
-            s = Structure(
-                n=n,
-                names=lat.names,
-                join=lat.join,
-                meet=lat.meet,
-                times=times,
-                residuum=_derive_residuum(lat, times),
-                bot=lat.bot,
-                top=lat.top,
-            )
+            s = _census_structure(lat, times)
             perm = list(range(n))
             rng.shuffle(perm)
             for t in (s, _relabel(s, perm)):
@@ -574,19 +568,6 @@ def test_coset_is_one_automorphism_coset(n):
                     image[pi[x]][pi[y]] = pi[lat.join[x][y]]
             images.add(tuple(map(tuple, image)))
         assert len(images) == 1
-
-
-def _census_structure(lat, times):
-    return Structure(
-        n=lat.n,
-        names=lat.names,
-        join=lat.join,
-        meet=lat.meet,
-        times=times,
-        residuum=_derive_residuum(lat, times),
-        bot=lat.bot,
-        top=lat.top,
-    )
 
 
 def _assert_census_matches_reference(lat):
