@@ -18,7 +18,8 @@ only times || residuum is minimised, over the coset alone.  That is the
 same lexicographic minimum, so the key bytes are those of a minimum
 over every relabeling.  Every emitted structure passes full validation;
 isomorphic structures pass or fail together, so each class is validated
-once, when its representative is emitted.
+once, when its representative is emitted, and the lattice axioms once
+per lattice, since its tables share their join and meet.
 
 The stages that grow with the size read index data computed once
 instead of rederiving it per node or per relabeling.  The product search
@@ -29,7 +30,9 @@ relabeling is kept as index maps (`Relabeling`), built on first use once
 per (size, bot, top): an `operator.itemgetter` that gathers a flat table
 into its relabeled cell order, and a `bytes.translate` table for the
 values.  The lattice key, the coset scan and the canonical key each
-relabel a table with one gather and one translation.
+relabel a table with one gather and one translation.  What every table
+over a lattice shares is kept on the `Lattice`: its coset, key head,
+lattice-axiom verdict and residuum lookups.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from .bitsets import bits
 from .errors import BadN, InvalidBaseLattice, MalformedTables, SizeOutOfRange
 from .filters import all_filters
 from .normality import normality_report
-from .spectra import spectrum
-from .structure import Structure, is_mtl, order_tables, validate_structure
+from .spectra import minimal_primes_over, primes_of
+from .structure import Structure, is_mtl, lattice_violations, order_tables, product_violations
 
 MAX_SIZE = 8
 
@@ -85,6 +88,27 @@ class Lattice:
     def coset(self) -> tuple[Relabeling, ...]:
         """The relabelings that minimise the relabeled join table."""
         return _join_coset(self.n, self.join, self.bot, self.top)
+
+    @cached_property
+    def key_head(self) -> bytes:
+        """The join || meet part of `canonical_key`, shared by every
+        structure over this lattice."""
+        return _key_head(self.coset[0], self.join, self.meet)
+
+    @cached_property
+    def violations(self):
+        """`lattice_violations` of these tables, shared by every structure
+        over this lattice."""
+        return lattice_violations(self)
+
+    @cached_property
+    def residuum_maps(self) -> tuple[dict[int, int], list[list[int]]]:
+        """For `_derive_residuum`: down-set mask -> its top element, and
+        each element's down-set as a list."""
+        return (
+            {mask: x for x, mask in enumerate(self.down)},
+            [list(bits(mask)) for mask in self.down],
+        )
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
@@ -269,13 +293,21 @@ def canonical_key(s: Structure, lat: Lattice | None = None) -> bytes:
     a minimum over every relabeling.  Each relabeling is applied as one
     gather of the flat tables and one `bytes.translate` of the values.
     `lat`, the lattice reduct of s with the same labels, supplies its
-    cached coset; without it the coset is computed from s.join.
+    cached coset and join || meet part; without it both are computed
+    from s.join and s.meet.
     """
-    coset = lat.coset if lat is not None else _join_coset(s.n, s.join, s.bot, s.top)
-    first = coset[0]
-    head = bytes(first.two(_flat(s.join, s.meet))).translate(first.values)
+    if lat is not None:
+        coset, head = lat.coset, lat.key_head
+    else:
+        coset = _join_coset(s.n, s.join, s.bot, s.top)
+        head = _key_head(coset[0], s.join, s.meet)
     flat = _flat(s.times, s.residuum)
     return head + min([bytes(r.two(flat)).translate(r.values) for r in coset])
+
+
+def _key_head(first: Relabeling, join, meet) -> bytes:
+    """join || meet relabeled by the first member of the join coset."""
+    return bytes(first.two(_flat(join, meet))).translate(first.values)
 
 
 @dataclass(frozen=True)
@@ -467,9 +499,8 @@ def _derive_residuum(lat: Lattice, times) -> tuple:
     and is that element's down-set: residuum[y][z] is looked up by mask,
     the adjoint the search guaranteed.
     """
-    n, down = lat.n, lat.down
-    element = {mask: x for x, mask in enumerate(down)}
-    below = [list(bits(mask)) for mask in down]
+    n = lat.n
+    element, below = lat.residuum_maps
     rows = []
     for y in range(n):
         by_value = [0] * n
@@ -486,12 +517,14 @@ def _derive_residuum(lat: Lattice, times) -> tuple:
 
 
 def _structure_stats(s: Structure) -> CensusStats:
-    spec = spectrum(s)
+    # Every filter holds top, so these are the spectrum's counts over the
+    # trivial filter, without its maximal-filter scan.
+    trivial = 1 << s.top
     return CensusStats(
         filters=len(all_filters(s)),
-        primes=len(spec.primes),
-        minimal_primes=len(spec.minimal_primes),
-        normality_index=normality_report(s, 1 << s.top).index,
+        primes=len(primes_of(s)),
+        minimal_primes=len(minimal_primes_over(s, trivial)),
+        normality_index=normality_report(s, trivial).index,
         mtl=is_mtl(s),
     )
 
@@ -502,9 +535,12 @@ def enumerate_residuated(spec: SearchSpec):
     Records are emitted in canonical-key order.  With canonical_only
     (the default) one representative per isomorphism class is kept;
     otherwise every completed assignment is emitted, still sorted.
-    Validation runs on the records about to be emitted, after the
-    duplicate check: structures with equal keys are isomorphic, so they
-    pass or fail together.
+    Validation is split as `validate_structure` is.  The lattice axioms
+    are checked once per lattice, before its search, since every table
+    over it shares its join and meet; a lattice that fails them yields
+    nothing.  The product axioms are checked on the records about to be
+    emitted, after the duplicate check: structures with equal keys are
+    isomorphic, so they pass or fail together.
     """
     lattices = (
         [spec.base_lattice]
@@ -513,6 +549,8 @@ def enumerate_residuated(spec: SearchSpec):
     )
     records = []
     for lat in lattices:
+        if lat.violations:
+            continue
         for times in _times_tables(lat):
             s = Structure(
                 n=lat.n,
@@ -539,7 +577,7 @@ def enumerate_residuated(spec: SearchSpec):
             seen.add(key)
         if spec.limit is not None and emitted >= spec.limit:
             return
-        if not validate_structure(s).valid:
+        if product_violations(s):
             continue
         yield CensusRecord(
             structure=s,

@@ -20,7 +20,7 @@ from .errors import BadN, ImproperFilter, NotMinimalPrime, RepresentationMismatc
 from .filters import all_filters, generated_filter
 from .omega import divisor, greatest_omega_within, omega_family, omega_join, sigma
 from .spectra import is_prime, minimal_primes_over, primes_of
-from .structure import Structure, subset_repr
+from .structure import Structure, per_structure, subset_repr
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _later_masks(items, pairpred):
             if pairpred(a, items[j]):
                 m |= 1 << j
         masks.append(m)
-    return masks
+    return tuple(masks)
 
 
 def n_prime(s: Structure, f: int, n: int) -> bool:
@@ -112,6 +112,25 @@ def n_prime(s: Structure, f: int, n: int) -> bool:
     return False
 
 
+@per_structure
+def n_prime_relations(s: Structure, f: int):
+    """The three relations that `is_n_prime` scans over base f, each as
+    (items, later masks) for `_pairwise_tuples`: the filters other than f
+    that meet at f, the filters not below f whose meets lie below f, and
+    the elements outside f whose joins lie in f.  They depend only on
+    (s, f), and `is_n_prime` asks for every n."""
+    filters = all_filters(s)
+    others = tuple(g for g in filters if g != f)
+    not_below = tuple(g for g in filters if g & ~f)
+    outside = tuple(x for x in range(s.n) if not (f >> x & 1))
+    join = s.join
+    return (
+        (others, _later_masks(others, lambda a, b: a & b == f)),
+        (not_below, _later_masks(not_below, lambda a, b: not (a & b & ~f))),
+        (outside, _later_masks(outside, lambda a, b: f >> join[a][b] & 1)),
+    )
+
+
 def is_n_prime(s: Structure, f: int, n: int) -> EquivalenceVerdict:
     """Evaluate the four equivalent shapes of n-primeness independently.
 
@@ -124,18 +143,16 @@ def is_n_prime(s: Structure, f: int, n: int) -> EquivalenceVerdict:
         raise BadN("n-prime needs n >= 2")
     if f == s.full:
         raise ImproperFilter("n-prime is defined for proper filters")
-    filters = all_filters(s)
+    (others, meets_at_base), (not_below, meets_below), (outside, joined_in) = (
+        n_prime_relations(s, f)
+    )
     witness: dict[str, str] = {}
 
-    others = [g for g in filters if g != f]
-    meets_at_base = _later_masks(others, lambda a, b: a & b == f)
     bad = next(_pairwise_tuples(others, n, meets_at_base), None)
     c1 = bad is None
     if bad is not None:
         witness["filters-meeting-at-base"] = ", ".join(subset_repr(s, g) for g in bad)
 
-    not_below = [g for g in filters if g & ~f]
-    meets_below = _later_masks(not_below, lambda a, b: not (a & b & ~f))
     bad = next(_pairwise_tuples(not_below, n, meets_below), None)
     c2 = bad is None
     if bad is not None:
@@ -143,8 +160,6 @@ def is_n_prime(s: Structure, f: int, n: int) -> EquivalenceVerdict:
             subset_repr(s, g) for g in bad
         )
 
-    outside = [x for x in range(s.n) if not (f >> x & 1)]
-    joined_in = _later_masks(outside, lambda a, b: f >> s.join[a][b] & 1)
     bad = next(_pairwise_tuples(outside, n, joined_in), None)
     c3 = bad is None
     if bad is not None:

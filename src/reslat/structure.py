@@ -14,6 +14,7 @@ from collections import defaultdict, namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from itertools import chain
 from operator import eq
 from weakref import WeakValueDictionary
 
@@ -22,9 +23,7 @@ from .errors import MalformedTables
 
 Table = tuple[tuple[int, ...], ...]
 
-
-def _frozen(rows) -> Table:
-    return tuple(tuple(row) for row in rows)
+_INDICES = bytes(range(256))
 
 
 @dataclass(frozen=True)
@@ -55,24 +54,35 @@ class Structure:
     top: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(str(x) for x in self.names))
-        for attr in ("join", "meet", "times", "residuum"):
-            object.__setattr__(self, attr, _frozen(getattr(self, attr)))
-        if self.n < 2:
+        n = self.n
+        if not all(isinstance(v, int) for v in (n, self.bot, self.top)):
+            raise MalformedTables("carrier size, bot and top must be integers")
+        object.__setattr__(self, "names", tuple(map(str, self.names)))
+        if n < 2:
             raise MalformedTables("carrier must have at least two elements")
-        if self.n > 256:
+        if n > 256:
             raise MalformedTables("carrier has more than 256 elements")
-        if len(self.names) != self.n:
+        if len(self.names) != n:
             raise MalformedTables("name list size disagrees with carrier size")
         for attr in ("join", "meet", "times", "residuum"):
-            table = getattr(self, attr)
-            if len(table) != self.n or any(len(row) != self.n for row in table):
-                raise MalformedTables(f"{attr} table is not {self.n}x{self.n}")
-            for row in table:
-                for v in row:
-                    if not 0 <= v < self.n:
-                        raise MalformedTables(f"{attr} table entry out of range")
-        if not (0 <= self.bot < self.n and 0 <= self.top < self.n):
+            try:
+                table = tuple(map(tuple, getattr(self, attr)))
+            except TypeError:
+                table = None
+            if table is None or len(table) != n or {*map(len, table)} != {n}:
+                raise MalformedTables(f"{attr} table is not {n}x{n}")
+            object.__setattr__(self, attr, table)
+            # One C-level pass: bytes() takes only ints (bools too) in 0..255,
+            # and deleting the indices below n must leave nothing.
+            try:
+                entries = bytes(chain.from_iterable(table))
+            except TypeError:
+                raise MalformedTables(f"{attr} table entry is not an integer") from None
+            except ValueError:
+                entries = None
+            if entries is None or entries.translate(None, _INDICES[:n]):
+                raise MalformedTables(f"{attr} table entry out of range")
+        if not (0 <= self.bot < n and 0 <= self.top < n):
             raise MalformedTables("bot/top index out of range")
         if self.bot == self.top:
             raise MalformedTables("bot and top must be distinct")
@@ -91,18 +101,24 @@ class Structure:
     @cached_property
     def up(self) -> tuple[int, ...]:
         """up[x] is the bitmask of {y | x <= y}."""
-        return tuple(
-            sum(1 << y for y in range(self.n) if self.join[x][y] == y)
-            for x in range(self.n)
-        )
+        out = []
+        for row in self.join:
+            mask = 0
+            for y, v in enumerate(row):
+                if v == y:
+                    mask |= 1 << y
+            out.append(mask)
+        return tuple(out)
 
     @cached_property
     def down(self) -> tuple[int, ...]:
         """down[y] is the bitmask of {x | x <= y}."""
-        return tuple(
-            sum(1 << x for x in range(self.n) if self.join[x][y] == y)
-            for y in range(self.n)
-        )
+        out = [0] * self.n
+        for x, row in enumerate(self.join):
+            for y, v in enumerate(row):
+                if v == y:
+                    out[y] |= 1 << x
+        return tuple(out)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -210,104 +226,106 @@ def is_mtl(s: Structure) -> bool:
     return True
 
 
+Violations = tuple[tuple[str, tuple[int, ...]], ...]
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
-    violations: tuple[tuple[str, tuple[int, ...]], ...]
+    violations: Violations
 
 
 def validate_structure(s: Structure) -> ValidationReport:
     """Check every axiom; collect the first witness per violated law.
 
-    Each side of a law is one `bytes` string: its value at every element
-    tuple, tuples in lexicographic order.  The strings are assembled from
-    table rows, and composing a table with a row is one `bytes.translate`
-    (the left side of join associativity, x v (y v z) for every (y, z), is
-    the flat join table translated by row x), so the law is checked by
-    one comparison, with the 0/1 row of x <= v standing in for the order.
-    The witness of a violated law is its first differing position, read
-    as an element tuple: the first failing tuple in lexicographic order,
-    so the report is deterministic.  Element indices must fit in a byte,
-    which is why `Structure` caps carriers at 256 elements.  Only the
-    axioms are checked: laws they imply, such as the product distributing
-    over joins, are checks of the battery (`run_battery`).
+    The violations are those of `lattice_violations(s)`, then those of
+    `product_violations(s)`.  Each side of a law is one `bytes` string:
+    its value at every element tuple, tuples in lexicographic order.  The
+    strings are assembled from table rows, and composing a table with a
+    row is one `bytes.translate` (the left side of join associativity,
+    x v (y v z) for every (y, z), is the flat join table translated by
+    row x), so the law is checked by one comparison, with the 0/1 row of
+    x <= v standing in for the order.  The witness of a violated law is
+    its first differing position, read as an element tuple: the first
+    failing tuple in lexicographic order, so the report is deterministic.
+    Element indices must fit in a byte, which is why `Structure` caps
+    carriers at 256 elements.  Only the axioms are checked: laws they
+    imply, such as the product distributing over joins, are checks of
+    the battery (`run_battery`).
     """
-    n, top, bot = s.n, s.top, s.bot
+    violations = lattice_violations(s) + product_violations(s)
+    return ValidationReport(valid=not violations, violations=violations)
+
+
+def _violations(n: int, laws) -> Violations:
+    """(name, witness) for each law (name, arity, lhs, rhs) whose sides
+    differ, the witness being the first differing position."""
+    out = []
+    for name, arity, lhs, rhs in laws:
+        if lhs != rhs:
+            k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            out.append((name, tuple(k // n**e % n for e in reversed(range(arity)))))
+    return tuple(out)
+
+
+def _transpose(flat: bytes, n: int) -> bytes:
+    return b"".join(flat[y::n] for y in range(n))
+
+
+def _associative_sides(flat: bytes, rows, rows_of) -> tuple[bytes, bytes]:
+    """x * (y * z) and (x * y) * z at every (x, y, z), from the flat table,
+    its rows and its rows as translate tables."""
+    return b"".join(map(flat.translate, rows_of)), b"".join(map(rows.__getitem__, flat))
+
+
+def lattice_violations(lat) -> Violations:
+    """The ten lattice axioms of `validate_structure`, on the n, join,
+    meet, bot and top of `lat`: a `Structure`, or a census lattice, whose
+    answer every structure over it shares."""
+    n, top, bot = lat.n, lat.top, lat.bot
     rng = range(n)
     pad = bytes(256 - n)
-    jn, mt, tm, rs = (
-        [bytes(row) for row in table] for table in (s.join, s.meet, s.times, s.residuum)
-    )
-    le = [bytes(map(eq, row, rng)) for row in jn]  # le[x][v] = 1 iff x <= v
+    jn, mt = ([bytes(row) for row in table] for table in (lat.join, lat.meet))
     # Row x as a translate table: the map v -> table[x][v].
-    jn_of, mt_of, tm_of, le_of = (
-        [row + pad for row in rows] for rows in (jn, mt, tm, le)
-    )
+    jn_of, mt_of = ([row + pad for row in rows] for rows in (jn, mt))
     # Flat tables: entry (x, y) at x * n + y.
-    JN, MT, TM, RS, LE = map(b"".join, (jn, mt, tm, rs, le))
+    JN, MT = b"".join(jn), b"".join(mt)
     ident = bytes(rng)
     firsts = b"".join(bytes((x,)) * n for x in rng)  # x at every (x, y)
+    return _violations(n, (
+        ("join-commutative", 2, JN, _transpose(JN, n)),
+        ("join-associative", 3, *_associative_sides(JN, jn, jn_of)),
+        ("join-idempotent", 1, JN[:: n + 1], ident),
+        ("meet-commutative", 2, MT, _transpose(MT, n)),
+        ("meet-associative", 3, *_associative_sides(MT, mt, mt_of)),
+        ("meet-idempotent", 1, MT[:: n + 1], ident),
+        ("absorption-join-meet", 2, b"".join(map(bytes.translate, mt, jn_of)), firsts),
+        ("absorption-meet-join", 2, b"".join(map(bytes.translate, jn, mt_of)), firsts),
+        ("bottom-least", 1, jn[bot], ident),
+        ("top-greatest", 1, JN[top::n], bytes((top,)) * n),
+    ))
 
-    def transpose(flat):
-        return b"".join(flat[y::n] for y in rng)
 
-    violations: list[tuple[str, tuple[int, ...]]] = []
-
-    def law(name, arity, lhs, rhs):
-        if lhs == rhs:
-            return
-        k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-        violations.append((name, tuple(k // n**e % n for e in reversed(range(arity)))))
-
-    law("join-commutative", 2, JN, transpose(JN))
-    law(
-        "join-associative",
-        3,
-        b"".join(map(JN.translate, jn_of)),
-        b"".join(map(jn.__getitem__, JN)),
-    )
-    law("join-idempotent", 1, JN[:: n + 1], ident)
-    law("meet-commutative", 2, MT, transpose(MT))
-    law(
-        "meet-associative",
-        3,
-        b"".join(map(MT.translate, mt_of)),
-        b"".join(map(mt.__getitem__, MT)),
-    )
-    law("meet-idempotent", 1, MT[:: n + 1], ident)
-    law(
-        "absorption-join-meet",
-        2,
-        b"".join(map(bytes.translate, mt, jn_of)),
-        firsts,
-    )
-    law(
-        "absorption-meet-join",
-        2,
-        b"".join(map(bytes.translate, jn, mt_of)),
-        firsts,
-    )
-    law("bottom-least", 1, jn[bot], ident)
-    law("top-greatest", 1, JN[top::n], bytes((top,)) * n)
-    law("product-commutative", 2, TM, transpose(TM))
-    law(
-        "product-associative",
-        3,
-        b"".join(map(TM.translate, tm_of)),
-        b"".join(map(tm.__getitem__, TM)),
-    )
-    law("product-identity", 1, TM[top::n], ident)
-    law(
-        "adjointness",
-        3,
-        b"".join(map(le.__getitem__, TM)),
-        b"".join(map(RS.translate, le_of)),
-    )
+def product_violations(s: Structure) -> Violations:
+    """The five axioms of `validate_structure` on the product and the
+    residuum, read against the order of s.join."""
+    n, top = s.n, s.top
+    rng = range(n)
+    pad = bytes(256 - n)
+    tm = [bytes(row) for row in s.times]
+    le = [bytes(map(eq, row, rng)) for row in s.join]  # le[x][v] = 1 iff x <= v
+    tm_of, le_of = ([row + pad for row in rows] for rows in (tm, le))
+    TM, LE = b"".join(tm), b"".join(le)
+    RS = bytes(chain.from_iterable(s.residuum))
     is_top = bytearray(256)
     is_top[top] = 1
-    law("order-residuum-agreement", 2, LE, RS.translate(is_top))
-
-    return ValidationReport(valid=not violations, violations=tuple(violations))
+    return _violations(n, (
+        ("product-commutative", 2, TM, _transpose(TM, n)),
+        ("product-associative", 3, *_associative_sides(TM, tm, tm_of)),
+        ("product-identity", 1, TM[top::n], bytes(rng)),
+        ("adjointness", 3, b"".join(map(le.__getitem__, TM)), b"".join(map(RS.translate, le_of))),
+        ("order-residuum-agreement", 2, LE, RS.translate(is_top)),
+    ))
 
 
 def order_from_pairs(n: int, pairs) -> tuple[int, ...]:

@@ -1,0 +1,105 @@
+"""Seconds per stage of the census, `reslat search --size N`.
+
+    python tests/census_stages.py --size 6 [--repeat 5]
+
+Runs the stages of `modelgen.enumerate_residuated` one after another
+over the whole census, each over all its inputs, so that each is timed
+alone: lattice enumeration, the join cosets, the product search, the
+residuum, `Structure` construction, the canonical key, sorting and
+deduplication, validation (the lattice part once per lattice, the
+product part once per class) and the census stats.  Per-lattice data is
+built by the first stage that reads it, as in the census.  Each stage
+prints the least of its times over `--repeat` fresh runs (new lattices,
+relabeling maps rebuilt) and how many calls it made.  The last lines
+are the sum of the stages and the end-to-end census,
+`list(enumerate_residuated(...))`, also the least over the repeats.
+
+Stdlib only; not collected by pytest.
+"""
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from reslat import modelgen  # noqa: E402
+from reslat.structure import Structure, product_violations  # noqa: E402
+
+
+def timed(stages, name, fn, items):
+    """Run fn over items, append (name, seconds, calls) to stages and
+    return the results."""
+    t = time.perf_counter()
+    out = [fn(item) for item in items]
+    stages.append((name, time.perf_counter() - t, len(items)))
+    return out
+
+
+def census_stages(size):
+    """[(stage, seconds, calls)] of one census of `size`, stage by stage."""
+    modelgen._relabeling_maps.cache_clear()
+    stages = []
+    [lats] = timed(stages, "lattices", modelgen.enumerate_lattices, [size])
+    timed(stages, "coset", lambda lat: lat.coset, lats)
+    found = timed(stages, "product search", modelgen._times_tables, lats)
+    tables = [(lat, t) for lat, ts in zip(lats, found) for t in ts]
+    residua = timed(stages, "residuum", lambda lt: modelgen._derive_residuum(*lt), tables)
+    structures = timed(
+        stages,
+        "Structure",
+        lambda ltr: Structure(
+            n=ltr[0].n,
+            names=ltr[0].names,
+            join=ltr[0].join,
+            meet=ltr[0].meet,
+            times=ltr[1],
+            residuum=ltr[2],
+            bot=ltr[0].bot,
+            top=ltr[0].top,
+        ),
+        [(lat, t, r) for (lat, t), r in zip(tables, residua)],
+    )
+    keys = timed(
+        stages,
+        "key",
+        lambda ls: modelgen.canonical_key(ls[1], ls[0]),
+        [(lat, s) for (lat, _), s in zip(tables, structures)],
+    )
+
+    def first_of_each_class(records):
+        records.sort(key=lambda kv: kv[0])
+        seen = set()
+        return [s for key, s in records if not (key in seen or seen.add(key))]
+
+    [classes] = timed(stages, "sort", first_of_each_class, [list(zip(keys, structures))])
+    timed(stages, "validation, lattice part", lambda lat: lat.violations, lats)
+    timed(stages, "validation, product part", product_violations, classes)
+    timed(stages, "stats", modelgen._structure_stats, classes)
+    return stages
+
+
+def end_to_end(size):
+    modelgen._relabeling_maps.cache_clear()
+    t = time.perf_counter()
+    records = list(modelgen.enumerate_residuated(modelgen.SearchSpec(size=size)))
+    return time.perf_counter() - t, len(records)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--size", type=int, required=True)
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args(argv)
+    runs = [census_stages(args.size) for _ in range(args.repeat)]
+    best = [min(run[i][1] for run in runs) for i in range(len(runs[0]))]
+    for (name, _, calls), seconds in zip(runs[0], best):
+        print(f"{name:26} {seconds:9.4f} s  {calls:7d} calls")
+    print(f"{'sum of stages':26} {sum(best):9.4f} s")
+    ends = [end_to_end(args.size) for _ in range(args.repeat)]
+    print(f"{'end to end':26} {min(t for t, _ in ends):9.4f} s  {ends[0][1]:7d} records")
+
+
+if __name__ == "__main__":
+    main()

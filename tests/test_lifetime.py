@@ -137,6 +137,7 @@ def test_per_structure_routines_are_found():
         "coann_family",
         "omega_table",
         "omega_family",
+        "n_prime_relations",
     }
 
 

@@ -9,6 +9,7 @@ import modelgen_reference as ref
 import pytest
 from conftest import SRC
 
+from reslat import modelgen, structure
 from reslat.errors import BadN, InvalidBaseLattice, MalformedTables, SizeOutOfRange
 from reslat.modelgen import (
     SearchSpec,
@@ -353,6 +354,47 @@ def test_census_structures_validate():
             assert validate_structure(rec.structure).valid
 
 
+def test_census_validates_each_lattice_once_and_each_class_once(monkeypatch):
+    """The lattice axioms run once per lattice, on the tables its
+    structures share, and the product axioms once per emitted class."""
+    calls = Counter()
+
+    def counted(part):
+        def run(x):
+            calls[part.__name__] += 1
+            return part(x)
+
+        return run
+
+    for part in (structure.lattice_violations, structure.product_violations):
+        monkeypatch.setattr(modelgen, part.__name__, counted(part))
+    assert len(list(enumerate_residuated(SearchSpec(size=6)))) == 129
+    assert calls == {
+        "lattice_violations": len(enumerate_lattices(6)),
+        "product_violations": 129,
+    }
+
+
+def test_lattice_failing_its_axioms_yields_nothing(monkeypatch, a6):
+    full = list(enumerate_residuated(SearchSpec(size=5)))
+    lattices = enumerate_lattices(5)
+    doomed = max(lattices, key=lambda lat: sum(r.structure.join == lat.join for r in full))
+
+    def lattice_violations(lat):
+        if lat.up == doomed.up:
+            return (("join-commutative", (0, 1)),)
+        return structure.lattice_violations(lat)
+
+    monkeypatch.setattr(modelgen, "lattice_violations", lattice_violations)
+    kept = list(enumerate_residuated(SearchSpec(size=5)))
+    assert len(kept) < len(full)
+    assert [r.canonical_key for r in kept] == [
+        r.canonical_key for r in full if r.structure.join != doomed.join
+    ]
+    monkeypatch.setattr(modelgen, "lattice_violations", lambda lat: (("bottom-least", (0,)),))
+    assert list(enumerate_residuated(SearchSpec(size=6, base_lattice=lattice_of(a6)))) == []
+
+
 def test_canonical_only_prunes_soundly():
     full = list(enumerate_residuated(SearchSpec(size=4, canonical_only=False)))
     pruned = list(enumerate_residuated(SearchSpec(size=4)))
@@ -629,3 +671,25 @@ def test_census_over_renumbered_a6_matches_reference(a6):
     spec = SearchSpec(size=6, base_lattice=lat, canonical_only=False)
     got = [(r.canonical_key, r.structure.times) for r in enumerate_residuated(spec)]
     assert got == expected
+
+
+def test_census_stages_script_times_every_stage(capsys):
+    import census_stages
+
+    census_stages.main(["--size", "5", "--repeat", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:26].strip() for line in lines] == [
+        "lattices",
+        "coset",
+        "product search",
+        "residuum",
+        "Structure",
+        "key",
+        "sort",
+        "validation, lattice part",
+        "validation, product part",
+        "stats",
+        "sum of stages",
+        "end to end",
+    ]
+    assert lines[-1].endswith(" 26 records")

@@ -14,6 +14,7 @@ from reslat.normality import (
     is_n_prime,
     n_normality_verdict,
     n_prime,
+    n_prime_relations,
     normality_report,
     normality_verdict,
     omega_sublattice_verdict,
@@ -61,6 +62,64 @@ def test_is_n_prime_agreement_everywhere(a6, chain3_luk):
                 continue
             for n in range(2, top_n + 1):
                 assert is_n_prime(s, f, n).agree
+
+
+def _is_n_prime_by_combinations(s, f, n):
+    """is_n_prime's conditions and witness, from itertools combinations."""
+    filters = all_filters(s)
+
+    def filter_names(gs):
+        return ", ".join(subset_repr(s, g) for g in gs)
+
+    def element_names(xs):
+        return ", ".join(s.names[x] for x in xs)
+
+    scans = [
+        (
+            "filters-meeting-at-base",
+            [g for g in filters if g != f],
+            lambda a, b: a & b == f,
+            filter_names,
+        ),
+        (
+            "filters-meeting-below-base",
+            [g for g in filters if g & ~f],
+            lambda a, b: not (a & b & ~f),
+            filter_names,
+        ),
+        (
+            "elements-pairwise-joined-into-base",
+            [x for x in range(s.n) if not f >> x & 1],
+            lambda a, b: f >> s.join[a][b] & 1,
+            element_names,
+        ),
+    ]
+    conditions, witness = [], {}
+    for key, items, related, names in scans:
+        bad = next((c for c in combinations(items, n) if _pairs_ok(c, related)), None)
+        conditions.append(bad is None)
+        if bad is not None:
+            witness[key] = names(bad)
+    return conditions + [n_prime(s, f, n)], witness or None
+
+
+def test_is_n_prime_matches_combinations_with_relations_built_once_per_base(a6):
+    structures = [a6, zero_plus_boolean(3)]
+    structures += [rec.structure for n in (4, 5) for rec in enumerate_residuated(SearchSpec(size=n))]
+    n_prime_relations.cache_clear()
+    bases = 0
+    for s in structures:
+        for f in all_filters(s):
+            if f == s.full:
+                continue
+            bases += 1
+            for n in range(2, len(primes_of(s)) + 2):
+                verdict = is_n_prime(s, f, n)
+                assert ([v for _, v in verdict.conditions], verdict.witness) == (
+                    _is_n_prime_by_combinations(s, f, n)
+                )
+    info = n_prime_relations.cache_info()
+    assert info.misses == bases and info.hits > bases
 
 
 def test_n_prime_argument_errors(a6):

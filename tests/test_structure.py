@@ -12,9 +12,11 @@ from reslat.structure import (
     Structure,
     ValidationReport,
     is_mtl,
+    lattice_violations,
     leq,
     order_from_pairs,
     order_tables,
+    product_violations,
     subset_repr,
     validate_structure,
 )
@@ -89,6 +91,53 @@ def test_malformed_tables_rejected(a6):
             bot=1,
             top=1,
         )
+
+
+CHAIN2 = dict(
+    n=2,
+    names=("0", "1"),
+    join=((0, 1), (1, 1)),
+    meet=((0, 0), (0, 1)),
+    times=((0, 0), (0, 1)),
+    residuum=((1, 1), (0, 1)),
+    bot=0,
+    top=1,
+)
+TABLES = ("join", "meet", "times", "residuum")
+
+
+@pytest.mark.parametrize("attr", TABLES)
+@pytest.mark.parametrize("entry", [1.5, "a", None, -1, 2, 256])
+def test_table_entry_that_is_no_index_rejected(attr, entry):
+    rows = [list(row) for row in CHAIN2[attr]]
+    rows[1][0] = entry
+    with pytest.raises(MalformedTables, match=f"^{attr} table entry"):
+        Structure(**{**CHAIN2, attr: rows})
+
+
+@pytest.mark.parametrize("attr", TABLES)
+@pytest.mark.parametrize(
+    "rows",
+    [((0, 1), (1,)), ((0, 1, 1), (1,)), ((0, 1),), ((0, 1), (1, 1), (1, 1)), ((0, 1), 1), 5],
+)
+def test_table_of_wrong_shape_rejected(attr, rows):
+    with pytest.raises(MalformedTables, match=f"^{attr} table is not 2x2"):
+        Structure(**{**CHAIN2, attr: rows})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("bot", 0.0), ("top", 1.0), ("n", 2.0), ("bot", "0"), ("top", None), ("n", None)],
+)
+def test_size_bot_and_top_must_be_integers(field, value):
+    with pytest.raises(MalformedTables, match="must be integers"):
+        Structure(**{**CHAIN2, field: value})
+
+
+def test_bool_table_entries_stay_accepted():
+    s = Structure(**{**CHAIN2, "times": ((False, False), (False, True))})
+    assert s.times == ((False, False), (False, True))
+    assert validate_structure(s).valid
 
 
 def test_single_element_carrier_rejected():
@@ -272,6 +321,18 @@ AXIOM_LAWS = {
     "adjointness",
     "order-residuum-agreement",
 }
+LATTICE_LAWS = {
+    "join-commutative",
+    "join-associative",
+    "join-idempotent",
+    "meet-commutative",
+    "meet-associative",
+    "meet-idempotent",
+    "absorption-join-meet",
+    "absorption-meet-join",
+    "bottom-least",
+    "top-greatest",
+}
 
 
 def _relabeled_off_bounds(s, rng):
@@ -328,12 +389,23 @@ def census_2_to_6():
     ]
 
 
+def _validate_in_parts(s):
+    """validate_structure(s), checked to be the lattice part, then the
+    product part."""
+    report = validate_structure(s)
+    lattice, product = lattice_violations(s), product_violations(s)
+    assert report.violations == lattice + product
+    assert {name for name, _ in lattice} <= LATTICE_LAWS
+    assert {name for name, _ in product} <= AXIOM_LAWS - LATTICE_LAWS
+    return report
+
+
 def test_validation_matches_reference_on_census(census_2_to_6):
     rng = random.Random(2010)
     assert len(census_2_to_6) == 1 + 2 + 7 + 26 + 129
     for s in census_2_to_6:
         for t in (s, _relabeled_off_bounds(s, rng)):
-            report = validate_structure(t)
+            report = _validate_in_parts(t)
             assert report.valid
             assert report == _reference_validate(t)
 
@@ -345,7 +417,7 @@ def test_validation_matches_reference_on_mutants(census_2_to_6, a6):
     hit = set()
     for _ in range(4000):
         m = _mutant(rng.choice(sources), rng)
-        report = validate_structure(m)
+        report = _validate_in_parts(m)
         assert report == _reference_validate(m)
         hit.update(name for name, _ in report.violations)
     assert hit == AXIOM_LAWS

@@ -5,6 +5,10 @@ computed here from outside the product search, never typed in:
 
 - idempotent (x * x = x): the product is the meet of a Heyting algebra,
   so there is one class per distributive lattice of the size;
+- Gödel (idempotent and prelinear): a finite Gödel algebra is a Heyting
+  algebra dual to a finite forest (Horn, JSL 34, 1969), one class per
+  distributive lattice of the size in which the join-irreducibles below
+  each join-irreducible form a chain;
 - MV (divisible, involutive, prelinear): a finite MV-algebra is a
   product of Łukasiewicz chains, one class per unordered factorization
   of the size into factors of at least 2;
@@ -51,6 +55,7 @@ def _chain(s):
 
 CLASSES = {
     "idempotent": _idempotent,
+    "Gödel": lambda s: _idempotent(s) and _prelinear(s),
     "MV": lambda s: _divisible(s) and _involutive(s) and _prelinear(s),
     "BL-chain": lambda s: _divisible(s) and _chain(s),
     "Boolean": lambda s: _idempotent(s) and _involutive(s),
@@ -67,6 +72,30 @@ def _distributive(lat):
     )
 
 
+def _forest_shaped(lat):
+    """The join-irreducibles below each join-irreducible form a chain."""
+    n, join, up, bot = lat.n, lat.join, lat.up, lat.bot
+
+    def leq(x, y):
+        return up[x] >> y & 1
+
+    def strictly_below_join(j):
+        out = bot
+        for x in range(n):
+            if x != j and leq(x, j):
+                out = join[out][x]
+        return out
+
+    irreducibles = [j for j in range(n) if j != bot and strictly_below_join(j) != j]
+    return all(
+        leq(a, b) or leq(b, a)
+        for j in irreducibles
+        for a in irreducibles
+        for b in irreducibles
+        if leq(a, j) and leq(b, j)
+    )
+
+
 def _factorizations(n, least=2):
     """Unordered factorizations of n into factors of at least `least`."""
     return (n >= least) + sum(
@@ -80,8 +109,10 @@ def _compositions(m):
 
 
 def expected_counts(n):
+    distributive = [lat for lat in enumerate_lattices(n) if _distributive(lat)]
     return {
-        "idempotent": sum(map(_distributive, enumerate_lattices(n))),
+        "idempotent": len(distributive),
+        "Gödel": sum(map(_forest_shaped, distributive)),
         "MV": _factorizations(n),
         "BL-chain": _compositions(n - 1),
         "Boolean": int(n & (n - 1) == 0),
