@@ -217,6 +217,32 @@ def test_search_stdout_digest(capsys, size):
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_SHA256[size]
 
 
+# SHA-256 of `reslat search --base-lattice <fixture> --all-labelings`
+# stdout: every product table over the fixture's lattice, as labelled
+# in the file, isomorphic duplicates kept.
+ALL_LABELINGS_SHA256 = {
+    "a6": "52361f290ad1bc7ea1e3069e8472a4bed408fb1b7f008fdc7b3c183f1e6387ff",
+    "chain3-godel": "35ef160bebd86515ff1a3c50f7d67e448d3f7f5946772c2008023f13c723dd0a",
+    "chain3-luk": "35ef160bebd86515ff1a3c50f7d67e448d3f7f5946772c2008023f13c723dd0a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_LABELINGS_SHA256))
+def test_search_all_labelings_stdout_digest(capsys, name):
+    s, _ = load_structure(fixture(f"{name}.json"))
+    code, out, _ = run_cli(
+        capsys,
+        "search",
+        "--size",
+        str(s.n),
+        "--base-lattice",
+        fixture(f"{name}.json"),
+        "--all-labelings",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_LABELINGS_SHA256[name]
+
+
 @pytest.mark.parametrize("where", ["missing-dir/census.ndjson", "."])
 def test_search_unwritable_out_is_usage_error(capsys, tmp_path, where):
     out_path = tmp_path / where
