@@ -32,7 +32,10 @@ into its relabeled cell order, and a `bytes.translate` table for the
 values.  The lattice key, the coset scan and the canonical key each
 relabel a table with one gather and one translation.  What every table
 over a lattice shares is kept on the `Lattice`: its coset, key head,
-lattice-axiom verdict and residuum lookups.
+lattice-axiom verdict, residuum lookups and join-prime elements.  The
+census stats of a record are read off its idempotents and those
+join-prime elements (`_structure_stats`), not from the filter, spectrum
+and normality analyses.
 """
 
 from __future__ import annotations
@@ -46,9 +49,6 @@ from typing import NamedTuple
 
 from .bitsets import bits
 from .errors import BadN, InvalidBaseLattice, MalformedTables, SizeOutOfRange
-from .filters import all_filters
-from .normality import normality_report
-from .spectra import minimal_primes_over, primes_of
 from .structure import Structure, is_mtl, lattice_violations, order_tables, product_violations
 
 MAX_SIZE = 8
@@ -109,6 +109,23 @@ class Lattice:
             {mask: x for x, mask in enumerate(self.down)},
             [list(bits(mask)) for mask in self.down],
         )
+
+    @cached_property
+    def join_primes(self) -> int:
+        """The mask of the join-prime elements: the e != bot such that
+        x v y >= e implies x >= e or y >= e.  That holds exactly when the
+        join of the x with x not >= e is not >= e either; for bot there
+        are no such x, and their join, bot, is >= bot."""
+        join, up = self.join, self.up
+        full = (1 << self.n) - 1
+        mask = 0
+        for e in range(self.n):
+            below = self.bot
+            for x in bits(full ^ up[e]):
+                below = join[below][x]
+            if not up[e] >> below & 1:
+                mask |= 1 << e
+        return mask
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
@@ -328,6 +345,16 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class CensusStats:
+    """Counts over the trivial filter {top}, which every filter holds.
+
+    `filters` counts the filters, `primes` the prime filters and
+    `minimal_primes` the primes minimal under inclusion.
+    `normality_index` is the largest number of minimal primes inside one
+    prime (0 when there is no prime), the index of `normality_report`
+    over {top}.  `mtl` tells whether (x -> y) v (y -> x) = top for every
+    x and y.
+    """
+
     filters: int
     primes: int
     minimal_primes: int
@@ -516,15 +543,36 @@ def _derive_residuum(lat: Lattice, times) -> tuple:
     return tuple(rows)
 
 
-def _structure_stats(s: Structure) -> CensusStats:
-    # Every filter holds top, so these are the spectrum's counts over the
-    # trivial filter, without its maximal-filter scan.
-    trivial = 1 << s.top
+def _structure_stats(s: Structure, lat: Lattice) -> CensusStats:
+    """The census stats of s, read off its idempotents and the join-prime
+    elements of `lat`, its lattice reduct with the same labels.
+
+    The filters are the up(e) with e idempotent (see `filters`), and
+    distinct idempotents give distinct filters, since e is the least
+    element of up(e).  up(e) is proper exactly when
+    e != bot, and prime exactly when e is join-prime, which is what
+    `spectra.is_prime` checks of it.  Every prime holds the trivial
+    filter {top}, and up(m) is inside up(p) exactly when p <= m.  So the
+    primes are the join-prime idempotents, the minimal primes are the
+    maximal ones among them, and the minimal primes inside up(p) are the
+    maximal prime idempotents above p.
+    """
+    times, up = s.times, lat.up
+    idempotent = 0
+    for e in range(s.n):
+        if times[e][e] == e:
+            idempotent |= 1 << e
+    prime = idempotent & lat.join_primes
+    primes = bits(prime)
+    maximal = 0
+    for p in primes:
+        if up[p] & prime == 1 << p:
+            maximal |= 1 << p
     return CensusStats(
-        filters=len(all_filters(s)),
-        primes=len(primes_of(s)),
-        minimal_primes=len(minimal_primes_over(s, trivial)),
-        normality_index=normality_report(s, trivial).index,
+        filters=idempotent.bit_count(),
+        primes=len(primes),
+        minimal_primes=maximal.bit_count(),
+        normality_index=max([(up[p] & maximal).bit_count() for p in primes], default=0),
         mtl=is_mtl(s),
     )
 
@@ -562,7 +610,7 @@ def enumerate_residuated(spec: SearchSpec):
                 bot=lat.bot,
                 top=lat.top,
             )
-            records.append((canonical_key(s, lat), s))
+            records.append((canonical_key(s, lat), s, lat))
     # Ascending and stable, then reversed, so that popping from the end
     # emits in key order and drops each record from the list as it goes.
     records.sort(key=lambda kv: kv[0])
@@ -570,7 +618,7 @@ def enumerate_residuated(spec: SearchSpec):
     seen = set()
     emitted = 0
     while records:
-        key, s = records.pop()
+        key, s, lat = records.pop()
         if spec.canonical_only:
             if key in seen:
                 continue
@@ -582,6 +630,6 @@ def enumerate_residuated(spec: SearchSpec):
         yield CensusRecord(
             structure=s,
             canonical_key=key,
-            stats=_structure_stats(s),
+            stats=_structure_stats(s, lat),
         )
         emitted += 1

@@ -6,9 +6,11 @@ Runs the stages of `modelgen.enumerate_residuated` one after another
 over the whole census, each over all its inputs, so that each is timed
 alone: lattice enumeration, the join cosets, the product search, the
 residuum, `Structure` construction, the canonical key, sorting and
-deduplication, validation (the lattice part once per lattice, the
-product part once per class) and the census stats.  Per-lattice data is
-built by the first stage that reads it, as in the census.  Each stage
+deduplication, validation and the census stats.  Validation and stats
+each have a lattice part, run once per lattice (the lattice axioms, the
+join-prime elements), and a part run once per class (the product
+axioms, the stats read off the idempotents).  Per-lattice data is built
+by the first stage that reads it, as in the census.  Each stage
 prints the least of its times over `--repeat` fresh runs (new lattices,
 relabeling maps rebuilt) and how many calls it made.  The last lines
 are the sum of the stages and the end-to-end census,
@@ -61,22 +63,19 @@ def census_stages(size):
         ),
         [(lat, t, r) for (lat, t), r in zip(tables, residua)],
     )
-    keys = timed(
-        stages,
-        "key",
-        lambda ls: modelgen.canonical_key(ls[1], ls[0]),
-        [(lat, s) for (lat, _), s in zip(tables, structures)],
-    )
+    pairs = [(s, lat) for (lat, _), s in zip(tables, structures)]
+    keys = timed(stages, "key", lambda sl: modelgen.canonical_key(*sl), pairs)
 
     def first_of_each_class(records):
         records.sort(key=lambda kv: kv[0])
         seen = set()
-        return [s for key, s in records if not (key in seen or seen.add(key))]
+        return [sl for key, sl in records if not (key in seen or seen.add(key))]
 
-    [classes] = timed(stages, "sort", first_of_each_class, [list(zip(keys, structures))])
+    [classes] = timed(stages, "sort", first_of_each_class, [list(zip(keys, pairs))])
     timed(stages, "validation, lattice part", lambda lat: lat.violations, lats)
-    timed(stages, "validation, product part", product_violations, classes)
-    timed(stages, "stats", modelgen._structure_stats, classes)
+    timed(stages, "validation, product part", lambda sl: product_violations(sl[0]), classes)
+    timed(stages, "stats, lattice part", lambda lat: lat.join_primes, lats)
+    timed(stages, "stats, per class", lambda sl: modelgen._structure_stats(*sl), classes)
     return stages
 
 

@@ -11,7 +11,11 @@ from conftest import SRC
 
 from reslat import modelgen, structure
 from reslat.errors import BadN, InvalidBaseLattice, MalformedTables, SizeOutOfRange
+from reslat.fileformat import load_structure
+from reslat.filters import all_filters
 from reslat.modelgen import (
+    MAX_SIZE,
+    CensusStats,
     SearchSpec,
     _derive_residuum,
     _lattice_key,
@@ -23,7 +27,9 @@ from reslat.modelgen import (
     lattice_from_order,
     lattice_of,
 )
-from reslat.structure import Structure, order_tables, validate_structure
+from reslat.normality import normality_report
+from reslat.spectra import is_prime, minimal_primes_over, primes_of
+from reslat.structure import Structure, is_mtl, order_tables, validate_structure
 
 
 def test_lattice_counts_small():
@@ -287,22 +293,21 @@ def test_census_matches_published_counts(size, count):
     assert sum(1 for _ in enumerate_residuated(SearchSpec(size=size))) == count
 
 
-def _index_mtl_counts(size):
-    return Counter(
-        (r.stats.normality_index, r.stats.mtl)
-        for r in enumerate_residuated(SearchSpec(size=size))
-    )
+def _index_mtl_counts(records):
+    return Counter((r.stats.normality_index, r.stats.mtl) for r in records)
 
 
 def test_size_seven_census_counts():
-    counts = _index_mtl_counts(7)
+    counts = _index_mtl_counts(enumerate_residuated(SearchSpec(size=7)))
     assert sum(counts.values()) == 723
     assert counts == {(1, False): 258, (1, True): 451, (2, False): 1, (2, True): 13}
 
 
 @pytest.mark.slow
 def test_size_eight_census_counts():
-    counts = _index_mtl_counts(8)
+    records = list(enumerate_residuated(SearchSpec(size=8)))
+    _assert_stats_match_analysis(records)
+    counts = _index_mtl_counts(records)
     assert sum(counts.values()) == 4712
     assert counts == {
         (1, False): 2248,
@@ -490,6 +495,61 @@ def test_census_stats_for_a6_lattice(a6):
         raise AssertionError("fixture structure missing from its own census")
 
 
+def _assert_stats_match_analysis(records):
+    """Each record's stats are the counts of the analysis routines over
+    the trivial filter {top}, and computing them ran none of those
+    routines: the record's structure has no `memos` yet."""
+    for rec in records:
+        s = rec.structure
+        assert "memos" not in vars(s)
+        trivial = 1 << s.top
+        assert rec.stats == CensusStats(
+            filters=len(all_filters(s)),
+            primes=len(primes_of(s)),
+            minimal_primes=len(minimal_primes_over(s, trivial)),
+            normality_index=normality_report(s, trivial).index,
+            mtl=is_mtl(s),
+        )
+
+
+@pytest.mark.parametrize("canonical_only", [True, False])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_census_stats_match_analysis(n, canonical_only):
+    _assert_stats_match_analysis(
+        enumerate_residuated(SearchSpec(size=n, canonical_only=canonical_only))
+    )
+
+
+def test_census_stats_over_fixture_lattices_match_analysis(fixtures_dir):
+    """Every product table over each fixture's lattice, as labelled in
+    its file."""
+    for path in sorted(fixtures_dir.glob("*.json")):
+        s, _ = load_structure(path)
+        if s.n <= MAX_SIZE:
+            spec = SearchSpec(size=s.n, base_lattice=lattice_of(s), canonical_only=False)
+            _assert_stats_match_analysis(enumerate_residuated(spec))
+
+
+@pytest.mark.parametrize("n", range(2, MAX_SIZE + 1))
+def test_join_primes_match_prime_filter_test(n):
+    """e is join-prime exactly when up(e) passes `spectra.is_prime`,
+    which reads only the lattice reduct: the product and residuum of the
+    structure built here are the meet, as placeholders."""
+    for lat in _both_labelings(n):
+        s = Structure(
+            n=lat.n,
+            names=lat.names,
+            join=lat.join,
+            meet=lat.meet,
+            times=lat.meet,
+            residuum=lat.meet,
+            bot=lat.bot,
+            top=lat.top,
+        )
+        expected = sum(1 << e for e in range(n) if is_prime(s, s.up[e]))
+        assert lat.join_primes == expected
+
+
 def _relabel(s, perm):
     """The structure with element x renamed to perm[x]."""
     n = s.n
@@ -656,7 +716,8 @@ def test_import_builds_no_relabeling_maps():
 
 def test_census_over_renumbered_a6_matches_reference(a6):
     """Bot and top in the middle of the carrier: the census over a6's
-    lattice emits the reference tables, keyed as the reference keys them."""
+    lattice emits the reference tables, keyed as the reference keys them,
+    with the stats of the analysis routines."""
     perm = [2, 0, 4, 5, 1, 3]
     s = _relabel(a6, perm)
     lat = lattice_of(s)
@@ -668,9 +729,9 @@ def test_census_over_renumbered_a6_matches_reference(a6):
         ((ref.canonical_key(_census_structure(lat, t), coset), t) for t in tables),
         key=itemgetter(0),
     )
-    spec = SearchSpec(size=6, base_lattice=lat, canonical_only=False)
-    got = [(r.canonical_key, r.structure.times) for r in enumerate_residuated(spec)]
-    assert got == expected
+    records = list(enumerate_residuated(SearchSpec(size=6, base_lattice=lat, canonical_only=False)))
+    _assert_stats_match_analysis(records)
+    assert [(r.canonical_key, r.structure.times) for r in records] == expected
 
 
 def test_census_stages_script_times_every_stage(capsys):
@@ -688,7 +749,8 @@ def test_census_stages_script_times_every_stage(capsys):
         "sort",
         "validation, lattice part",
         "validation, product part",
-        "stats",
+        "stats, lattice part",
+        "stats, per class",
         "sum of stages",
         "end to end",
     ]
