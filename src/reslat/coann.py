@@ -57,11 +57,4 @@ def coann_family(s: Structure, f: int) -> tuple[int, ...]:
 
 def gamma_join(s: Structure, f: int, g: int, h: int) -> int:
     """Least member above g and h: (F : (F : g union h))."""
-    table = coannulet_table(s, f)
-    inner = s.full
-    for x in bits(g | h):
-        inner &= table[x]
-    out = s.full
-    for x in bits(inner):
-        out &= table[x]
-    return out
+    return coannihilator(s, f, coannihilator(s, f, g | h))

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .errors import InvalidBaseLattice, MalformedTables, StructureFileError
-from .modelgen import Lattice, lattice_from_order
+from .modelgen import Lattice
 from .structure import Structure, order_from_pairs, order_tables
 
 
@@ -55,22 +55,20 @@ def _parse_order(data, index: dict[str, int]):
     n = len(index)
     if "order" in data and "leq" in data:
         raise StructureFileError("give order or leq, not both")
+    pairs = []
     if "leq" in data:
         matrix = data["leq"]
         if not isinstance(matrix, list) or len(matrix) != n:
             raise StructureFileError(f"leq must be a {n}x{n} 0/1 matrix")
-        up = []
-        for row in matrix:
+        for x, row in enumerate(matrix):
             if not isinstance(row, list) or len(row) != n:
                 raise StructureFileError(f"leq must be a {n}x{n} 0/1 matrix")
             if any(type(v) is not int or v not in (0, 1) for v in row):
                 raise StructureFileError(f"leq entries must be 0 or 1, got {row!r}")
-            up.append(sum(1 << y for y in range(n) if row[y]))
-        pairs = [(x, y) for x in range(n) for y in range(n) if up[x] >> y & 1]
+            pairs += [(x, y) for y, v in enumerate(row) if v]
         return order_from_pairs(n, pairs)
     if not isinstance(data["order"], list):
         raise StructureFileError("order must be a list of [low, high] name pairs")
-    pairs = []
     for entry in data["order"]:
         if not isinstance(entry, list) or len(entry) != 2:
             raise StructureFileError("order entries must be [low, high] name pairs")
@@ -188,15 +186,21 @@ def dump_structure(s: Structure, name: str) -> dict:
 def load_lattice(path) -> tuple[Lattice, str]:
     """Parse only the lattice part of a structure file.
 
-    The order and tables follow the rules of `parse_structure`; explicit
-    tables must also be the join and meet of the order they induce.
+    The order and tables follow the rules of `parse_structure`, and the
+    tables must pass `lattice_violations`: the first axiom they fail is
+    named, with its witness.
     """
     path = Path(path)
     data = _read_json(path)
     elements, index = _parse_common(data)
-    join, meet = _parse_lattice(data, index)
-    up = tuple(sum(1 << y for y, j in enumerate(row) if j == y) for row in join)
-    lat = lattice_from_order(elements, up, index[data["bot"]], index[data["top"]])
-    if lat.tables != (join, meet):
-        raise InvalidBaseLattice("join/meet tables are not the operations of their order")
+    if len(elements) > 256:
+        raise MalformedTables("carrier has more than 256 elements")
+    bot, top = index[data["bot"]], index[data["top"]]
+    lat = Lattice(len(elements), tuple(elements), *_parse_lattice(data, index), bot, top)
+    if lat.violations:
+        axiom, witness = lat.violations[0]
+        raise InvalidBaseLattice(
+            "join/meet tables are not the operations of a bounded lattice: "
+            f"{axiom} fails at " + ",".join(lat.names[i] for i in witness)
+        )
     return lat, structure_name(data, path.stem)

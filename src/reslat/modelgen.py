@@ -48,52 +48,48 @@ from operator import and_, itemgetter
 from typing import NamedTuple
 
 from .bitsets import bits
-from .errors import BadN, InvalidBaseLattice, MalformedTables, SizeOutOfRange
-from .structure import Structure, is_mtl, lattice_violations, order_tables, product_violations
+from .errors import BadN, InvalidBaseLattice, SizeOutOfRange
+from .structure import Ordered, Structure, Table, is_mtl, lattice_violations
+from .structure import order_tables, product_violations
 
 MAX_SIZE = 8
 
 
 @dataclass(frozen=True)
-class Lattice:
-    """A bounded lattice given by upset masks over {0, .., n-1}."""
+class Lattice(Ordered):
+    """The lattice part of a `Structure`, with the same fields, and what
+    every structure over it shares: the join coset, key head, axiom
+    verdict, residuum lookups and join-prime elements.  Construction
+    checks nothing; the tables are a bounded lattice iff `violations`
+    is empty."""
 
     n: int
-    up: tuple[int, ...]
     names: tuple[str, ...]
+    join: Table
+    meet: Table
     bot: int
     top: int
 
     @cached_property
-    def tables(self):
-        return order_tables(self.n, self.up)
-
-    @cached_property
-    def join(self):
-        return self.tables[0]
-
-    @cached_property
-    def meet(self):
-        return self.tables[1]
-
-    @cached_property
-    def down(self):
-        """down[y] is the bitmask of {x | x <= y}."""
-        return tuple(
-            sum(1 << x for x in range(self.n) if self.up[x] >> y & 1)
-            for y in range(self.n)
-        )
-
-    @cached_property
     def coset(self) -> tuple[Relabeling, ...]:
-        """The relabelings that minimise the relabeled join table."""
-        return _join_coset(self.n, self.join, self.bot, self.top)
+        """Every relabeling that sends bot to 0 and top to n - 1 and gives
+        the least relabeled join table: one coset pi0 * Aut(L)."""
+        flat = _flat(self.join)
+        best, coset = None, []
+        for r in _relabeling_maps(self.n, self.bot, self.top):
+            image = bytes(r.one(flat)).translate(r.values)
+            if best is None or image < best:
+                best, coset = image, [r]
+            elif image == best:
+                coset.append(r)
+        return tuple(coset)
 
     @cached_property
     def key_head(self) -> bytes:
-        """The join || meet part of `canonical_key`, shared by every
-        structure over this lattice."""
-        return _key_head(self.coset[0], self.join, self.meet)
+        """The join || meet part of `canonical_key`, relabeled by the
+        first member of the coset; every structure over it shares it."""
+        first = self.coset[0]
+        return bytes(first.two(_flat(self.join, self.meet))).translate(first.values)
 
     @cached_property
     def violations(self):
@@ -117,50 +113,19 @@ class Lattice:
         join of the x with x not >= e is not >= e either; for bot there
         are no such x, and their join, bot, is >= bot."""
         join, up = self.join, self.up
-        full = (1 << self.n) - 1
         mask = 0
         for e in range(self.n):
             below = self.bot
-            for x in bits(full ^ up[e]):
+            for x in bits(self.full ^ up[e]):
                 below = join[below][x]
             if not up[e] >> below & 1:
                 mask |= 1 << e
         return mask
 
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self.up[x] >> y & 1)
-
-
-def lattice_from_order(names, up, bot: int, top: int) -> Lattice:
-    """Build and fully check a bounded lattice; raise InvalidBaseLattice."""
-    n = len(names)
-    up = tuple(up)
-    if len(up) != n:
-        raise InvalidBaseLattice("order relation size disagrees with carrier")
-    for x in range(n):
-        if not up[x] >> x & 1:
-            raise InvalidBaseLattice("order must be reflexive")
-        for y in bits(up[x]):
-            if x != y and up[y] >> x & 1:
-                raise InvalidBaseLattice("order must be antisymmetric")
-            if up[y] & ~up[x]:
-                raise InvalidBaseLattice("order must be transitive")
-    full = (1 << n) - 1
-    if up[bot] != full:
-        raise InvalidBaseLattice("bottom is not below every element")
-    if any(not up[x] >> top & 1 for x in range(n)):
-        raise InvalidBaseLattice("top is not above every element")
-    lat = Lattice(n=n, up=up, names=tuple(names), bot=bot, top=top)
-    try:
-        lat.tables
-    except MalformedTables as exc:
-        raise InvalidBaseLattice(str(exc)) from None
-    return lat
-
 
 def lattice_of(s: Structure) -> Lattice:
-    """The lattice reduct of a validated structure."""
-    return Lattice(n=s.n, up=s.up, names=s.names, bot=s.bot, top=s.top)
+    """The lattice reduct of s."""
+    return Lattice(n=s.n, names=s.names, join=s.join, meet=s.meet, bot=s.bot, top=s.top)
 
 
 def _default_names(n: int) -> tuple[str, ...]:
@@ -271,30 +236,11 @@ def enumerate_lattices(size: int) -> list[Lattice]:
                 ext = (up[0] | atom, *up[1:], strict | atom)
                 grown.add(_lattice_key(m + 1, ext, 0, top))
         keys = grown
+    names = _default_names(size)
     return [
-        Lattice(
-            n=size,
-            up=_up_masks_from_key(size, key),
-            names=_default_names(size),
-            bot=0,
-            top=size - 1,
-        )
+        Lattice(size, names, *order_tables(size, _up_masks_from_key(size, key)), 0, size - 1)
         for key in sorted(keys)
     ]
-
-
-def _join_coset(n: int, join, bot: int, top: int) -> tuple[Relabeling, ...]:
-    """Every relabeling that sends bot to 0 and top to n - 1 and gives
-    the least relabeled join table: one coset pi0 * Aut(L)."""
-    flat = _flat(join)
-    best, coset = None, []
-    for r in _relabeling_maps(n, bot, top):
-        image = bytes(r.one(flat)).translate(r.values)
-        if best is None or image < best:
-            best, coset = image, [r]
-        elif image == best:
-            coset.append(r)
-    return tuple(coset)
 
 
 def canonical_key(s: Structure, lat: Lattice | None = None) -> bytes:
@@ -310,21 +256,12 @@ def canonical_key(s: Structure, lat: Lattice | None = None) -> bytes:
     a minimum over every relabeling.  Each relabeling is applied as one
     gather of the flat tables and one `bytes.translate` of the values.
     `lat`, the lattice reduct of s with the same labels, supplies its
-    cached coset and join || meet part; without it both are computed
-    from s.join and s.meet.
+    cached coset and join || meet part; without it the reduct is built
+    from s.
     """
-    if lat is not None:
-        coset, head = lat.coset, lat.key_head
-    else:
-        coset = _join_coset(s.n, s.join, s.bot, s.top)
-        head = _key_head(coset[0], s.join, s.meet)
+    lat = lattice_of(s) if lat is None else lat
     flat = _flat(s.times, s.residuum)
-    return head + min([bytes(r.two(flat)).translate(r.values) for r in coset])
-
-
-def _key_head(first: Relabeling, join, meet) -> bytes:
-    """join || meet relabeled by the first member of the join coset."""
-    return bytes(first.two(_flat(join, meet))).translate(first.values)
+    return lat.key_head + min([bytes(r.two(flat)).translate(r.values) for r in lat.coset])
 
 
 @dataclass(frozen=True)

@@ -26,19 +26,51 @@ Table = tuple[tuple[int, ...], ...]
 _INDICES = bytes(range(256))
 
 
+class Ordered:
+    """Order masks read off the `join` table of an instance with `n`
+    elements (x <= y iff x v y = y), kept until the instance dies.  The
+    base of `Structure` and of `modelgen.Lattice`."""
+
+    @cached_property
+    def full(self) -> int:
+        return (1 << self.n) - 1
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """up[x] is the bitmask of {y | x <= y}."""
+        out = []
+        for row in self.join:
+            mask = 0
+            for y, v in enumerate(row):
+                if v == y:
+                    mask |= 1 << y
+            out.append(mask)
+        return tuple(out)
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """down[y] is the bitmask of {x | x <= y}."""
+        out = [0] * self.n
+        for x, row in enumerate(self.join):
+            for y, v in enumerate(row):
+                if v == y:
+                    out[y] |= 1 << x
+        return tuple(out)
+
+
 @dataclass(frozen=True)
-class Structure:
+class Structure(Ordered):
     """Operation tables of a candidate residuated lattice.
 
     Construction checks only shapes and index ranges; whether the tables
     satisfy the axioms is decided by `validate_structure`.
 
     Derived data lives in lazily built `cached_property` slots that die
-    with the structure: the order masks `up`/`down`, and `memos`, the one
-    store of analysis answers, filled by the routines decorated with
-    `per_structure` (the filters, the ideals, the primes, generated
-    filters and ideals, minimal primes over a set, and per base the
-    coannulets, the coannihilator and omega tables and families).  No
+    with the structure: the order masks `up`/`down` of `Ordered`, and
+    `memos`, the one store of analysis answers, filled by the routines
+    decorated with `per_structure` (the filters, the ideals, the primes,
+    generated filters and ideals, minimal primes over a set, and per base
+    the coannulets, the coannihilator and omega tables and families).  No
     module-level table refers to a structure and no answer refers back to
     it, so a dropped structure and its answers are freed as soon as its
     last reference goes.
@@ -93,32 +125,6 @@ class Structure:
         decorated with `per_structure`."""
         _HOLDERS[id(self)] = self
         return defaultdict(dict)
-
-    @cached_property
-    def full(self) -> int:
-        return (1 << self.n) - 1
-
-    @cached_property
-    def up(self) -> tuple[int, ...]:
-        """up[x] is the bitmask of {y | x <= y}."""
-        out = []
-        for row in self.join:
-            mask = 0
-            for y, v in enumerate(row):
-                if v == y:
-                    mask |= 1 << y
-            out.append(mask)
-        return tuple(out)
-
-    @cached_property
-    def down(self) -> tuple[int, ...]:
-        """down[y] is the bitmask of {x | x <= y}."""
-        out = [0] * self.n
-        for x, row in enumerate(self.join):
-            for y, v in enumerate(row):
-                if v == y:
-                    out[y] |= 1 << x
-        return tuple(out)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -212,16 +218,22 @@ def subset_repr(s: Structure, mask: int) -> str:
     return "{" + ",".join(s.names[i] for i in bits(mask)) + "}"
 
 
-def leq(s: Structure, x: int, y: int) -> bool:
+def leq(s: Ordered, x: int, y: int) -> bool:
     """The derived lattice order: x <= y iff x v y = y."""
     return s.join[x][y] == y
 
 
 def is_mtl(s: Structure) -> bool:
-    """True iff (x -> y) v (y -> x) = 1 for every pair."""
-    for x in range(s.n):
-        for y in range(s.n):
-            if s.join[s.residuum[x][y]][s.residuum[y][x]] != s.top:
+    """True iff (x -> y) v (y -> x) = 1 for every pair.
+
+    Only the pairs with y > x are read.  Join is commutative, so the pair
+    (y, x) gives the join that (x, y) gives; and x -> x = top on a valid
+    structure, since top * x <= x, so the diagonal always holds.
+    """
+    join, residuum, top = s.join, s.residuum, s.top
+    for x, row in enumerate(residuum):
+        for y in range(x + 1, s.n):
+            if join[row[y]][residuum[y][x]] != top:
                 return False
     return True
 
@@ -280,8 +292,12 @@ def _associative_sides(flat: bytes, rows, rows_of) -> tuple[bytes, bytes]:
 
 def lattice_violations(lat) -> Violations:
     """The ten lattice axioms of `validate_structure`, on the n, join,
-    meet, bot and top of `lat`: a `Structure`, or a census lattice, whose
-    answer every structure over it shares."""
+    meet, bot and top of `lat`: a `Structure`, or a `modelgen.Lattice`,
+    whose answer every structure over it shares.  They pass exactly when
+    join and meet are those of a bounded lattice with least element bot
+    and greatest top (lattices as algebras; Galatos, Jipsen, Kowalski &
+    Ono, *Residuated Lattices*, 2007), so they also check base lattices.
+    """
     n, top, bot = lat.n, lat.top, lat.bot
     rng = range(n)
     pad = bytes(256 - n)

@@ -9,11 +9,12 @@ residuum, `Structure` construction, the canonical key, sorting and
 deduplication, validation and the census stats.  Validation and stats
 each have a lattice part, run once per lattice (the lattice axioms, the
 join-prime elements), and a part run once per class (the product
-axioms, the stats read off the idempotents).  Per-lattice data is built
-by the first stage that reads it, as in the census.  Each stage
-prints the least of its times over `--repeat` fresh runs (new lattices,
-relabeling maps rebuilt) and how many calls it made.  The last lines
-are the sum of the stages and the end-to-end census,
+axioms, the stats read off the idempotents).  Each lattice's join and
+meet tables are built with it, in the "lattices" stage; the rest of its
+data is built by the first stage that reads it, as in the census.  Each
+stage prints the least of its times over `--repeat` fresh runs (new
+lattices, relabeling maps rebuilt) and how many calls it made.  The
+last lines are the sum of the stages and the end-to-end census,
 `list(enumerate_residuated(...))`, also the least over the repeats.
 
 Stdlib only; not collected by pytest.

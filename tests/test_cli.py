@@ -301,6 +301,15 @@ def test_search_rejects_bad_base_lattice_tables(capsys, tmp_path, a6, corrupt):
     assert err.startswith("reslat: error: ") and err.count("\n") == 1
 
 
+def test_search_names_the_axiom_a_base_lattice_fails(capsys, bad_base_lattice):
+    path, axiom, witness = bad_base_lattice
+    code, out, err = run_cli(capsys, "search", "--base-lattice", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("reslat: error: ") and err.count("\n") == 1
+    assert err.endswith(f": {axiom} fails at {witness}\n")
+
+
 def _set_bot(data):
     data["bot"] = ["0"]
 

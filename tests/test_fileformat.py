@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from reslat.errors import InvalidBaseLattice, StructureFileError
+from reslat.errors import InvalidBaseLattice, MalformedTables, StructureFileError
 from reslat.fileformat import (
     _parse_table,
     dump_structure,
@@ -179,3 +179,32 @@ def test_parse_table_matches_reference_on_mutants(a6):
         assert _outcome(_parse_table, table, field, index) == expected, (field, table)
         outcomes.add(type(expected))
     assert outcomes == {tuple, str}
+
+
+def test_load_lattice_names_the_failing_axiom(bad_base_lattice):
+    """A file whose tables are not a bounded lattice with its bot and top
+    is rejected by `lattice_violations`, whose first failing axiom and
+    witness the message names."""
+    path, axiom, witness = bad_base_lattice
+    with pytest.raises(InvalidBaseLattice) as info:
+        load_lattice(path)
+    assert str(info.value) == (
+        "join/meet tables are not the operations of a bounded lattice: "
+        f"{axiom} fails at {witness}"
+    )
+
+
+def test_load_lattice_refuses_a_carrier_over_256_elements(tmp_path):
+    """`lattice_violations` stores rows as bytes, so a larger carrier is
+    refused before the axioms are read, as `Structure` refuses it."""
+    names = [str(x) for x in range(257)]
+    data = {
+        "elements": names,
+        "bot": names[0],
+        "top": names[-1],
+        "order": [[x, y] for x, y in zip(names, names[1:])],
+    }
+    p = tmp_path / "chain257.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(MalformedTables, match="^carrier has more than 256 elements$"):
+        load_lattice(p)

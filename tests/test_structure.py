@@ -178,6 +178,24 @@ def test_is_mtl(a6, chain2, chain3_godel, chain3_luk):
     assert is_mtl(chain3_luk)
 
 
+def _is_mtl_by_definition(s):
+    return all(
+        s.join[s.residuum[x][y]][s.residuum[y][x]] == s.top
+        for x in range(s.n)
+        for y in range(s.n)
+    )
+
+
+def test_is_mtl_matches_its_definition(census, fixtures_dir):
+    """`is_mtl` reads only the pairs y > x; the definition reads all n^2,
+    on every class of sizes 2 to 7 and on each fixture."""
+    structures = [s for size in census.values() for s in size]
+    structures += [load_structure(p)[0] for p in sorted(fixtures_dir.glob("*.json"))]
+    verdicts = [is_mtl(s) for s in structures]
+    assert verdicts == [_is_mtl_by_definition(s) for s in structures]
+    assert True in verdicts and False in verdicts
+
+
 def test_mtl_witness_pair(a6):
     # (a -> c) v (c -> a) = c v b = d, not 1.
     a, c, d = (a6.element(x) for x in "acd")

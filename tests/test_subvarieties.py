@@ -144,3 +144,31 @@ def test_skipping_the_last_candidate_fails_a_count(monkeypatch):
 
     monkeypatch.setattr(modelgen, "_times_tables", skipping_last)
     assert any(census_counts(n) != expected_counts(n) for n in range(2, 6))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_classes_without_zero_divisors_match_the_size_below(census, n):
+    """The size-n classes with no zero divisors (x * y != bot whenever
+    x != bot and y != bot) are as many as all the size-(n - 1) classes.
+
+    A has no zero divisors exactly when A is the ordinal sum 0 (+) M: a
+    new bottom put under M = A minus bot (Galatos, Jipsen, Kowalski &
+    Ono, *Residuated Lattices*, 2007).  M is closed under the product
+    and the meet, since x * y <= x meet y, and under the join, since
+    x v y >= x, so it is a finite lattice with top, bounded below by the
+    meet of all its elements.  M's residuum is A's, since x -> y >= y,
+    which is not bot.  Conversely 0 (+) M, where x * y = bot if either
+    factor is bot, is residuated for every M and has no zero divisors.
+    Isomorphisms fix bot, so A and A' are isomorphic exactly when M and
+    M' are.
+
+    Both sides come from the same product search, so only a defect that
+    hits sizes n and n - 1 differently shows here.
+    """
+
+    def no_zero_divisors(s):
+        rest = [x for x in range(s.n) if x != s.bot]
+        return all(s.times[x][y] != s.bot for x in rest for y in rest)
+
+    count = sum(map(no_zero_divisors, census[n]))
+    assert count == len(census[n - 1]) == {3: 1, 4: 2, 5: 7, 6: 26, 7: 129}[n]
