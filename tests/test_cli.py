@@ -411,8 +411,30 @@ def test_export_dot_hasse_edges(capsys):
 def test_export_dot_filters(capsys):
     code, out, _ = run_cli(capsys, "export-dot", fixture("a6.json"), "--what", "filters")
     assert code == 0
+    assert out == (GOLDEN / "filters_a6.dot").read_text()
     assert out.count("label=") == 5
     assert '"{d,1}"' in out
+
+
+# SHA-256 of `reslat export-dot <fixture> --what <graph>` stdout; a6's
+# graphs are the goldens above.
+EXPORT_DOT_SHA256 = {
+    ("chain2", "hasse"): "83bdafcecd27cb9be60411a9cd3b41f1d5e58dc7371d18fea9da55d9c2fa364a",
+    ("chain2", "filters"): "9d53e5549cbfc61b5dae3bc7e545cd9e6f2bcc283e1309b580bc2b5bf8638c06",
+    ("chain3-godel", "hasse"): "aee0c79a1b0ccd199674db1a0a837f81b431ed9a42a43cefe8fcfb476c03b061",
+    ("chain3-godel", "filters"): "ff8c74b6a7bfac9ca6c7041e0fd6b8cdbaff7f617bcd60979f6d749c54d8c507",
+    ("chain3-luk", "hasse"): "2b9793d2b7197d5245b47edea3b0d042088ca35560b508542b9d0b1a2057f48e",
+    ("chain3-luk", "filters"): "70abb80b7699b121eb41b273da0fadb0e7ae9215fb18f8e57ec4261b20a64de4",
+    ("chain9-godel", "hasse"): "ae5b5451ca676ad464e5678c6b3dd2add8c74118d7c9abc4fd8d1959511a6d41",
+    ("chain9-godel", "filters"): "80335fb13f0fb8450abef16096f27baa638e003f477f37b0894694d376b9a762",
+}
+
+
+@pytest.mark.parametrize("name, what", sorted(EXPORT_DOT_SHA256))
+def test_export_dot_stdout_digest(capsys, name, what):
+    code, out, _ = run_cli(capsys, "export-dot", fixture(f"{name}.json"), "--what", what)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_DOT_SHA256[name, what]
 
 
 @pytest.mark.parametrize(
