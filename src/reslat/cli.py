@@ -15,13 +15,14 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
+from itertools import islice
 
 from . import __version__
 from .battery import GROUPS, run_battery
 from .bitsets import bits
 from .coann import coann_family, coannihilator, coannulet_table
 from .errors import (
-    BadN,
     ImproperFilter,
     InvalidBaseLattice,
     MalformedTables,
@@ -34,7 +35,7 @@ from .modelgen import SearchSpec, enumerate_residuated
 from .normality import normality_report
 from .omega import dense_set, omega_family
 from .spectra import spectrum
-from .structure import Structure, subset_repr, validate_structure
+from .structure import Structure, covers, subset_repr, validate_structure
 
 TOOL = "reslat"
 
@@ -47,11 +48,15 @@ def _names(s: Structure, mask: int) -> list[str]:
     return [s.names[i] for i in bits(mask)]
 
 
+def _json_line(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def _emit(fmt: str, command: str, name: str, payload: dict, human: list[str]) -> None:
     if fmt == "json":
         doc = {"tool": TOOL, "version": __version__, "command": command, "structure": name}
         doc.update(payload)
-        sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(_json_line(doc))
     else:
         sys.stdout.write(f"[{TOOL} {__version__}] {command} {name}\n")
         for line in human:
@@ -252,33 +257,17 @@ def cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _write_census(out, spec: SearchSpec, size: int) -> None:
+def _write_census(out, spec: SearchSpec, limit: int | None) -> None:
     count = 0
-    for record in enumerate_residuated(spec):
-        count += 1
-        key = record.canonical_key.hex()
+    for count, record in enumerate(islice(enumerate_residuated(spec), limit), 1):
+        s = record.structure
         doc = {
-            "structure": dump_structure(
-                record.structure, f"R{record.structure.n}-{count:03d}"
-            ),
-            "canonical_key": key,
-            "stats": {
-                "filters": record.stats.filters,
-                "primes": record.stats.primes,
-                "minimal_primes": record.stats.minimal_primes,
-                "normality_index": record.stats.normality_index,
-                "mtl": record.stats.mtl,
-            },
+            "structure": dump_structure(s, f"R{s.n}-{count:03d}"),
+            "canonical_key": record.canonical_key.hex(),
+            "stats": asdict(record.stats),
         }
-        out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-    out.write(
-        json.dumps(
-            {"census_counts": {str(size): count}, "total": count},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        + "\n"
-    )
+        out.write(_json_line(doc))
+    out.write(_json_line({"census_counts": {str(spec.size): count}, "total": count}))
 
 
 def cmd_search(args) -> int:
@@ -290,18 +279,15 @@ def cmd_search(args) -> int:
             size = base.n
     if size is None:
         raise CliError("give --size or --base-lattice")
-    spec = SearchSpec(
-        size=size,
-        base_lattice=base,
-        limit=args.limit,
-        canonical_only=not args.all_labelings,
-    )
+    spec = SearchSpec(size=size, base_lattice=base, canonical_only=not args.all_labelings)
+    if args.limit is not None and args.limit < 1:
+        raise CliError(f"search limit must be at least 1, got {args.limit}")
     if not args.out:
-        _write_census(sys.stdout, spec, size)
+        _write_census(sys.stdout, spec, args.limit)
         return 0
     try:
         with open(args.out, "w", encoding="utf-8") as out:
-            _write_census(out, spec, size)
+            _write_census(out, spec, args.limit)
     except BrokenPipeError:
         raise  # a reader that went away ends the run quietly, as on stdout
     except OSError as exc:
@@ -320,46 +306,25 @@ def _dot_label(text: str) -> str:
 
 def cmd_export_dot(args) -> int:
     s, name = _load_validated(args.path)
-    lines = []
     if args.what == "hasse":
-        lines.append(f"graph hasse_{_dot_name(name)} {{")
-        for x in range(s.n):
-            lines.append(f"  e{x} [label={_dot_label(s.names[x])}];")
-        by_height: dict[int, list[int]] = {}
-        for x in range(s.n):
-            by_height.setdefault(s.heights[x], []).append(x)
-        for h in sorted(by_height):
-            row = "; ".join(f"e{x}" for x in by_height[h])
-            lines.append(f"  {{ rank=same; {row}; }}")
-        for x, y in s.covers:
-            lines.append(f"  e{x} -- e{y};")
-        lines.append("}")
+        prefix, labels, up, ranks = "e", s.names, s.up, s.heights
     else:
         filters = all_filters(s)
-        k = len(filters)
-        lines.append(f"graph filters_{_dot_name(name)} {{")
-        for i, f in enumerate(filters):
-            lines.append(f"  f{i} [label={_dot_label(subset_repr(s, f))}];")
-        by_size: dict[int, list[int]] = {}
-        for i, f in enumerate(filters):
-            by_size.setdefault(f.bit_count(), []).append(i)
-        for c in sorted(by_size):
-            row = "; ".join(f"f{i}" for i in by_size[c])
-            lines.append(f"  {{ rank=same; {row}; }}")
-        for i in range(k):
-            for j in range(k):
-                fi, fj = filters[i], filters[j]
-                if fi == fj or fi & ~fj:
-                    continue
-                strictly_between = any(
-                    l != i and l != j
-                    and not (fi & ~filters[l])
-                    and not (filters[l] & ~fj)
-                    for l in range(k)
-                )
-                if not strictly_between:
-                    lines.append(f"  f{i} -- f{j};")
-        lines.append("}")
+        prefix = "f"
+        labels = [subset_repr(s, f) for f in filters]
+        # up[i] has bit j when filter i is inside filter j.
+        up = [sum(1 << j for j, g in enumerate(filters) if not f & ~g) for f in filters]
+        ranks = [f.bit_count() for f in filters]
+    lines = [f"graph {args.what}_{_dot_name(name)} {{"]
+    lines += [f"  {prefix}{i} [label={_dot_label(text)}];" for i, text in enumerate(labels)]
+    by_rank: dict[int, list[int]] = {}
+    for i, rank in enumerate(ranks):
+        by_rank.setdefault(rank, []).append(i)
+    for rank in sorted(by_rank):
+        row = "; ".join(f"{prefix}{i}" for i in by_rank[rank])
+        lines.append(f"  {{ rank=same; {row}; }}")
+    lines += [f"  {prefix}{x} -- {prefix}{y};" for x, y in covers(up)]
+    lines.append("}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -460,7 +425,6 @@ def main(argv=None) -> int:
         sys.stderr.write(f"{TOOL}: error: cannot write stdout: {exc.strerror}\n")
         return 2
     except (
-        BadN,
         CliError,
         StructureFileError,
         MalformedTables,

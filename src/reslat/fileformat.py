@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import InvalidBaseLattice, MalformedTables, StructureFileError
 from .modelgen import Lattice
-from .structure import Structure, order_from_pairs, order_tables
+from .structure import Structure, covers, order_from_pairs, order_tables
 
 
 def _name_index(elements) -> dict[str, int]:
@@ -66,10 +66,9 @@ def _parse_order(data, index: dict[str, int]):
             if any(type(v) is not int or v not in (0, 1) for v in row):
                 raise StructureFileError(f"leq entries must be 0 or 1, got {row!r}")
             pairs += [(x, y) for y, v in enumerate(row) if v]
-        return order_from_pairs(n, pairs)
-    if not isinstance(data["order"], list):
+    elif not isinstance(data["order"], list):
         raise StructureFileError("order must be a list of [low, high] name pairs")
-    for entry in data["order"]:
+    for entry in data.get("order", ()):
         if not isinstance(entry, list) or len(entry) != 2:
             raise StructureFileError("order entries must be [low, high] name pairs")
         for v in entry:
@@ -120,7 +119,7 @@ def _parse_lattice(data, index: dict[str, int]):
     return tables
 
 
-def parse_structure(data: dict, fallback_name: str = "structure") -> Structure:
+def parse_structure(data: dict) -> Structure:
     elements, index = _parse_common(data)
     for field in ("times", "residuum"):
         if field not in data:
@@ -162,7 +161,7 @@ def load_structure(path) -> tuple[Structure, str]:
     """Parse a structure file; returns the structure and its name."""
     path = Path(path)
     data = _read_json(path)
-    return parse_structure(data, path.stem), structure_name(data, path.stem)
+    return parse_structure(data), structure_name(data, path.stem)
 
 
 def dump_structure(s: Structure, name: str) -> dict:
@@ -175,7 +174,7 @@ def dump_structure(s: Structure, name: str) -> dict:
         "elements": list(s.names),
         "bot": s.names[s.bot],
         "top": s.names[s.top],
-        "order": [[s.names[x], s.names[y]] for x, y in s.covers],
+        "order": [[s.names[x], s.names[y]] for x, y in covers(s.up)],
         "join": table(s.join),
         "meet": table(s.meet),
         "times": table(s.times),

@@ -48,7 +48,7 @@ from operator import and_, itemgetter
 from typing import NamedTuple
 
 from .bitsets import bits
-from .errors import BadN, InvalidBaseLattice, SizeOutOfRange
+from .errors import InvalidBaseLattice, SizeOutOfRange
 from .structure import Ordered, Structure, Table, is_mtl, lattice_violations
 from .structure import order_tables, product_violations
 
@@ -121,6 +121,20 @@ class Lattice(Ordered):
             if not up[e] >> below & 1:
                 mask |= 1 << e
         return mask
+
+    def structure(self, times) -> Structure:
+        """The census structure over this lattice with product table
+        `times`, its residuum derived from the product (`_derive_residuum`)."""
+        return Structure(
+            n=self.n,
+            names=self.names,
+            join=self.join,
+            meet=self.meet,
+            times=times,
+            residuum=_derive_residuum(self, times),
+            bot=self.bot,
+            top=self.top,
+        )
 
 
 def lattice_of(s: Structure) -> Lattice:
@@ -266,9 +280,13 @@ def canonical_key(s: Structure, lat: Lattice | None = None) -> bytes:
 
 @dataclass(frozen=True)
 class SearchSpec:
+    """What `enumerate_residuated` searches: every lattice of `size`
+    elements, or only `base_lattice`, and one record per isomorphism
+    class (`canonical_only`) or every product table.  A caller that wants
+    the first N records takes them with `itertools.islice`."""
+
     size: int
     base_lattice: Lattice | None = None
-    limit: int | None = None
     canonical_only: bool = True
 
     def __post_init__(self):
@@ -276,8 +294,6 @@ class SearchSpec:
             raise SizeOutOfRange(f"supported sizes are 2..{MAX_SIZE}")
         if self.base_lattice is not None and self.base_lattice.n != self.size:
             raise InvalidBaseLattice("base lattice size disagrees with the search size")
-        if self.limit is not None and self.limit < 1:
-            raise BadN(f"search limit must be at least 1, got {self.limit}")
 
 
 @dataclass(frozen=True)
@@ -517,9 +533,12 @@ def _structure_stats(s: Structure, lat: Lattice) -> CensusStats:
 def enumerate_residuated(spec: SearchSpec):
     """Census of residuated lattices matching the search spec.
 
-    Records are emitted in canonical-key order.  With canonical_only
-    (the default) one representative per isomorphism class is kept;
-    otherwise every completed assignment is emitted, still sorted.
+    Records are emitted in canonical-key order, with no limit: a caller
+    stops the generator when it has enough.  With canonical_only (the
+    default) the first record found of each isomorphism class is kept;
+    the stable sort puts equal keys side by side, so a duplicate is a
+    record whose key equals the one before.  Otherwise every completed
+    assignment is emitted, still sorted.
     Validation is split as `validate_structure` is.  The lattice axioms
     are checked once per lattice, before its search, since every table
     over it shares its join and meet; a lattice that fails them yields
@@ -537,31 +556,18 @@ def enumerate_residuated(spec: SearchSpec):
         if lat.violations:
             continue
         for times in _times_tables(lat):
-            s = Structure(
-                n=lat.n,
-                names=lat.names,
-                join=lat.join,
-                meet=lat.meet,
-                times=times,
-                residuum=_derive_residuum(lat, times),
-                bot=lat.bot,
-                top=lat.top,
-            )
+            s = lat.structure(times)
             records.append((canonical_key(s, lat), s, lat))
     # Ascending and stable, then reversed, so that popping from the end
     # emits in key order and drops each record from the list as it goes.
     records.sort(key=lambda kv: kv[0])
     records.reverse()
-    seen = set()
-    emitted = 0
+    previous = None
     while records:
         key, s, lat = records.pop()
-        if spec.canonical_only:
-            if key in seen:
-                continue
-            seen.add(key)
-        if spec.limit is not None and emitted >= spec.limit:
-            return
+        if spec.canonical_only and key == previous:
+            continue
+        previous = key
         if product_violations(s):
             continue
         yield CensusRecord(
@@ -569,4 +575,3 @@ def enumerate_residuated(spec: SearchSpec):
             canonical_key=key,
             stats=_structure_stats(s, lat),
         )
-        emitted += 1

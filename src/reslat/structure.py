@@ -127,18 +127,6 @@ class Structure(Ordered):
         return defaultdict(dict)
 
     @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Covering pairs (x, y): x < y with nothing strictly between."""
-        out = []
-        for x in range(self.n):
-            above = self.up[x] & ~(1 << x)
-            for y in bits(above):
-                between = self.up[x] & self.down[y] & ~(1 << x) & ~(1 << y)
-                if not between:
-                    out.append((x, y))
-        return tuple(out)
-
-    @cached_property
     def heights(self) -> tuple[int, ...]:
         """Length of a longest chain from bot up to each element."""
         order = sorted(range(self.n), key=lambda x: self.down[x].bit_count())
@@ -216,6 +204,20 @@ def per_structure(routine: Callable) -> Callable:
 def subset_repr(s: Structure, mask: int) -> str:
     """Render a carrier subset as {name,name,..} in element order."""
     return "{" + ",".join(s.names[i] for i in bits(mask)) + "}"
+
+
+def covers(up) -> tuple[tuple[int, int], ...]:
+    """Covering pairs of the partial order with up-set masks `up`: the
+    (x, y) with x < y and nothing strictly between, in (x, y) order, the
+    y being the elements strictly above x and strictly above none of them."""
+    out = []
+    for x, mask in enumerate(up):
+        above = mask & ~(1 << x)
+        higher = 0
+        for z in bits(above):
+            higher |= up[z] & ~(1 << z)
+        out += [(x, y) for y in bits(above & ~higher)]
+    return tuple(out)
 
 
 def leq(s: Ordered, x: int, y: int) -> bool:
@@ -347,27 +349,20 @@ def product_violations(s: Structure) -> Violations:
 def order_from_pairs(n: int, pairs) -> tuple[int, ...]:
     """Upset masks of the reflexive-transitive closure of (x, y) pairs.
 
-    Raises MalformedTables if the closure has a cycle.
+    Raises MalformedTables if the closure has a cycle, that is, when two
+    elements are above each other and so have the same up-set.
     """
     up = [1 << i for i in range(n)]
     for x, y in pairs:
         if not (0 <= x < n and 0 <= y < n):
             raise MalformedTables("order pair index out of range")
         up[x] |= 1 << y
-    changed = True
-    while changed:
-        changed = False
+    for k in range(n):  # Warshall: round k adds the paths through k
         for x in range(n):
-            acc = up[x]
-            for y in bits(up[x]):
-                acc |= up[y]
-            if acc != up[x]:
-                up[x] = acc
-                changed = True
-    for x in range(n):
-        for y in bits(up[x]):
-            if y != x and up[y] >> x & 1:
-                raise MalformedTables("order relation has a cycle")
+            if up[x] >> k & 1:
+                up[x] |= up[k]
+    if len(set(up)) < n:
+        raise MalformedTables("order relation has a cycle")
     return tuple(up)
 
 
@@ -383,26 +378,23 @@ def order_tables(n: int, up, names=None) -> tuple[Table, Table]:
     down = tuple(
         sum(1 << x for x in range(n) if up[x] >> y & 1) for y in range(n)
     )
+
+    def bound(masks, x, y, what):
+        """The one element of masks[x] & masks[y] whose mask holds them all."""
+        common = masks[x] & masks[y]
+        found = [m for m in bits(common) if not (common & ~masks[m])]
+        if len(found) != 1:
+            raise MalformedTables(f"elements {names[x]},{names[y]} have no {what}")
+        return found[0]
+
     join_rows = []
     meet_rows = []
     for x in range(n):
         jr = []
         mr = []
         for y in range(n):
-            ub = up[x] & up[y]
-            least = [m for m in bits(ub) if not (ub & ~up[m])]
-            if len(least) != 1:
-                raise MalformedTables(
-                    f"elements {names[x]},{names[y]} have no least upper bound"
-                )
-            jr.append(least[0])
-            lb = down[x] & down[y]
-            greatest = [m for m in bits(lb) if not (lb & ~down[m])]
-            if len(greatest) != 1:
-                raise MalformedTables(
-                    f"elements {names[x]},{names[y]} have no greatest lower bound"
-                )
-            mr.append(greatest[0])
+            jr.append(bound(up, x, y, "least upper bound"))
+            mr.append(bound(down, x, y, "greatest lower bound"))
         join_rows.append(tuple(jr))
         meet_rows.append(tuple(mr))
     return tuple(join_rows), tuple(meet_rows)

@@ -6,7 +6,9 @@ Runs the stages of `modelgen.enumerate_residuated` one after another
 over the whole census, each over all its inputs, so that each is timed
 alone: lattice enumeration, the join cosets, the product search, the
 residuum, `Structure` construction, the canonical key, sorting and
-deduplication, validation and the census stats.  Validation and stats
+deduplication (the sort is stable and puts equal keys side by side, so,
+as in the census, a record is dropped when its key equals the one
+before), validation and the census stats.  Validation and stats
 each have a lattice part, run once per lattice (the lattice axioms, the
 join-prime elements), and a part run once per class (the product
 axioms, the stats read off the idempotents).  Each lattice's join and
@@ -69,8 +71,12 @@ def census_stages(size):
 
     def first_of_each_class(records):
         records.sort(key=lambda kv: kv[0])
-        seen = set()
-        return [sl for key, sl in records if not (key in seen or seen.add(key))]
+        out, previous = [], None
+        for key, sl in records:
+            if key != previous:
+                out.append(sl)
+            previous = key
+        return out
 
     [classes] = timed(stages, "sort", first_of_each_class, [list(zip(keys, pairs))])
     timed(stages, "validation, lattice part", lambda lat: lat.violations, lats)

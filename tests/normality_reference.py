@@ -11,6 +11,8 @@ first failing tuple, as the verdict words its witness.
 
 from itertools import combinations, combinations_with_replacement
 
+from constructions import boolean, zero_plus
+
 from reslat.bitsets import bits
 from reslat.coann import coannulet_table
 from reslat.filters import generated_filter
@@ -82,42 +84,4 @@ def zero_plus_boolean(k: int) -> Structure:
 
     Element 0 is the new bottom, named "0"; element m + 1 is the subset
     m of the atoms 1..k, named by its atoms, and "z" when empty."""
-    size = (1 << k) + 1
-
-    def join(x, y):
-        if x == 0 or y == 0:
-            return x | y
-        return ((x - 1) | (y - 1)) + 1
-
-    def meet(x, y):
-        if x == 0 or y == 0:
-            return 0
-        return ((x - 1) & (y - 1)) + 1
-
-    joins = [[join(x, y) for y in range(size)] for x in range(size)]
-    meets = [[meet(x, y) for y in range(size)] for x in range(size)]
-    residuum = []
-    for x in range(size):
-        row = []
-        for y in range(size):
-            # The Heyting implication: the join of every z with x ^ z <= y.
-            out = 0
-            for z in range(size):
-                if joins[meets[x][z]][y] == y:
-                    out = joins[out][z]
-            row.append(out)
-        residuum.append(row)
-    names = ["0"] + [
-        "".join(str(i + 1) for i in range(k) if m >> i & 1) or "z"
-        for m in range(1 << k)
-    ]
-    return Structure(
-        n=size,
-        names=names,
-        join=joins,
-        meet=meets,
-        times=meets,
-        residuum=residuum,
-        bot=0,
-        top=size - 1,
-    )
+    return zero_plus(boolean(k))

@@ -8,9 +8,10 @@ from operator import itemgetter
 import modelgen_reference as ref
 import pytest
 from conftest import SRC
+from constructions import has_no_zero_divisors
 
 from reslat import modelgen, structure
-from reslat.errors import BadN, InvalidBaseLattice, MalformedTables, SizeOutOfRange
+from reslat.errors import InvalidBaseLattice, MalformedTables, SizeOutOfRange
 from reslat.fileformat import load_structure
 from reslat.filters import all_filters
 from reslat.modelgen import (
@@ -167,24 +168,11 @@ def test_times_tables_match_brute_force(n):
         assert _times_tables(lat) == _times_tables_oracle(lat)
 
 
-def _census_structure(lat, times):
-    return Structure(
-        n=lat.n,
-        names=lat.names,
-        join=lat.join,
-        meet=lat.meet,
-        times=times,
-        residuum=_derive_residuum(lat, times),
-        bot=lat.bot,
-        top=lat.top,
-    )
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_every_product_table_derives_a_residuum(n):
     for lat in _both_labelings(n):
         for times in _times_tables(lat):
-            assert validate_structure(_census_structure(lat, times)).valid
+            assert validate_structure(lat.structure(times)).valid
 
 
 def _residuum_by_definition(lat, times):
@@ -309,6 +297,8 @@ def test_size_eight_census_counts():
     _assert_stats_match_analysis(records)
     counts = _index_mtl_counts(records)
     assert sum(counts.values()) == 4712
+    # The zero-divisor identity of tests/test_subvarieties.py at size 8.
+    assert sum(has_no_zero_divisors(r.structure) for r in records) == 723
     assert counts == {
         (1, False): 2248,
         (1, True): 2393,
@@ -409,17 +399,6 @@ def test_canonical_only_prunes_soundly():
         if rec.canonical_key not in seen:
             seen.append(rec.canonical_key)
     assert seen == [r.canonical_key for r in pruned]
-
-
-def test_limit_caps_emission():
-    recs = list(enumerate_residuated(SearchSpec(size=5, limit=3)))
-    assert len(recs) == 3
-
-
-@pytest.mark.parametrize("limit", [0, -1])
-def test_non_positive_limit_rejected(limit):
-    with pytest.raises(BadN, match="limit"):
-        SearchSpec(size=3, limit=limit)
 
 
 def test_emission_is_sorted_and_deterministic():
@@ -623,7 +602,7 @@ def test_two_stage_key_matches_single_stage(n):
     rng = random.Random(n)
     for lat in enumerate_lattices(n):
         for times in _times_tables(lat):
-            s = _census_structure(lat, times)
+            s = lat.structure(times)
             perm = list(range(n))
             rng.shuffle(perm)
             for t in (s, _relabel(s, perm)):
@@ -673,7 +652,7 @@ def _assert_census_matches_reference(lat):
     tables = _times_tables(lat)
     assert tables == ref.times_tables(lat)
     for times in tables:
-        s = _census_structure(lat, times)
+        s = lat.structure(times)
         assert canonical_key(s, lat) == ref.canonical_key(s, coset)
     return tables
 
@@ -715,7 +694,7 @@ def test_census_over_renumbered_a6_matches_reference(a6):
     tables = _assert_census_matches_reference(lat)
     coset = ref.join_coset(lat.n, lat.join, lat.bot, lat.top)
     expected = sorted(
-        ((ref.canonical_key(_census_structure(lat, t), coset), t) for t in tables),
+        ((ref.canonical_key(lat.structure(t), coset), t) for t in tables),
         key=itemgetter(0),
     )
     records = list(enumerate_residuated(SearchSpec(size=6, base_lattice=lat, canonical_only=False)))

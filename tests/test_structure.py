@@ -6,11 +6,14 @@ from itertools import product
 import pytest
 
 from reslat.errors import MalformedTables, StructureFileError
+from reslat.bitsets import bits
 from reslat.fileformat import load_structure, parse_structure
+from reslat.filters import all_filters
 from reslat.modelgen import SearchSpec, enumerate_residuated
 from reslat.structure import (
     Structure,
     ValidationReport,
+    covers,
     is_mtl,
     lattice_violations,
     leq,
@@ -213,7 +216,47 @@ def test_covers_of_a6(a6):
         (ids["c"], ids["d"]),
         (ids["d"], ids["1"]),
     }
-    assert set(a6.covers) == expected
+    assert set(covers(a6.up)) == expected
+
+
+def _element_covers_by_interval(s):
+    """Covering pairs of the element order: x < y with the interval
+    [x, y] holding nothing but x and y."""
+    out = []
+    for x in range(s.n):
+        for y in bits(s.up[x] & ~(1 << x)):
+            if not s.up[x] & s.down[y] & ~(1 << x) & ~(1 << y):
+                out.append((x, y))
+    return tuple(out)
+
+
+def _filter_covers_by_scan(filters):
+    """Covering pairs (i, j) of the filters under inclusion: filter i
+    strictly inside filter j, and no third filter between them."""
+    k = len(filters)
+    out = []
+    for i in range(k):
+        for j in range(k):
+            fi, fj = filters[i], filters[j]
+            if fi == fj or fi & ~fj:
+                continue
+            if not any(
+                l not in (i, j) and not fi & ~filters[l] and not filters[l] & ~fj
+                for l in range(k)
+            ):
+                out.append((i, j))
+    return tuple(out)
+
+
+def test_covers_match_references_on_census(census):
+    """`covers` on the element order and on the filter poset of every
+    class of sizes 2 to 6, against the interval test and the scan over
+    every third filter."""
+    for s in (s for n in range(2, 7) for s in census[n]):
+        assert covers(s.up) == _element_covers_by_interval(s)
+        filters = all_filters(s)
+        up = [sum(1 << j for j, g in enumerate(filters) if not f & ~g) for f in filters]
+        assert covers(up) == _filter_covers_by_scan(filters)
 
 
 def test_subset_repr(a6):
@@ -223,6 +266,61 @@ def test_subset_repr(a6):
 def test_order_from_pairs_detects_cycles():
     with pytest.raises(MalformedTables):
         order_from_pairs(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def _order_by_fixpoint(n, pairs):
+    """`order_from_pairs` by closing every up-set under the up-sets of its
+    members until nothing changes."""
+    up = [1 << i for i in range(n)]
+    for x, y in pairs:
+        if not (0 <= x < n and 0 <= y < n):
+            raise MalformedTables("order pair index out of range")
+        up[x] |= 1 << y
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            acc = up[x]
+            for y in bits(up[x]):
+                acc |= up[y]
+            if acc != up[x]:
+                up[x] = acc
+                changed = True
+    for x in range(n):
+        for y in bits(up[x]):
+            if y != x and up[y] >> x & 1:
+                raise MalformedTables("order relation has a cycle")
+    return tuple(up)
+
+
+def _outcome(routine, n, pairs):
+    try:
+        return routine(n, pairs)
+    except MalformedTables as exc:
+        return str(exc)
+
+
+def test_order_from_pairs_matches_fixpoint_closure():
+    """Warshall's closure gives the masks, or the error, of the fixpoint
+    closure on random relations, acyclic and cyclic, some with an index
+    out of range."""
+    rng = random.Random(1959)
+    outcomes = []
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        if rng.random() < 0.5:
+            pairs = [(x, y) for x, y in pairs if x < y]
+        if rng.random() < 0.05:
+            pairs.append((n, 0))
+        expected = _outcome(_order_by_fixpoint, n, pairs)
+        assert _outcome(order_from_pairs, n, pairs) == expected, (n, pairs)
+        outcomes.append(expected if isinstance(expected, str) else "order")
+    assert set(outcomes) == {
+        "order",
+        "order relation has a cycle",
+        "order pair index out of range",
+    }
 
 
 def test_order_tables_requires_lattice():

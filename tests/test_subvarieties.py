@@ -23,9 +23,13 @@ with each cell's last candidate dropped.
 """
 
 import pytest
+from constructions import has_no_zero_divisors, zero_plus
 
 from reslat import bitsets, modelgen
-from reslat.modelgen import SearchSpec, enumerate_lattices, enumerate_residuated
+from reslat.modelgen import SearchSpec, canonical_key, enumerate_lattices, enumerate_residuated
+from reslat.normality import normality_report
+from reslat.spectra import minimal_primes_over
+from reslat.structure import validate_structure
 
 
 def _pairs(s):
@@ -163,12 +167,30 @@ def test_classes_without_zero_divisors_match_the_size_below(census, n):
     M' are.
 
     Both sides come from the same product search, so only a defect that
-    hits sizes n and n - 1 differently shows here.
+    hits sizes n and n - 1 differently shows here.  The size-8 case is
+    in `test_size_eight_census_counts`, which holds the size-8 census.
     """
-
-    def no_zero_divisors(s):
-        rest = [x for x in range(s.n) if x != s.bot]
-        return all(s.times[x][y] != s.bot for x in rest for y in rest)
-
-    count = sum(map(no_zero_divisors, census[n]))
+    count = sum(map(has_no_zero_divisors, census[n]))
     assert count == len(census[n - 1]) == {3: 1, 4: 2, 5: 7, 6: 26, 7: 129}[n]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_zero_plus_of_the_size_below_is_in_the_census(census, n):
+    """0 (+) M, built by `zero_plus` rather than found by the product
+    search, for every size-(n - 1) class M: the keys are distinct and all
+    in the size-n census, by the lemma of the test above.
+
+    Its index over {top} is the number of minimal primes of M over {top}.
+    The primes of 0 (+) M are those of M and M itself, the up-set of M's
+    bottom, which is prime since a join above it has a factor other than
+    the new bottom.  So its minimal primes are M's, and M holds them all.
+    """
+    keys = {canonical_key(s) for s in census[n]}
+    lifted = [zero_plus(m) for m in census[n - 1]]
+    lifted_keys = {canonical_key(s) for s in lifted}
+    assert len(lifted_keys) == len(lifted) == {3: 1, 4: 2, 5: 7, 6: 26, 7: 129}[n]
+    assert lifted_keys <= keys
+    for m, s in zip(census[n - 1], lifted):
+        assert validate_structure(s).valid
+        index = normality_report(s, 1 << s.top).index
+        assert index == len(minimal_primes_over(m, 1 << m.top))
