@@ -187,7 +187,8 @@ def load_lattice(path) -> tuple[Lattice, str]:
 
     The order and tables follow the rules of `parse_structure`, and the
     tables must pass `lattice_violations`: the first axiom they fail is
-    named, with its witness.
+    named, with its witness.  As in `Structure`, the carrier has at most
+    256 elements, and bot and top are distinct.
     """
     path = Path(path)
     data = _read_json(path)
@@ -195,6 +196,8 @@ def load_lattice(path) -> tuple[Lattice, str]:
     if len(elements) > 256:
         raise MalformedTables("carrier has more than 256 elements")
     bot, top = index[data["bot"]], index[data["top"]]
+    if bot == top:
+        raise MalformedTables("bot and top must be distinct")
     lat = Lattice(len(elements), tuple(elements), *_parse_lattice(data, index), bot, top)
     if lat.violations:
         axiom, witness = lat.violations[0]

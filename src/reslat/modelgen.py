@@ -6,7 +6,7 @@ backtracking, each cell trying the values of one candidate bitmask that
 the filled cells of its row and column cut so that the product preserves
 joins, which on a finite lattice is exactly residuation.  The residuum is
 then derived from the product rather than searched: residuum[y][z] is the
-join of the x with x * y <= z.
+join of the x with x * y <= z, read by byte lookup (`_derive_residuum`).
 
 Isomorphic duplicates are rejected by a canonical key, computed in two
 stages.  The key is the least relabeling of join || meet || times ||
@@ -16,10 +16,12 @@ group (`Lattice.coset`, scanned once per lattice).  The meet table is
 fixed by the join table, so on that coset its part is fixed too, and
 only times || residuum is minimised, over the coset alone.  That is the
 same lexicographic minimum, so the key bytes are those of a minimum
-over every relabeling.  Every emitted structure passes full validation;
-isomorphic structures pass or fail together, so each class is validated
-once, when its representative is emitted, and the lattice axioms once
-per lattice, since its tables share their join and meet.
+over every relabeling.  A table is keyed from its flat times || residuum
+bytes, before any `Structure` exists; only the record that is emitted,
+one per class, gets a `Structure`.  Every emitted structure passes full
+validation; isomorphic structures pass or fail together, so each class
+is validated once, when its representative is emitted, and the lattice
+axioms once per lattice, since its tables share their join and meet.
 
 The stages that grow with the size read index data computed once
 instead of rederiving it per node or per relabeling.  The product search
@@ -32,10 +34,10 @@ into its relabeled cell order, and a `bytes.translate` table for the
 values.  The lattice key, the coset scan and the canonical key each
 relabel a table with one gather and one translation.  What every table
 over a lattice shares is kept on the `Lattice`: its coset, key head,
-lattice-axiom verdict, residuum lookups and join-prime elements.  The
-census stats of a record are read off its idempotents and those
-join-prime elements (`_structure_stats`), not from the filter, spectrum
-and normality analyses.
+lattice-axiom verdict, residuum lookups, order rows (for the product
+axioms) and join-prime elements.  The census stats of a record are read
+off its idempotents and those join-prime elements (`_structure_stats`),
+not from the filter, spectrum and normality analyses.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import NamedTuple
 from .bitsets import bits
 from .errors import InvalidBaseLattice, SizeOutOfRange
 from .structure import Ordered, Structure, Table, is_mtl, lattice_violations
-from .structure import order_tables, product_violations
+from .structure import order_rows, order_tables, product_violations
 
 MAX_SIZE = 8
 
@@ -59,9 +61,9 @@ MAX_SIZE = 8
 class Lattice(Ordered):
     """The lattice part of a `Structure`, with the same fields, and what
     every structure over it shares: the join coset, key head, axiom
-    verdict, residuum lookups and join-prime elements.  Construction
-    checks nothing; the tables are a bounded lattice iff `violations`
-    is empty."""
+    verdict, residuum lookups, order rows and join-prime elements.
+    Construction checks nothing; the tables are a bounded lattice iff
+    `violations` is empty."""
 
     n: int
     names: tuple[str, ...]
@@ -98,13 +100,21 @@ class Lattice(Ordered):
         return lattice_violations(self)
 
     @cached_property
-    def residuum_maps(self) -> tuple[dict[int, int], list[list[int]]]:
-        """For `_derive_residuum`: down-set mask -> its top element, and
-        each element's down-set as a list."""
-        return (
-            {mask: x for x, mask in enumerate(self.down)},
-            [list(bits(mask)) for mask in self.down],
-        )
+    def residuum_maps(self) -> tuple[list[bytes], dict[bytes, int]]:
+        """For `_derive_residuum`: each element z's "v <= z" column, the
+        0/1 bytes of its down-set, as a `bytes.translate` table, and
+        those down-set bytes -> z."""
+        n = self.n
+        pad = bytes(256 - n)
+        downs = [bytes(mask >> v & 1 for v in range(n)) for mask in self.down]
+        return [low + pad for low in downs], {low: z for z, low in enumerate(downs)}
+
+    @cached_property
+    def order_rows(self):
+        """`structure.order_rows` of these tables, which
+        `product_violations(s, lat)` reads for every structure over this
+        lattice."""
+        return order_rows(self)
 
     @cached_property
     def join_primes(self) -> int:
@@ -122,16 +132,16 @@ class Lattice(Ordered):
                 mask |= 1 << e
         return mask
 
-    def structure(self, times) -> Structure:
+    def structure(self, times, residuum) -> Structure:
         """The census structure over this lattice with product table
-        `times`, its residuum derived from the product (`_derive_residuum`)."""
+        `times` and the residuum `_derive_residuum` gives for it."""
         return Structure(
             n=self.n,
             names=self.names,
             join=self.join,
             meet=self.meet,
             times=times,
-            residuum=_derive_residuum(self, times),
+            residuum=residuum,
             bot=self.bot,
             top=self.top,
         )
@@ -274,7 +284,13 @@ def canonical_key(s: Structure, lat: Lattice | None = None) -> bytes:
     from s.
     """
     lat = lattice_of(s) if lat is None else lat
-    flat = _flat(s.times, s.residuum)
+    return _table_key(lat, _flat(s.times, s.residuum))
+
+
+def _table_key(lat: Lattice, flat: bytes) -> bytes:
+    """`canonical_key` of the structure over `lat` whose times || residuum
+    tables are the flat bytes `flat`: the lattice's key head, then the
+    least relabeling of `flat` over its join coset."""
     return lat.key_head + min([bytes(r.two(flat)).translate(r.values) for r in lat.coset])
 
 
@@ -470,30 +486,18 @@ def _times_tables(lat: Lattice):
     return out
 
 
-def _derive_residuum(lat: Lattice, times) -> tuple:
-    """residuum[y][z] = join of {x | x * y <= z}, from principal down-sets.
+def _derive_residuum(lat: Lattice, times) -> Table:
+    """residuum[y][z] = join of {x | x * y <= z}, by byte lookup.
 
-    With by_value[v] the mask of the x with x * y = v (row y of the
-    commutative product), that set is the union of by_value[v] over v in
-    down(z).  The product preserves joins, so the set holds its own join
-    and is that element's down-set: residuum[y][z] is looked up by mask,
-    the adjoint the search guaranteed.
+    Row y of the commutative product holds x * y at x, so translating it
+    by z's "v <= z" column (`Lattice.residuum_maps`) gives that set as
+    0/1 bytes.  The product preserves joins, so the set holds its own
+    join and is that element's down-set: residuum[y][z] is the one dict
+    lookup of those bytes, the adjoint the search guaranteed.
     """
-    n = lat.n
-    element, below = lat.residuum_maps
-    rows = []
-    for y in range(n):
-        by_value = [0] * n
-        for x, v in enumerate(times[y]):
-            by_value[v] |= 1 << x
-        row = []
-        for low in below:
-            mask = 0
-            for v in low:
-                mask |= by_value[v]
-            row.append(element[mask])
-        rows.append(tuple(row))
-    return tuple(rows)
+    columns, element = lat.residuum_maps
+    get = element.__getitem__
+    return tuple(tuple(map(get, map(bytes(row).translate, columns))) for row in times)
 
 
 def _structure_stats(s: Structure, lat: Lattice) -> CensusStats:
@@ -534,17 +538,22 @@ def enumerate_residuated(spec: SearchSpec):
     """Census of residuated lattices matching the search spec.
 
     Records are emitted in canonical-key order, with no limit: a caller
-    stops the generator when it has enough.  With canonical_only (the
-    default) the first record found of each isomorphism class is kept;
-    the stable sort puts equal keys side by side, so a duplicate is a
-    record whose key equals the one before.  Otherwise every completed
-    assignment is emitted, still sorted.
+    stops the generator when it has enough.  Each product table found is
+    held as (key, times, residuum, lattice): its residuum is derived and
+    it is keyed from its flat tables (`_table_key`, the routine
+    `canonical_key` calls).  With canonical_only (the default) the first
+    table found of each isomorphism class is kept; the stable sort puts
+    equal keys side by side, so a duplicate is a table whose key equals
+    the one before.  Otherwise every completed assignment is emitted,
+    still sorted.  The `Structure` of a table is built when it is popped
+    and kept, so a duplicate never gets one.
     Validation is split as `validate_structure` is.  The lattice axioms
     are checked once per lattice, before its search, since every table
     over it shares its join and meet; a lattice that fails them yields
     nothing.  The product axioms are checked on the records about to be
-    emitted, after the duplicate check: structures with equal keys are
-    isomorphic, so they pass or fail together.
+    emitted, after the duplicate check, against the lattice's cached
+    order rows: structures with equal keys are isomorphic, so they pass
+    or fail together.
     """
     lattices = (
         [spec.base_lattice]
@@ -556,19 +565,20 @@ def enumerate_residuated(spec: SearchSpec):
         if lat.violations:
             continue
         for times in _times_tables(lat):
-            s = lat.structure(times)
-            records.append((canonical_key(s, lat), s, lat))
+            residuum = _derive_residuum(lat, times)
+            records.append((_table_key(lat, _flat(times, residuum)), times, residuum, lat))
     # Ascending and stable, then reversed, so that popping from the end
     # emits in key order and drops each record from the list as it goes.
-    records.sort(key=lambda kv: kv[0])
+    records.sort(key=itemgetter(0))
     records.reverse()
     previous = None
     while records:
-        key, s, lat = records.pop()
+        key, times, residuum, lat = records.pop()
         if spec.canonical_only and key == previous:
             continue
         previous = key
-        if product_violations(s):
+        s = lat.structure(times, residuum)
+        if product_violations(s, lat):
             continue
         yield CensusRecord(
             structure=s,

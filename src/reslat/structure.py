@@ -324,16 +324,30 @@ def lattice_violations(lat) -> Violations:
     ))
 
 
-def product_violations(s: Structure) -> Violations:
+def order_rows(ordered: Ordered):
+    """(le, le_of, LE) of the order of ordered.join: le[x][v] = 1 iff
+    x <= v, as bytes, the same rows as `bytes.translate` tables, and
+    the rows concatenated."""
+    n = ordered.n
+    rng = range(n)
+    pad = bytes(256 - n)
+    le = [bytes(map(eq, row, rng)) for row in ordered.join]
+    return le, [row + pad for row in le], b"".join(le)
+
+
+def product_violations(s: Structure, lat=None) -> Violations:
     """The five axioms of `validate_structure` on the product and the
-    residuum, read against the order of s.join."""
+    residuum, read against the order of s.join.  `lat`, a
+    `modelgen.Lattice` with the join table of s, supplies its cached
+    `order_rows`, built once for every structure over it; without it
+    they are built from s."""
     n, top = s.n, s.top
     rng = range(n)
     pad = bytes(256 - n)
     tm = [bytes(row) for row in s.times]
-    le = [bytes(map(eq, row, rng)) for row in s.join]  # le[x][v] = 1 iff x <= v
-    tm_of, le_of = ([row + pad for row in rows] for rows in (tm, le))
-    TM, LE = b"".join(tm), b"".join(le)
+    tm_of = [row + pad for row in tm]
+    TM = b"".join(tm)
+    le, le_of, LE = order_rows(s) if lat is None else lat.order_rows
     RS = bytes(chain.from_iterable(s.residuum))
     is_top = bytearray(256)
     is_top[top] = 1
@@ -369,32 +383,33 @@ def order_from_pairs(n: int, pairs) -> tuple[int, ...]:
 def order_tables(n: int, up, names=None) -> tuple[Table, Table]:
     """Join and meet tables of the bounded lattice with upset masks `up`.
 
-    Raises MalformedTables when some pair lacks a least upper bound or a
-    greatest lower bound, i.e. when the order is not a lattice.  The
-    message names the pair by `names`, or by index when none are given.
+    `up` must be the up-sets of a partial order, as `order_from_pairs`
+    gives them; distinct elements then have distinct up-sets.  The upper
+    bounds of x and y are up[x] & up[y], and they have a least one
+    exactly when that mask is itself the up-set of an element, their
+    join; dually for the meet on down-sets.  So each cell is one dict
+    lookup.  Raises MalformedTables when some pair lacks a least upper
+    bound or a greatest lower bound, i.e. when the order is not a
+    lattice: for the first such pair in (x, y) order, the join before
+    the meet.  The message names the pair by `names`, or by index when
+    none are given.
     """
     names = names or range(n)
     up = tuple(up)
     down = tuple(
         sum(1 << x for x in range(n) if up[x] >> y & 1) for y in range(n)
     )
-
-    def bound(masks, x, y, what):
-        """The one element of masks[x] & masks[y] whose mask holds them all."""
-        common = masks[x] & masks[y]
-        found = [m for m in bits(common) if not (common & ~masks[m])]
-        if len(found) != 1:
-            raise MalformedTables(f"elements {names[x]},{names[y]} have no {what}")
-        return found[0]
-
+    join_of = {mask: x for x, mask in enumerate(up)}.get
+    meet_of = {mask: x for x, mask in enumerate(down)}.get
     join_rows = []
     meet_rows = []
     for x in range(n):
-        jr = []
-        mr = []
-        for y in range(n):
-            jr.append(bound(up, x, y, "least upper bound"))
-            mr.append(bound(down, x, y, "greatest lower bound"))
-        join_rows.append(tuple(jr))
-        meet_rows.append(tuple(mr))
+        jr = tuple(map(join_of, [up[x] & u for u in up]))
+        mr = tuple(map(meet_of, [down[x] & d for d in down]))
+        if None in jr or None in mr:
+            y = next(y for y in range(n) if jr[y] is None or mr[y] is None)
+            what = "least upper bound" if jr[y] is None else "greatest lower bound"
+            raise MalformedTables(f"elements {names[x]},{names[y]} have no {what}")
+        join_rows.append(jr)
+        meet_rows.append(mr)
     return tuple(join_rows), tuple(meet_rows)

@@ -4,16 +4,17 @@
 
 Runs the stages of `modelgen.enumerate_residuated` one after another
 over the whole census, each over all its inputs, so that each is timed
-alone: lattice enumeration, the join cosets, the product search, the
-residuum, `Structure` construction, the canonical key, sorting and
-deduplication (the sort is stable and puts equal keys side by side, so,
-as in the census, a record is dropped when its key equals the one
-before), validation and the census stats.  Validation and stats
-each have a lattice part, run once per lattice (the lattice axioms, the
-join-prime elements), and a part run once per class (the product
-axioms, the stats read off the idempotents).  Each lattice's join and
-meet tables are built with it, in the "lattices" stage; the rest of its
-data is built by the first stage that reads it, as in the census.  Each
+alone: lattice enumeration, the join cosets, the product search, then
+per product table the residuum and the canonical key of its flat
+tables, sorting and deduplication (the sort is stable and puts equal
+keys side by side, so, as in the census, a record is dropped when its
+key equals the one before), then per class `Structure` construction,
+validation and the census stats.  Validation and stats each have a
+lattice part, run once per lattice (the lattice axioms, the join-prime
+elements), and a part run once per class (the product axioms, the
+stats read off the idempotents).  Each lattice's join and meet tables
+are built with it, in the "lattices" stage; the rest of its data is
+built by the first stage that reads it, as in the census.  Each
 stage prints the least of its times over `--repeat` fresh runs (new
 lattices, relabeling maps rebuilt) and how many calls it made.  The
 last lines are the sum of the stages and the end-to-end census,
@@ -30,7 +31,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from reslat import modelgen  # noqa: E402
-from reslat.structure import Structure, product_violations  # noqa: E402
+from reslat.structure import product_violations  # noqa: E402
 
 
 def timed(stages, name, fn, items):
@@ -51,36 +52,28 @@ def census_stages(size):
     found = timed(stages, "product search", modelgen._times_tables, lats)
     tables = [(lat, t) for lat, ts in zip(lats, found) for t in ts]
     residua = timed(stages, "residuum", lambda lt: modelgen._derive_residuum(*lt), tables)
-    structures = timed(
+    records = [(lat, t, r) for (lat, t), r in zip(tables, residua)]
+    keys = timed(
         stages,
-        "Structure",
-        lambda ltr: Structure(
-            n=ltr[0].n,
-            names=ltr[0].names,
-            join=ltr[0].join,
-            meet=ltr[0].meet,
-            times=ltr[1],
-            residuum=ltr[2],
-            bot=ltr[0].bot,
-            top=ltr[0].top,
-        ),
-        [(lat, t, r) for (lat, t), r in zip(tables, residua)],
+        "key",
+        lambda ltr: modelgen._table_key(ltr[0], modelgen._flat(ltr[1], ltr[2])),
+        records,
     )
-    pairs = [(s, lat) for (lat, _), s in zip(tables, structures)]
-    keys = timed(stages, "key", lambda sl: modelgen.canonical_key(*sl), pairs)
 
     def first_of_each_class(records):
         records.sort(key=lambda kv: kv[0])
         out, previous = [], None
-        for key, sl in records:
+        for key, ltr in records:
             if key != previous:
-                out.append(sl)
+                out.append(ltr)
             previous = key
         return out
 
-    [classes] = timed(stages, "sort", first_of_each_class, [list(zip(keys, pairs))])
+    [kept] = timed(stages, "sort", first_of_each_class, [list(zip(keys, records))])
+    structures = timed(stages, "Structure", lambda ltr: ltr[0].structure(*ltr[1:]), kept)
+    classes = [(s, lat) for s, (lat, _, _) in zip(structures, kept)]
     timed(stages, "validation, lattice part", lambda lat: lat.violations, lats)
-    timed(stages, "validation, product part", lambda sl: product_violations(sl[0]), classes)
+    timed(stages, "validation, product part", lambda sl: product_violations(*sl), classes)
     timed(stages, "stats, lattice part", lambda lat: lat.join_primes, lats)
     timed(stages, "stats, per class", lambda sl: modelgen._structure_stats(*sl), classes)
     return stages

@@ -1,18 +1,24 @@
-"""Test-side references for the census: the product search and the
-relabeling routines as they read before the search was scheduled and
-the relabelings became index maps.
+"""Test-side references for the census: the product search, the
+relabeling routines, the residuum and the lattice tables as they read
+before each became a lookup in data built once.
 
-`modelgen._times_tables` works from a per-lattice schedule of cuts, and
+`modelgen._times_tables` works from a per-lattice schedule of cuts,
 `_lattice_key`, `Lattice.coset` and `canonical_key` relabel through
-precomputed gathers.  The routines here keep the direct routes: a
-product search whose `candidates` rescans both columns of each cell at
-every node, and relabelings written cell by cell.  The census must give
-the same lists, in the same order, and the same key bytes from both.
+precomputed gathers, `_derive_residuum` reads each cell with one
+`bytes.translate` and one dict lookup, and `structure.order_tables`
+finds each join and meet by one dict lookup of an up-set or a down-set.
+The routines here keep the direct routes: a product search whose
+`candidates` rescans both columns of each cell at every node,
+relabelings written cell by cell, a residuum that ORs the masks of each
+down-set, and bounds found by scanning the common bounds.  The census
+must give the same lists, in the same order, the same key bytes, the
+same tables and the same `MalformedTables` text from both.
 """
 
 from itertools import permutations
 
 from reslat.bitsets import bits
+from reslat.errors import MalformedTables
 
 
 def relabelings(n: int, bot: int, top: int):
@@ -150,3 +156,59 @@ def times_tables(lat):
 
     rec(0)
     return out
+
+
+def derive_residuum(lat, times) -> tuple:
+    """residuum[y][z] = join of {x | x * y <= z}, from principal down-sets.
+
+    With by_value[v] the mask of the x with x * y = v (row y of the
+    commutative product), that set is the union of by_value[v] over v in
+    down(z), and it is the down-set of its own join.
+    """
+    n = lat.n
+    element = {mask: x for x, mask in enumerate(lat.down)}
+    below = [list(bits(mask)) for mask in lat.down]
+    rows = []
+    for y in range(n):
+        by_value = [0] * n
+        for x, v in enumerate(times[y]):
+            by_value[v] |= 1 << x
+        row = []
+        for low in below:
+            mask = 0
+            for v in low:
+                mask |= by_value[v]
+            row.append(element[mask])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def order_tables(n: int, up, names=None):
+    """Join and meet tables of the bounded lattice with upset masks `up`,
+    each bound the one common bound whose mask holds all the others;
+    MalformedTables names the first pair in (x, y) order that lacks one,
+    the join before the meet."""
+    names = names or range(n)
+    up = tuple(up)
+    down = tuple(
+        sum(1 << x for x in range(n) if up[x] >> y & 1) for y in range(n)
+    )
+
+    def bound(masks, x, y, what):
+        common = masks[x] & masks[y]
+        found = [m for m in bits(common) if not (common & ~masks[m])]
+        if len(found) != 1:
+            raise MalformedTables(f"elements {names[x]},{names[y]} have no {what}")
+        return found[0]
+
+    join_rows = []
+    meet_rows = []
+    for x in range(n):
+        jr = []
+        mr = []
+        for y in range(n):
+            jr.append(bound(up, x, y, "least upper bound"))
+            mr.append(bound(down, x, y, "greatest lower bound"))
+        join_rows.append(tuple(jr))
+        meet_rows.append(tuple(mr))
+    return tuple(join_rows), tuple(meet_rows)

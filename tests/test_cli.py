@@ -310,6 +310,18 @@ def test_search_names_the_axiom_a_base_lattice_fails(capsys, bad_base_lattice):
     assert err.endswith(f": {axiom} fails at {witness}\n")
 
 
+@pytest.mark.parametrize("command", [("validate",), ("search", "--base-lattice")])
+def test_bot_equal_to_top_is_usage_error(capsys, tmp_path, command):
+    """A base-lattice file is refused as a structure file is, before its
+    lattice axioms are checked."""
+    data = json.loads(Path(fixture("a6.json")).read_text())
+    data["bot"] = data["top"]
+    p = tmp_path / "bot-is-top.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *command, str(p))
+    assert (code, out, err) == (2, "", "reslat: error: bot and top must be distinct\n")
+
+
 def _set_bot(data):
     data["bot"] = ["0"]
 

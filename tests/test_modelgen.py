@@ -41,13 +41,11 @@ def test_lattice_counts_small():
     assert len(enumerate_lattices(6)) == 15
 
 
-def _lattice_classes_oracle(n):
-    """Independent classes: enumerate middle orders pair by pair, keep the
-    bounded lattices, and group by explicit isomorphism search; one up-mask
-    tuple per class."""
+def _bounded_orders(n):
+    """Every partial order on n elements with least element 0 and greatest
+    n - 1, as up-mask tuples: the middle orders, enumerated pair by pair."""
     mids = list(range(1, n - 1))
     pairs = [(x, y) for x in mids for y in mids if x != y]
-    survivors = []
     for sel in range(1 << len(pairs)):
         rel = {p for i, p in enumerate(pairs) if sel >> i & 1}
         if any((y, x) in rel for (x, y) in rel):
@@ -66,11 +64,21 @@ def _lattice_classes_oracle(n):
             up[x] = (1 << x) | (1 << (n - 1))
         for x, y in rel:
             up[x] |= 1 << y
+        yield tuple(up)
+
+
+def _lattice_classes_oracle(n):
+    """Independent classes: keep the bounded orders that are lattices,
+    and group them by explicit isomorphism search; one up-mask tuple per
+    class."""
+    mids = list(range(1, n - 1))
+    survivors = []
+    for up in _bounded_orders(n):
         try:
             order_tables(n, up)
         except MalformedTables:
             continue
-        survivors.append(tuple(up))
+        survivors.append(up)
 
     def isomorphic(u, v):
         for perm in permutations(mids):
@@ -100,6 +108,29 @@ def test_lattice_counts_match_oracle(n):
     assert {_lattice_key(n, up, 0, n - 1) for up in classes} == {
         _lattice_key(n, lat.up, lat.bot, lat.top) for lat in lattices
     }
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the MalformedTables it raises."""
+    try:
+        return fn(*args)
+    except MalformedTables as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_order_tables_match_reference_on_every_bounded_order(n):
+    """On the candidates of `test_lattice_counts_match_oracle`, lattices
+    or not, `order_tables` gives the reference's tables, or raises the
+    reference's `MalformedTables` text: the same first failing pair, the
+    join before the meet."""
+    refused = 0
+    for up in _bounded_orders(n):
+        expected = _outcome(ref.order_tables, n, up)
+        assert _outcome(order_tables, n, up) == expected, up
+        refused += isinstance(expected, str)
+    # Bounded orders of at most five elements are all lattices.
+    assert (refused > 0) == (n == 6)
 
 
 def test_lattice_size_bounds():
@@ -172,7 +203,12 @@ def test_times_tables_match_brute_force(n):
 def test_every_product_table_derives_a_residuum(n):
     for lat in _both_labelings(n):
         for times in _times_tables(lat):
-            assert validate_structure(lat.structure(times)).valid
+            assert validate_structure(_structure(lat, times)).valid
+
+
+def _structure(lat, times):
+    """The census structure over `lat` with product table `times`."""
+    return lat.structure(times, _derive_residuum(lat, times))
 
 
 def _residuum_by_definition(lat, times):
@@ -351,22 +387,26 @@ def test_census_structures_validate():
 
 def test_census_validates_each_lattice_once_and_each_class_once(monkeypatch):
     """The lattice axioms run once per lattice, on the tables its
-    structures share, and the product axioms once per emitted class."""
+    structures share, and the product axioms once per emitted class.  A
+    `Structure` is built only for an emitted class: 129 of them, though
+    the size-6 search finds 142 product tables."""
     calls = Counter()
 
     def counted(part):
-        def run(x):
+        def run(*args, **kwargs):
             calls[part.__name__] += 1
-            return part(x)
+            return part(*args, **kwargs)
 
         return run
 
-    for part in (structure.lattice_violations, structure.product_violations):
+    for part in (structure.lattice_violations, structure.product_violations, Structure):
         monkeypatch.setattr(modelgen, part.__name__, counted(part))
     assert len(list(enumerate_residuated(SearchSpec(size=6)))) == 129
+    assert sum(len(_times_tables(lat)) for lat in enumerate_lattices(6)) == 142
     assert calls == {
         "lattice_violations": len(enumerate_lattices(6)),
         "product_violations": 129,
+        "Structure": 129,
     }
 
 
@@ -602,7 +642,7 @@ def test_two_stage_key_matches_single_stage(n):
     rng = random.Random(n)
     for lat in enumerate_lattices(n):
         for times in _times_tables(lat):
-            s = lat.structure(times)
+            s = _structure(lat, times)
             perm = list(range(n))
             rng.shuffle(perm)
             for t in (s, _relabel(s, perm)):
@@ -641,9 +681,11 @@ def test_coset_is_one_automorphism_coset(n):
 
 
 def _assert_census_matches_reference(lat):
-    """The product tables, the coset, the lattice key and every table's
-    canonical key are those of the direct routines, lists in order."""
+    """The lattice's join and meet tables, the product tables, the coset,
+    the lattice key and every table's residuum and canonical key are
+    those of the direct routines, lists in order."""
     n = lat.n
+    assert order_tables(n, lat.up) == ref.order_tables(n, lat.up) == (lat.join, lat.meet)
     coset = ref.join_coset(n, lat.join, lat.bot, lat.top)
     assert tuple(r.pi for r in lat.coset) == coset
     assert _lattice_key(n, lat.up, lat.bot, lat.top) == ref.lattice_key(
@@ -652,7 +694,9 @@ def _assert_census_matches_reference(lat):
     tables = _times_tables(lat)
     assert tables == ref.times_tables(lat)
     for times in tables:
-        s = lat.structure(times)
+        residuum = _derive_residuum(lat, times)
+        assert residuum == ref.derive_residuum(lat, times)
+        s = lat.structure(times, residuum)
         assert canonical_key(s, lat) == ref.canonical_key(s, coset)
     return tables
 
@@ -694,7 +738,7 @@ def test_census_over_renumbered_a6_matches_reference(a6):
     tables = _assert_census_matches_reference(lat)
     coset = ref.join_coset(lat.n, lat.join, lat.bot, lat.top)
     expected = sorted(
-        ((ref.canonical_key(lat.structure(t), coset), t) for t in tables),
+        ((ref.canonical_key(_structure(lat, t), coset), t) for t in tables),
         key=itemgetter(0),
     )
     records = list(enumerate_residuated(SearchSpec(size=6, base_lattice=lat, canonical_only=False)))
@@ -712,9 +756,9 @@ def test_census_stages_script_times_every_stage(capsys):
         "coset",
         "product search",
         "residuum",
-        "Structure",
         "key",
         "sort",
+        "Structure",
         "validation, lattice part",
         "validation, product part",
         "stats, lattice part",

@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from itertools import product
 
+import modelgen_reference as ref
 import pytest
 
 from reslat.errors import MalformedTables, StructureFileError
@@ -293,9 +294,9 @@ def _order_by_fixpoint(n, pairs):
     return tuple(up)
 
 
-def _outcome(routine, n, pairs):
+def _outcome(routine, *args):
     try:
-        return routine(n, pairs)
+        return routine(*args)
     except MalformedTables as exc:
         return str(exc)
 
@@ -326,8 +327,12 @@ def test_order_from_pairs_matches_fixpoint_closure():
 def test_order_tables_requires_lattice():
     # two incomparable middles with two incomparable uppers: no unique lub
     up = order_from_pairs(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
-    with pytest.raises(MalformedTables):
+    with pytest.raises(MalformedTables) as raised:
         order_tables(6, up)
+    assert str(raised.value) == "elements 1,2 have no least upper bound"
+    names = tuple("0abcd1")
+    assert _outcome(order_tables, 6, up, names) == _outcome(ref.order_tables, 6, up, names)
+    assert _outcome(order_tables, 6, up, names) == "elements a,b have no least upper bound"
 
 
 def test_explicit_tables_must_match_order(fixtures_dir):
