@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import InvalidBaseLattice, MalformedTables, StructureFileError
 from .modelgen import Lattice
-from .structure import Structure, covers, order_from_pairs, order_tables
+from .structure import Structure, covers, lattice_violations, order_from_pairs, order_tables
 
 
 def _name_index(elements) -> dict[str, int]:
@@ -199,8 +199,9 @@ def load_lattice(path) -> tuple[Lattice, str]:
     if bot == top:
         raise MalformedTables("bot and top must be distinct")
     lat = Lattice(len(elements), tuple(elements), *_parse_lattice(data, index), bot, top)
-    if lat.violations:
-        axiom, witness = lat.violations[0]
+    violations = lattice_violations(lat)
+    if violations:
+        axiom, witness = violations[0]
         raise InvalidBaseLattice(
             "join/meet tables are not the operations of a bounded lattice: "
             f"{axiom} fails at " + ",".join(lat.names[i] for i in witness)

@@ -18,10 +18,11 @@ only times || residuum is minimised, over the coset alone.  That is the
 same lexicographic minimum, so the key bytes are those of a minimum
 over every relabeling.  A table is keyed from its flat times || residuum
 bytes, before any `Structure` exists; only the record that is emitted,
-one per class, gets a `Structure`.  Every emitted structure passes full
-validation; isomorphic structures pass or fail together, so each class
-is validated once, when its representative is emitted, and the lattice
-axioms once per lattice, since its tables share their join and meet.
+one per class, gets a `Structure`.  The lattice axioms are checked once
+per lattice, since its tables share their join and meet.  The product
+axioms hold on every emitted table by construction (see
+`enumerate_residuated`), so they are not checked again at run time;
+the tests validate every record of sizes 2 to 7.
 
 The stages that grow with the size read index data computed once
 instead of rederiving it per node or per relabeling.  The product search
@@ -34,10 +35,10 @@ into its relabeled cell order, and a `bytes.translate` table for the
 values.  The lattice key, the coset scan and the canonical key each
 relabel a table with one gather and one translation.  What every table
 over a lattice shares is kept on the `Lattice`: its coset, key head,
-lattice-axiom verdict, residuum lookups, order rows (for the product
-axioms) and join-prime elements.  The census stats of a record are read
-off its idempotents and those join-prime elements (`_structure_stats`),
-not from the filter, spectrum and normality analyses.
+residuum lookups and join-prime elements.  The census stats of a record
+are read off its idempotents and those join-prime elements
+(`_structure_stats`), not from the filter, spectrum and normality
+analyses.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ from typing import NamedTuple
 
 from .bitsets import bits
 from .errors import InvalidBaseLattice, SizeOutOfRange
-from .structure import Ordered, Structure, Table, is_mtl, lattice_violations
-from .structure import order_rows, order_tables, product_violations
+from .structure import Ordered, Structure, Table, is_mtl, lattice_violations, order_tables
 
 MAX_SIZE = 8
 
@@ -60,10 +60,9 @@ MAX_SIZE = 8
 @dataclass(frozen=True)
 class Lattice(Ordered):
     """The lattice part of a `Structure`, with the same fields, and what
-    every structure over it shares: the join coset, key head, axiom
-    verdict, residuum lookups, order rows and join-prime elements.
-    Construction checks nothing; the tables are a bounded lattice iff
-    `violations` is empty."""
+    every structure over it shares: the join coset, key head, residuum
+    lookups and join-prime elements.  Construction checks nothing; the
+    tables are a bounded lattice iff `lattice_violations` finds none."""
 
     n: int
     names: tuple[str, ...]
@@ -94,12 +93,6 @@ class Lattice(Ordered):
         return bytes(first.two(_flat(self.join, self.meet))).translate(first.values)
 
     @cached_property
-    def violations(self):
-        """`lattice_violations` of these tables, shared by every structure
-        over this lattice."""
-        return lattice_violations(self)
-
-    @cached_property
     def residuum_maps(self) -> tuple[list[bytes], dict[bytes, int]]:
         """For `_derive_residuum`: each element z's "v <= z" column, the
         0/1 bytes of its down-set, as a `bytes.translate` table, and
@@ -108,13 +101,6 @@ class Lattice(Ordered):
         pad = bytes(256 - n)
         downs = [bytes(mask >> v & 1 for v in range(n)) for mask in self.down]
         return [low + pad for low in downs], {low: z for z, low in enumerate(downs)}
-
-    @cached_property
-    def order_rows(self):
-        """`structure.order_rows` of these tables, which
-        `product_violations(s, lat)` reads for every structure over this
-        lattice."""
-        return order_rows(self)
 
     @cached_property
     def join_primes(self) -> int:
@@ -267,7 +253,7 @@ def enumerate_lattices(size: int) -> list[Lattice]:
     ]
 
 
-def canonical_key(s: Structure, lat: Lattice | None = None) -> bytes:
+def canonical_key(s: Structure) -> bytes:
     """Isomorphism-invariant bytes of all four tables.
 
     The least join || meet || times || residuum over the relabelings that
@@ -279,12 +265,8 @@ def canonical_key(s: Structure, lat: Lattice | None = None) -> bytes:
     over that coset alone, for times || residuum, with the same bytes as
     a minimum over every relabeling.  Each relabeling is applied as one
     gather of the flat tables and one `bytes.translate` of the values.
-    `lat`, the lattice reduct of s with the same labels, supplies its
-    cached coset and join || meet part; without it the reduct is built
-    from s.
     """
-    lat = lattice_of(s) if lat is None else lat
-    return _table_key(lat, _flat(s.times, s.residuum))
+    return _table_key(lattice_of(s), _flat(s.times, s.residuum))
 
 
 def _table_key(lat: Lattice, flat: bytes) -> bytes:
@@ -547,13 +529,20 @@ def enumerate_residuated(spec: SearchSpec):
     the one before.  Otherwise every completed assignment is emitted,
     still sorted.  The `Structure` of a table is built when it is popped
     and kept, so a duplicate never gets one.
-    Validation is split as `validate_structure` is.  The lattice axioms
-    are checked once per lattice, before its search, since every table
-    over it shares its join and meet; a lattice that fails them yields
-    nothing.  The product axioms are checked on the records about to be
-    emitted, after the duplicate check, against the lattice's cached
-    order rows: structures with equal keys are isomorphic, so they pass
-    or fail together.
+    The lattice axioms are checked once per lattice, before its search,
+    since every table over it shares its join and meet; a lattice that
+    fails them, such as a caller's `base_lattice`, yields nothing.  The
+    product axioms are not checked: they hold by construction.  On a
+    finite lattice a product is residuated exactly when it fixes bot and
+    preserves joins in each argument (Galatos, Jipsen, Kowalski & Ono,
+    *Residuated Lattices*, 2007).  `_times_tables` fixes the bot and top
+    lines (so top is the identity), writes each cell with its mirror (so
+    the product commutes), keeps to join-preserving values and checks
+    associativity on completion; `_derive_residuum` then reads off the
+    adjoint, which also gives x -> y = top exactly when x <= y.  The
+    tests validate every record of sizes 2 to 7, with and without
+    canonical_only and over each fixture's lattice, and of size 8 in the
+    slow census test.
     """
     lattices = (
         [spec.base_lattice]
@@ -562,7 +551,7 @@ def enumerate_residuated(spec: SearchSpec):
     )
     records = []
     for lat in lattices:
-        if lat.violations:
+        if lattice_violations(lat):
             continue
         for times in _times_tables(lat):
             residuum = _derive_residuum(lat, times)
@@ -578,8 +567,6 @@ def enumerate_residuated(spec: SearchSpec):
             continue
         previous = key
         s = lat.structure(times, residuum)
-        if product_violations(s, lat):
-            continue
         yield CensusRecord(
             structure=s,
             canonical_key=key,

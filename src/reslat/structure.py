@@ -324,30 +324,16 @@ def lattice_violations(lat) -> Violations:
     ))
 
 
-def order_rows(ordered: Ordered):
-    """(le, le_of, LE) of the order of ordered.join: le[x][v] = 1 iff
-    x <= v, as bytes, the same rows as `bytes.translate` tables, and
-    the rows concatenated."""
-    n = ordered.n
-    rng = range(n)
-    pad = bytes(256 - n)
-    le = [bytes(map(eq, row, rng)) for row in ordered.join]
-    return le, [row + pad for row in le], b"".join(le)
-
-
-def product_violations(s: Structure, lat=None) -> Violations:
+def product_violations(s: Structure) -> Violations:
     """The five axioms of `validate_structure` on the product and the
-    residuum, read against the order of s.join.  `lat`, a
-    `modelgen.Lattice` with the join table of s, supplies its cached
-    `order_rows`, built once for every structure over it; without it
-    they are built from s."""
+    residuum, read against the order of s.join."""
     n, top = s.n, s.top
     rng = range(n)
     pad = bytes(256 - n)
     tm = [bytes(row) for row in s.times]
-    tm_of = [row + pad for row in tm]
-    TM = b"".join(tm)
-    le, le_of, LE = order_rows(s) if lat is None else lat.order_rows
+    le = [bytes(map(eq, row, rng)) for row in s.join]  # le[x][v] = 1 iff x <= v
+    tm_of, le_of = ([row + pad for row in rows] for rows in (tm, le))
+    TM, LE = b"".join(tm), b"".join(le)
     RS = bytes(chain.from_iterable(s.residuum))
     is_top = bytearray(256)
     is_top[top] = 1

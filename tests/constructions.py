@@ -1,10 +1,11 @@
 """Test-side builders of residuated lattices from smaller ones.
 
-`boolean(k)` is the Boolean algebra of the subsets of k atoms, and
-`zero_plus(M)` the ordinal sum 0 (+) M, a new bottom put under M.  They
-tie the census of one size to the census of the size below (see
-`tests/test_subvarieties.py`) and build the structures of any normality
-index that `tests/normality_reference.py` uses.  Not public API.
+`boolean(k)` is the Boolean algebra of the subsets of k atoms,
+`zero_plus(M)` the ordinal sum 0 (+) M, a new bottom put under M, and
+`product(A, B)` the direct product A x B.  They tie the census of one
+size to the censuses of smaller sizes (see `tests/test_subvarieties.py`)
+and build the structures of any normality index that
+`tests/normality_reference.py` uses.  Not public API.
 """
 
 from reslat.structure import Structure
@@ -52,6 +53,27 @@ def zero_plus(m: Structure) -> Structure:
         residuum=[[top] * n] + [[0, *shift(row)] for row in m.residuum],
         bot=0,
         top=top,
+    )
+
+
+def product(a: Structure, b: Structure) -> Structure:
+    """The direct product A x B, every operation componentwise.  The
+    pair (x, y) is element x * B.n + y, named "(x,y)" by the names of x
+    and y."""
+    pairs = [(x, y) for x in range(a.n) for y in range(b.n)]
+
+    def table(ta, tb):
+        return [[ta[x][u] * b.n + tb[y][v] for u, v in pairs] for x, y in pairs]
+
+    return Structure(
+        n=a.n * b.n,
+        names=[f"({a.names[x]},{b.names[y]})" for x, y in pairs],
+        join=table(a.join, b.join),
+        meet=table(a.meet, b.meet),
+        times=table(a.times, b.times),
+        residuum=table(a.residuum, b.residuum),
+        bot=a.bot * b.n + b.bot,
+        top=a.top * b.n + b.top,
     )
 
 

@@ -23,7 +23,7 @@ with each cell's last candidate dropped.
 """
 
 import pytest
-from constructions import has_no_zero_divisors, zero_plus
+from constructions import has_no_zero_divisors, product, zero_plus
 
 from reslat import bitsets, modelgen
 from reslat.modelgen import SearchSpec, canonical_key, enumerate_lattices, enumerate_residuated
@@ -194,3 +194,33 @@ def test_zero_plus_of_the_size_below_is_in_the_census(census, n):
         assert validate_structure(s).valid
         index = normality_report(s, 1 << s.top).index
         assert index == len(minimal_primes_over(m, 1 << m.top))
+
+
+def test_products_of_smaller_classes_are_in_the_census(census):
+    """A x B for census classes A and B with |A| * |B| = n <= 7, one per
+    unordered pair, since A x B and B x A are isomorphic: the keys are
+    distinct and all in the size-n census.  There is 2 x 2 at n = 4, and
+    2 x 3 for both 3-element classes at n = 6.
+
+    Its index over {top} is the larger of the factors' indices.  The
+    filters of A x B are the F x G, so its primes are the P x B and the
+    A x Q, for P prime in A and Q prime in B; its minimal primes are the
+    M x B and A x N, for M and N minimal; and the minimal primes inside
+    P x B are the M x B with M inside P.
+    """
+    built = {}
+    for k in range(2, 8):
+        for m in range(k, 7 // k + 1):
+            for i, a in enumerate(census[k]):
+                for b in census[m][i if k == m else 0 :]:
+                    built.setdefault(k * m, []).append((a, b, product(a, b)))
+    assert {n: len(triples) for n, triples in built.items()} == {4: 1, 6: 2}
+    for n, triples in built.items():
+        keys = {canonical_key(s) for _, _, s in triples}
+        assert len(keys) == len(triples)
+        assert keys <= {canonical_key(s) for s in census[n]}
+        for a, b, s in triples:
+            assert validate_structure(s).valid
+            assert normality_report(s, 1 << s.top).index == max(
+                normality_report(a, 1 << a.top).index, normality_report(b, 1 << b.top).index
+            )
