@@ -35,7 +35,7 @@ from . import spectra as spc
 from .bitsets import bits, submasks
 from .errors import NotMinimalPrime, RepresentationMismatch, SearchExhausted
 from .omega import dense_set, divisor, omega_family, omega_join, omega_table, sigma
-from .structure import Structure, leq, subset_repr, validate_structure
+from .structure import Structure, leq, require_valid, subset_repr
 
 
 @dataclass(frozen=True)
@@ -818,15 +818,15 @@ def run_battery(
     groups=GROUPS,
     name: str | None = None,
 ) -> VerificationReport:
-    """Run every selected check against a validated structure.
+    """Run every selected check against s, once `require_valid(s, name)`
+    has passed it; `name` defaults to "structure".
 
     A check that raises fails with the witness {"error": message}, the
     message prefixed by "<ExceptionType>: " and `crashed` set unless the
     exception is a domain error.  So one broken check never ends the run.
     """
-    report = validate_structure(s)
-    if not report.valid:
-        raise ValueError(f"structure fails validation: {report.violations[0][0]}")
+    name = "structure" if name is None else name
+    require_valid(s, name)
     wanted = set(groups)
     outcomes = []
     for group, check_name, fn in CHECKS:
@@ -843,6 +843,6 @@ def run_battery(
         passed = witness is None
         outcomes.append(CheckOutcome(check_name, group, passed, witness, notes, crashed))
     return VerificationReport(
-        structure_name=name if name is not None else "structure",
+        structure_name=name,
         outcomes=tuple(outcomes),
     )

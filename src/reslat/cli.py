@@ -35,7 +35,7 @@ from .modelgen import SearchSpec, enumerate_residuated
 from .normality import normality_report
 from .omega import dense_set, omega_family
 from .spectra import spectrum
-from .structure import Structure, covers, subset_repr, validate_structure
+from .structure import Structure, covers, require_valid, subset_repr, validate_structure
 
 TOOL = "reslat"
 
@@ -92,13 +92,7 @@ def _base_filter(s: Structure, args) -> tuple[int, list[str]]:
 
 def _load_validated(path) -> tuple[Structure, str]:
     s, name = load_structure(path)
-    report = validate_structure(s)
-    if not report.valid:
-        axiom, witness = report.violations[0]
-        raise CliError(
-            f"{name} is not a residuated lattice: {axiom} fails at "
-            + ",".join(s.names[i] for i in witness)
-        )
+    require_valid(s, name)
     return s, name
 
 
@@ -226,7 +220,7 @@ def cmd_normality(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    s, name = _load_validated(args.path)
+    s, name = load_structure(args.path)  # run_battery refuses an invalid s
     groups = GROUPS if args.battery == "all" else (args.battery,)
     report = run_battery(s, groups=groups, name=name)
     payload = {

@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import InvalidBaseLattice, MalformedTables, StructureFileError
+from .errors import MalformedTables, StructureFileError
 from .modelgen import Lattice
-from .structure import Structure, covers, lattice_violations, order_from_pairs, order_tables
+from .structure import Structure, covers, order_from_pairs, order_tables
 
 
 def _name_index(elements) -> dict[str, int]:
@@ -185,10 +185,9 @@ def dump_structure(s: Structure, name: str) -> dict:
 def load_lattice(path) -> tuple[Lattice, str]:
     """Parse only the lattice part of a structure file.
 
-    The order and tables follow the rules of `parse_structure`, and the
-    tables must pass `lattice_violations`: the first axiom they fail is
-    named, with its witness.  As in `Structure`, the carrier has at most
-    256 elements, and bot and top are distinct.
+    The order and tables follow the rules of `parse_structure`.  As in
+    `Structure`, the carrier has at most 256 elements, and bot and top
+    are distinct; `SearchSpec` checks the lattice axioms.
     """
     path = Path(path)
     data = _read_json(path)
@@ -199,11 +198,4 @@ def load_lattice(path) -> tuple[Lattice, str]:
     if bot == top:
         raise MalformedTables("bot and top must be distinct")
     lat = Lattice(len(elements), tuple(elements), *_parse_lattice(data, index), bot, top)
-    violations = lattice_violations(lat)
-    if violations:
-        axiom, witness = violations[0]
-        raise InvalidBaseLattice(
-            "join/meet tables are not the operations of a bounded lattice: "
-            f"{axiom} fails at " + ",".join(lat.names[i] for i in witness)
-        )
     return lat, structure_name(data, path.stem)

@@ -18,11 +18,9 @@ only times || residuum is minimised, over the coset alone.  That is the
 same lexicographic minimum, so the key bytes are those of a minimum
 over every relabeling.  A table is keyed from its flat times || residuum
 bytes, before any `Structure` exists; only the record that is emitted,
-one per class, gets a `Structure`.  The lattice axioms are checked once
-per lattice, since its tables share their join and meet.  The product
-axioms hold on every emitted table by construction (see
-`enumerate_residuated`), so they are not checked again at run time;
-the tests validate every record of sizes 2 to 7.
+one per class, gets a `Structure`.  At run time only a caller's base
+lattice is checked, once, in `SearchSpec`; every other axiom holds by
+construction (see `enumerate_residuated`).
 
 The stages that grow with the size read index data computed once
 instead of rederiving it per node or per relabeling.  The product search
@@ -205,14 +203,7 @@ def _lattice_key(n: int, up, bot: int, top: int) -> bytes:
 
 
 def _up_masks_from_key(n: int, key: bytes) -> tuple[int, ...]:
-    out = []
-    for x in range(n):
-        mask = 0
-        for y in range(n):
-            if key[x * n + y]:
-                mask |= 1 << y
-        out.append(mask)
-    return tuple(out)
+    return tuple([sum([key[x * n + y] << y for y in range(n)]) for x in range(n)])
 
 
 def enumerate_lattices(size: int) -> list[Lattice]:
@@ -281,7 +272,8 @@ class SearchSpec:
     """What `enumerate_residuated` searches: every lattice of `size`
     elements, or only `base_lattice`, and one record per isomorphism
     class (`canonical_only`) or every product table.  A caller that wants
-    the first N records takes them with `itertools.islice`."""
+    the first N records takes them with `itertools.islice`.  A base
+    lattice is checked here, where every census passes: size, then axioms."""
 
     size: int
     base_lattice: Lattice | None = None
@@ -290,8 +282,18 @@ class SearchSpec:
     def __post_init__(self):
         if not 2 <= self.size <= MAX_SIZE:
             raise SizeOutOfRange(f"supported sizes are 2..{MAX_SIZE}")
-        if self.base_lattice is not None and self.base_lattice.n != self.size:
+        lat = self.base_lattice
+        if lat is None:
+            return
+        if lat.n != self.size:
             raise InvalidBaseLattice("base lattice size disagrees with the search size")
+        violations = lattice_violations(lat)
+        if violations:
+            axiom, witness = violations[0]
+            raise InvalidBaseLattice(
+                "join/meet tables are not the operations of a bounded lattice: "
+                f"{axiom} fails at " + ",".join(lat.names[i] for i in witness)
+            )
 
 
 @dataclass(frozen=True)
@@ -529,10 +531,10 @@ def enumerate_residuated(spec: SearchSpec):
     the one before.  Otherwise every completed assignment is emitted,
     still sorted.  The `Structure` of a table is built when it is popped
     and kept, so a duplicate never gets one.
-    The lattice axioms are checked once per lattice, before its search,
-    since every table over it shares its join and meet; a lattice that
-    fails them, such as a caller's `base_lattice`, yields nothing.  The
-    product axioms are not checked: they hold by construction.  On a
+    No axiom is checked here.  Each lattice searched is a lattice:
+    `enumerate_lattices` builds its tables from a bounded order by
+    `order_tables`, and a caller's `base_lattice` has passed
+    `SearchSpec`.  The product axioms hold by construction.  On a
     finite lattice a product is residuated exactly when it fixes bot and
     preserves joins in each argument (Galatos, Jipsen, Kowalski & Ono,
     *Residuated Lattices*, 2007).  `_times_tables` fixes the bot and top
@@ -540,9 +542,9 @@ def enumerate_residuated(spec: SearchSpec):
     the product commutes), keeps to join-preserving values and checks
     associativity on completion; `_derive_residuum` then reads off the
     adjoint, which also gives x -> y = top exactly when x <= y.  The
-    tests validate every record of sizes 2 to 7, with and without
-    canonical_only and over each fixture's lattice, and of size 8 in the
-    slow census test.
+    tests check every enumerated lattice of sizes 2 to 8 and validate
+    every record of sizes 2 to 7, with and without canonical_only and
+    over each fixture's lattice, and of size 8 in the slow census test.
     """
     lattices = (
         [spec.base_lattice]
@@ -551,8 +553,6 @@ def enumerate_residuated(spec: SearchSpec):
     )
     records = []
     for lat in lattices:
-        if lattice_violations(lat):
-            continue
         for times in _times_tables(lat):
             residuum = _derive_residuum(lat, times)
             records.append((_table_key(lat, _flat(times, residuum)), times, residuum, lat))

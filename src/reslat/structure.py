@@ -271,6 +271,17 @@ def validate_structure(s: Structure) -> ValidationReport:
     return ValidationReport(valid=not violations, violations=violations)
 
 
+def require_valid(s: Structure, name: str) -> None:
+    """Raise `MalformedTables` naming s, its first failing axiom and witness."""
+    violations = validate_structure(s).violations
+    if violations:
+        axiom, witness = violations[0]
+        raise MalformedTables(
+            f"{name} is not a residuated lattice: {axiom} fails at "
+            + ",".join(s.names[i] for i in witness)
+        )
+
+
 def _violations(n: int, laws) -> Violations:
     """(name, witness) for each law (name, arity, lhs, rhs) whose sides
     differ, the witness being the first differing position."""

@@ -4,18 +4,20 @@
 
 Runs the stages of `modelgen.enumerate_residuated` one after another
 over the whole census, each over all its inputs, so that each is timed
-alone: lattice enumeration, the lattice axioms (`lattice_violations`,
-once per lattice), the join cosets, the product search, then per
-product table the residuum and the canonical key of its flat tables,
-sorting and deduplication (the sort is stable and puts equal keys side
-by side, so, as in the census, a record is dropped when its key equals
-the one before), then per class `Structure` construction and the census
-stats.  The product axioms hold by construction, so the census does not
-check them and neither does this script.  The stats have a lattice
-part, the join-prime elements, run once per lattice, and a part read
-off the idempotents, run once per class.  Each lattice's join and meet
-tables are built with it, in the "lattices" stage; the rest of its data
-is built by the first stage that reads it, as in the census.  Each
+alone: lattice enumeration, the product search, the join cosets, then
+per product table the residuum and the canonical key of its flat
+tables, sorting and deduplication (the sort is stable and puts equal
+keys side by side, so, as in the census, a record is dropped when its
+key equals the one before), then per class `Structure` construction and
+the census stats.  The census checks no axiom (the lattices and the
+products are what they should be by construction), and neither does
+this script.  The stats have a lattice part, the join-prime elements,
+and a part read off the idempotents, run once per class.  The coset and
+the lattice part of the stats are read only for the lattices with at
+least one product table, as in the census, which reads them when it
+keys a table or builds a record.  Each lattice's join and meet tables
+are built with it, in the "lattices" stage; the rest of its data is
+built by the first stage that reads it, as in the census.  Each
 stage prints the least of its times over `--repeat` fresh runs (new
 lattices, relabeling maps rebuilt) and how many calls it made.  The
 last lines are the sum of the stages and the end-to-end census,
@@ -48,10 +50,10 @@ def census_stages(size):
     modelgen._relabeling_maps.cache_clear()
     stages = []
     [lats] = timed(stages, "lattices", modelgen.enumerate_lattices, [size])
-    timed(stages, "lattice axioms", modelgen.lattice_violations, lats)
-    timed(stages, "coset", lambda lat: lat.coset, lats)
     found = timed(stages, "product search", modelgen._times_tables, lats)
     tables = [(lat, t) for lat, ts in zip(lats, found) for t in ts]
+    used = [lat for lat, ts in zip(lats, found) if ts]
+    timed(stages, "coset", lambda lat: lat.coset, used)
     residua = timed(stages, "residuum", lambda lt: modelgen._derive_residuum(*lt), tables)
     records = [(lat, t, r) for (lat, t), r in zip(tables, residua)]
     keys = timed(
@@ -73,7 +75,7 @@ def census_stages(size):
     [kept] = timed(stages, "sort", first_of_each_class, [list(zip(keys, records))])
     structures = timed(stages, "Structure", lambda ltr: ltr[0].structure(*ltr[1:]), kept)
     classes = [(s, lat) for s, (lat, _, _) in zip(structures, kept)]
-    timed(stages, "stats, lattice part", lambda lat: lat.join_primes, lats)
+    timed(stages, "stats, lattice part", lambda lat: lat.join_primes, used)
     timed(stages, "stats, per class", lambda sl: modelgen._structure_stats(*sl), classes)
     return stages
 

@@ -5,8 +5,8 @@ import pytest
 
 from reslat import battery, cli
 from reslat.battery import AGREEMENT_CHECKS, CHECKS, GROUPS, run_battery
-from reslat.errors import SearchExhausted
-from reslat.structure import Structure, ValidationReport, validate_structure
+from reslat.errors import MalformedTables, SearchExhausted
+from reslat.structure import Structure, validate_structure
 
 
 def test_battery_passes_on_fixtures(a6, chain2, chain3_godel, chain3_luk):
@@ -48,8 +48,15 @@ def test_battery_rejects_invalid_structure():
         bot=0,
         top=1,
     )
-    with pytest.raises(ValueError):
+    # The refusal of `require_valid`, still a ValueError for the library.
+    assert issubclass(MalformedTables, ValueError)
+    with pytest.raises(MalformedTables) as info:
         run_battery(broken)
+    assert str(info.value) == (
+        "structure is not a residuated lattice: product-identity fails at 0"
+    )
+    with pytest.raises(MalformedTables, match="^broken is not a residuated lattice: "):
+        run_battery(broken, name="broken")
 
 
 def test_battery_names_are_unique_and_grouped():
@@ -114,7 +121,7 @@ def test_derived_laws_fail_on_a_product_that_does_not_preserve_joins(a6, monkeyp
     distributive: b * (a v c) = b and (b * a) v (b * c) = a."""
     s = replace(a6, times=a6.meet)
     assert not validate_structure(s).valid
-    monkeypatch.setattr(battery, "validate_structure", lambda s: ValidationReport(True, ()))
+    monkeypatch.setattr(battery, "require_valid", lambda s, name: None)
     witness = {o.name: o.witness for o in run_battery(s).failures()}
     assert witness["product-distributes-over-join"] == {"x": "b", "y": "a", "z": "c"}
     # (a v b) * (a v c) = b is not below a v (b * c) = a.

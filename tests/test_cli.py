@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -301,13 +302,59 @@ def test_search_rejects_bad_base_lattice_tables(capsys, tmp_path, a6, corrupt):
     assert err.startswith("reslat: error: ") and err.count("\n") == 1
 
 
-def test_search_names_the_axiom_a_base_lattice_fails(capsys, bad_base_lattice):
+def test_search_names_the_axiom_a_base_lattice_fails(capsys, tmp_path, bad_base_lattice):
     path, axiom, witness = bad_base_lattice
     code, out, err = run_cli(capsys, "search", "--base-lattice", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("reslat: error: ") and err.count("\n") == 1
     assert err.endswith(f": {axiom} fails at {witness}\n")
+    # The lattice is refused before --out is opened.
+    out_path = tmp_path / "census.ndjson"
+    again = run_cli(capsys, "search", "--base-lattice", str(path), "--out", str(out_path))
+    assert again == (code, out, err)
+    assert not out_path.exists()
+
+
+def test_search_reports_the_size_before_the_axioms(capsys, bad_base_lattice):
+    """`SearchSpec` checks a base lattice's size before its axioms."""
+    path, _, _ = bad_base_lattice
+    code, out, err = run_cli(capsys, "search", "--size", "2", "--base-lattice", str(path))
+    assert (code, out) == (2, "")
+    assert err == "reslat: error: base lattice size disagrees with the search size\n"
+
+
+def test_each_input_is_checked_once(capsys):
+    """`search --base-lattice` checks the lattice axioms of its file once,
+    in `SearchSpec`, and `verify` validates its structure once, in
+    `run_battery`.  Calls are counted by code object, so a check reached
+    through any module's binding is counted."""
+    from reslat import structure
+
+    names = {
+        routine.__code__: routine.__name__
+        for routine in (structure.lattice_violations, structure.validate_structure)
+    }
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]] += 1
+
+    def checks(*argv):
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            assert run_cli(capsys, *argv)[0] == 0
+        finally:
+            sys.setprofile(None)
+        return dict(calls)
+
+    assert checks("search", "--base-lattice", fixture("a6.json")) == {"lattice_violations": 1}
+    assert checks("verify", fixture("a6.json")) == {
+        "validate_structure": 1,
+        "lattice_violations": 1,
+    }
 
 
 @pytest.mark.parametrize("command", [("validate",), ("search", "--base-lattice")])

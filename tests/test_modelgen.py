@@ -9,10 +9,11 @@ import modelgen_reference as ref
 import pytest
 from conftest import SRC
 from constructions import has_no_zero_divisors
+from test_subvarieties import assert_products_in_census
 
 from reslat import modelgen, structure
 from reslat.errors import InvalidBaseLattice, MalformedTables, SizeOutOfRange
-from reslat.fileformat import load_structure
+from reslat.fileformat import load_lattice, load_structure
 from reslat.filters import all_filters
 from reslat.modelgen import (
     MAX_SIZE,
@@ -110,6 +111,14 @@ def test_lattice_counts_match_oracle(n):
     assert {_lattice_key(n, up, 0, n - 1) for up in classes} == {
         _lattice_key(n, lat.up, lat.bot, lat.top) for lat in lattices
     }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+def test_enumerated_lattices_pass_the_lattice_axioms(n):
+    """The census checks no enumerated lattice: `order_tables` gives the
+    tables of a bounded order, which are a lattice's, or raises.  This
+    is where that is checked, on every lattice the census searches."""
+    assert not any(structure.lattice_violations(lat) for lat in enumerate_lattices(n))
 
 
 def _outcome(fn, *args):
@@ -338,6 +347,13 @@ def test_size_eight_census_counts():
     assert sum(counts.values()) == 4712
     # The zero-divisor identity of tests/test_subvarieties.py at size 8.
     assert sum(has_no_zero_divisors(r.structure) for r in records) == 723
+    # Its products: A x B for the one 2-element class A and each of the
+    # seven 4-element classes B.
+    [two], fours = (
+        [r.structure for r in enumerate_residuated(SearchSpec(size=n))] for n in (2, 4)
+    )
+    assert len(fours) == 7
+    assert_products_in_census([(two, b) for b in fours], {r.canonical_key for r in records})
     assert counts == {
         (1, False): 2248,
         (1, True): 2393,
@@ -407,13 +423,12 @@ def test_census_structures_validate(census, fixtures_dir):
         assert validate_structure(s).valid
 
 
-def test_census_validates_each_lattice_once_and_each_class_once(monkeypatch):
-    """The lattice axioms run once per lattice, on the tables its
-    structures share, and a `Structure` is built once per emitted class:
-    129 of them, though the size-6 search finds 142 product tables.  The
-    product axioms hold by construction, so they never run: neither
-    `product_violations` nor `validate_structure`, wrapped in their
-    module, is called."""
+def test_census_checks_no_axiom_and_builds_each_class_once(monkeypatch):
+    """A `Structure` is built once per emitted class: 129 of them, though
+    the size-6 search finds 142 product tables.  No axiom is checked:
+    the enumerated lattices are lattices and the products are residuated
+    by construction, so neither `lattice_violations` (wrapped in both
+    modules), `product_violations` nor `validate_structure` is called."""
     calls = Counter()
 
     def counted(part):
@@ -423,33 +438,40 @@ def test_census_validates_each_lattice_once_and_each_class_once(monkeypatch):
 
         return run
 
-    for part in (structure.lattice_violations, Structure):
-        monkeypatch.setattr(modelgen, part.__name__, counted(part))
+    lattice_violations = counted(structure.lattice_violations)
+    monkeypatch.setattr(modelgen, "lattice_violations", lattice_violations)
+    monkeypatch.setattr(structure, "lattice_violations", lattice_violations)
+    monkeypatch.setattr(modelgen, "Structure", counted(Structure))
     for part in (structure.product_violations, structure.validate_structure):
         monkeypatch.setattr(structure, part.__name__, counted(part))
     assert len(list(enumerate_residuated(SearchSpec(size=6)))) == 129
     assert sum(len(_times_tables(lat)) for lat in enumerate_lattices(6)) == 142
-    assert calls == {"lattice_violations": len(enumerate_lattices(6)), "Structure": 129}
+    assert calls == {"Structure": 129}
 
 
-def test_lattice_failing_its_axioms_yields_nothing(monkeypatch, a6):
-    full = list(enumerate_residuated(SearchSpec(size=5)))
-    lattices = enumerate_lattices(5)
-    doomed = max(lattices, key=lambda lat: sum(r.structure.join == lat.join for r in full))
-
-    def lattice_violations(lat):
-        if lat.up == doomed.up:
-            return (("join-commutative", (0, 1)),)
-        return structure.lattice_violations(lat)
-
-    monkeypatch.setattr(modelgen, "lattice_violations", lattice_violations)
-    kept = list(enumerate_residuated(SearchSpec(size=5)))
-    assert len(kept) < len(full)
-    assert [r.canonical_key for r in kept] == [
-        r.canonical_key for r in full if r.structure.join != doomed.join
+def test_search_spec_refuses_a_base_lattice_failing_its_axioms(bad_base_lattice, fixtures_dir):
+    """`SearchSpec` checks a base lattice, once, for the library and the
+    command line alike: the size range first, then the size, then the
+    first axiom `lattice_violations` finds it fails, with its witness.
+    The lattice of each fixture of at most `MAX_SIZE` elements passes."""
+    path, axiom, witness = bad_base_lattice
+    lat, _ = load_lattice(path)
+    with pytest.raises(InvalidBaseLattice) as info:
+        SearchSpec(lat.n, lat)
+    assert str(info.value) == (
+        "join/meet tables are not the operations of a bounded lattice: "
+        f"{axiom} fails at {witness}"
+    )
+    with pytest.raises(InvalidBaseLattice, match="^base lattice size disagrees"):
+        SearchSpec(lat.n - 1, lat)
+    with pytest.raises(SizeOutOfRange):
+        SearchSpec(MAX_SIZE + 1, lat)
+    passed = [
+        SearchSpec(fixture.n, fixture)
+        for fixture, _ in map(load_lattice, sorted(fixtures_dir.glob("*.json")))
+        if fixture.n <= MAX_SIZE
     ]
-    monkeypatch.setattr(modelgen, "lattice_violations", lambda lat: (("bottom-least", (0,)),))
-    assert list(enumerate_residuated(SearchSpec(size=6, base_lattice=lattice_of(a6)))) == []
+    assert len(passed) == 4
 
 
 def test_canonical_only_prunes_soundly():
@@ -774,9 +796,8 @@ def test_census_stages_script_times_every_stage(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line[:26].strip() for line in lines] == [
         "lattices",
-        "lattice axioms",
-        "coset",
         "product search",
+        "coset",
         "residuum",
         "key",
         "sort",
@@ -787,3 +808,8 @@ def test_census_stages_script_times_every_stage(capsys):
         "end to end",
     ]
     assert lines[-1].endswith(" 26 records")
+    # The census reads a lattice's coset and join-prime elements only when
+    # it has a product table: 3 of the 5 lattices of size 5.
+    calls = {line[:26].strip(): int(line.split()[-2]) for line in lines[:-2]}
+    used = sum(1 for lat in enumerate_lattices(5) if _times_tables(lat))
+    assert calls["coset"] == calls["stats, lattice part"] == used == 3

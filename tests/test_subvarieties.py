@@ -138,7 +138,9 @@ def test_subvariety_counts(n):
     assert census_counts(n) == expected_counts(n)
 
 
-def test_skipping_the_last_candidate_fails_a_count(monkeypatch):
+def skip_last_candidate(monkeypatch):
+    """Install the mutant product search that drops each cell's last
+    candidate value."""
     search = modelgen._times_tables
 
     def skipping_last(lat):
@@ -147,7 +149,36 @@ def test_skipping_the_last_candidate_fails_a_count(monkeypatch):
             return search(lat)
 
     monkeypatch.setattr(modelgen, "_times_tables", skipping_last)
+
+
+def test_skipping_the_last_candidate_fails_a_count(monkeypatch):
+    skip_last_candidate(monkeypatch)
     assert any(census_counts(n) != expected_counts(n) for n in range(2, 6))
+
+
+def zero_divisor_free(census, n):
+    """How many size-n classes have no zero divisors."""
+    return sum(map(has_no_zero_divisors, census[n]))
+
+
+def missing_lifts(census, n):
+    """The size-(n - 1) classes M whose 0 (+) M is not in the size-n census."""
+    keys = {canonical_key(s) for s in census[n]}
+    return [m for m in census[n - 1] if canonical_key(zero_plus(m)) not in keys]
+
+
+def test_skipping_the_last_candidate_fails_the_cross_size_identities(monkeypatch):
+    """The two identities below see the mutant of the test above.  Both
+    sides of each come from the same search, so they catch only a defect
+    that hits sizes n and n - 1 differently; this one loses the size-3
+    class without zero divisors while it keeps the size-2 class, and
+    loses one 0 (+) M at each of n = 3 and 4."""
+    skip_last_candidate(monkeypatch)
+    mutant = {
+        n: [r.structure for r in enumerate_residuated(SearchSpec(size=n))] for n in (2, 3, 4)
+    }
+    assert (zero_divisor_free(mutant, 3), len(mutant[2])) == (0, 1)
+    assert [len(missing_lifts(mutant, n)) for n in (3, 4)] == [1, 1]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -170,7 +201,7 @@ def test_classes_without_zero_divisors_match_the_size_below(census, n):
     hits sizes n and n - 1 differently shows here.  The size-8 case is
     in `test_size_eight_census_counts`, which holds the size-8 census.
     """
-    count = sum(map(has_no_zero_divisors, census[n]))
+    count = zero_divisor_free(census, n)
     assert count == len(census[n - 1]) == {3: 1, 4: 2, 5: 7, 6: 26, 7: 129}[n]
 
 
@@ -185,11 +216,10 @@ def test_zero_plus_of_the_size_below_is_in_the_census(census, n):
     bottom, which is prime since a join above it has a factor other than
     the new bottom.  So its minimal primes are M's, and M holds them all.
     """
-    keys = {canonical_key(s) for s in census[n]}
     lifted = [zero_plus(m) for m in census[n - 1]]
     lifted_keys = {canonical_key(s) for s in lifted}
     assert len(lifted_keys) == len(lifted) == {3: 1, 4: 2, 5: 7, 6: 26, 7: 129}[n]
-    assert lifted_keys <= keys
+    assert missing_lifts(census, n) == []
     for m, s in zip(census[n - 1], lifted):
         assert validate_structure(s).valid
         index = normality_report(s, 1 << s.top).index
@@ -213,14 +243,22 @@ def test_products_of_smaller_classes_are_in_the_census(census):
         for m in range(k, 7 // k + 1):
             for i, a in enumerate(census[k]):
                 for b in census[m][i if k == m else 0 :]:
-                    built.setdefault(k * m, []).append((a, b, product(a, b)))
-    assert {n: len(triples) for n, triples in built.items()} == {4: 1, 6: 2}
-    for n, triples in built.items():
-        keys = {canonical_key(s) for _, _, s in triples}
-        assert len(keys) == len(triples)
-        assert keys <= {canonical_key(s) for s in census[n]}
-        for a, b, s in triples:
-            assert validate_structure(s).valid
-            assert normality_report(s, 1 << s.top).index == max(
-                normality_report(a, 1 << a.top).index, normality_report(b, 1 << b.top).index
-            )
+                    built.setdefault(k * m, []).append((a, b))
+    assert {n: len(pairs) for n, pairs in built.items()} == {4: 1, 6: 2}
+    for n, pairs in built.items():
+        assert_products_in_census(pairs, {canonical_key(s) for s in census[n]})
+
+
+def assert_products_in_census(pairs, keys):
+    """For the factors (A, B) of `pairs`, the products A x B have
+    distinct keys, all in `keys`, are valid, and have as index over {top}
+    the larger of the factors' indices."""
+    built = [product(a, b) for a, b in pairs]
+    built_keys = {canonical_key(s) for s in built}
+    assert len(built_keys) == len(built)
+    assert built_keys <= keys
+    for (a, b), s in zip(pairs, built):
+        assert validate_structure(s).valid
+        assert normality_report(s, 1 << s.top).index == max(
+            normality_report(a, 1 << a.top).index, normality_report(b, 1 << b.top).index
+        )
