@@ -12,8 +12,7 @@ import json
 from pathlib import Path
 
 from .errors import MalformedTables, StructureFileError
-from .modelgen import Lattice
-from .structure import Structure, covers, order_from_pairs, order_tables
+from .structure import Lattice, Structure, covers, order_from_pairs, order_tables
 
 
 def _name_index(elements) -> dict[str, int]:
@@ -185,17 +184,13 @@ def dump_structure(s: Structure, name: str) -> dict:
 def load_lattice(path) -> tuple[Lattice, str]:
     """Parse only the lattice part of a structure file.
 
-    The order and tables follow the rules of `parse_structure`.  As in
-    `Structure`, the carrier has at most 256 elements, and bot and top
-    are distinct; `SearchSpec` checks the lattice axioms.
+    The order and tables follow the rules of `parse_structure`, and
+    `Lattice` checks the carrier, bot and top as `Structure` does;
+    `SearchSpec` checks the lattice axioms.
     """
     path = Path(path)
     data = _read_json(path)
     elements, index = _parse_common(data)
-    if len(elements) > 256:
-        raise MalformedTables("carrier has more than 256 elements")
     bot, top = index[data["bot"]], index[data["top"]]
-    if bot == top:
-        raise MalformedTables("bot and top must be distinct")
     lat = Lattice(len(elements), tuple(elements), *_parse_lattice(data, index), bot, top)
     return lat, structure_name(data, path.stem)

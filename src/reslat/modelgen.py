@@ -12,15 +12,15 @@ Isomorphic duplicates are rejected by a canonical key, computed in two
 stages.  The key is the least relabeling of join || meet || times ||
 residuum, so its join part is the least relabeled join table, and the
 relabelings that reach it form one coset of the lattice's automorphism
-group (`Lattice.coset`, scanned once per lattice).  The meet table is
-fixed by the join table, so on that coset its part is fixed too, and
-only times || residuum is minimised, over the coset alone.  That is the
-same lexicographic minimum, so the key bytes are those of a minimum
-over every relabeling.  A table is keyed from its flat times || residuum
-bytes, before any `Structure` exists; only the record that is emitted,
-one per class, gets a `Structure`.  At run time only a caller's base
-lattice is checked, once, in `SearchSpec`; every other axiom holds by
-construction (see `enumerate_residuated`).
+group (`coset`, scanned once per lattice with a product table).  The
+meet table is fixed by the join table, so on that coset its part is
+fixed too, and only times || residuum is minimised, over the coset
+alone.  That is the same lexicographic minimum, so the key bytes are
+those of a minimum over every relabeling.  A table is keyed from its
+flat times || residuum bytes, before any `Structure` exists; only the
+record that is emitted, one per class, gets a `Structure`.  At run time
+only a caller's base lattice is checked, once, in `SearchSpec`; every
+other axiom holds by construction (see `enumerate_residuated`).
 
 The stages that grow with the size read index data computed once
 instead of rederiving it per node or per relabeling.  The product search
@@ -32,8 +32,10 @@ per (size, bot, top): an `operator.itemgetter` that gathers a flat table
 into its relabeled cell order, and a `bytes.translate` table for the
 values.  The lattice key, the coset scan and the canonical key each
 relabel a table with one gather and one translation.  What every table
-over a lattice shares is kept on the `Lattice`: its coset, key head,
-residuum lookups and join-prime elements.  The census stats of a record
+over a lattice shares is computed once per lattice: its coset and key
+head (`coset`, `key_head`) by `enumerate_residuated`, and its residuum
+lookups and join-prime elements on the `Lattice` (`structure.Lattice`,
+which this module re-exports).  The census stats of a record
 are read off its idempotents and those join-prime elements
 (`_structure_stats`), not from the filter, spectrum and normality
 analyses.
@@ -43,97 +45,16 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain, permutations, repeat
 from operator import and_, itemgetter
 from typing import NamedTuple
 
 from .bitsets import bits
 from .errors import InvalidBaseLattice, SizeOutOfRange
-from .structure import Ordered, Structure, Table, is_mtl, lattice_violations, order_tables
+from .structure import Lattice, Structure, Table, is_mtl, lattice_violations, order_tables
 
 MAX_SIZE = 8
-
-
-@dataclass(frozen=True)
-class Lattice(Ordered):
-    """The lattice part of a `Structure`, with the same fields, and what
-    every structure over it shares: the join coset, key head, residuum
-    lookups and join-prime elements.  Construction checks nothing; the
-    tables are a bounded lattice iff `lattice_violations` finds none."""
-
-    n: int
-    names: tuple[str, ...]
-    join: Table
-    meet: Table
-    bot: int
-    top: int
-
-    @cached_property
-    def coset(self) -> tuple[Relabeling, ...]:
-        """Every relabeling that sends bot to 0 and top to n - 1 and gives
-        the least relabeled join table: one coset pi0 * Aut(L)."""
-        flat = _flat(self.join)
-        best, coset = None, []
-        for r in _relabeling_maps(self.n, self.bot, self.top):
-            image = bytes(r.one(flat)).translate(r.values)
-            if best is None or image < best:
-                best, coset = image, [r]
-            elif image == best:
-                coset.append(r)
-        return tuple(coset)
-
-    @cached_property
-    def key_head(self) -> bytes:
-        """The join || meet part of `canonical_key`, relabeled by the
-        first member of the coset; every structure over it shares it."""
-        first = self.coset[0]
-        return bytes(first.two(_flat(self.join, self.meet))).translate(first.values)
-
-    @cached_property
-    def residuum_maps(self) -> tuple[list[bytes], dict[bytes, int]]:
-        """For `_derive_residuum`: each element z's "v <= z" column, the
-        0/1 bytes of its down-set, as a `bytes.translate` table, and
-        those down-set bytes -> z."""
-        n = self.n
-        pad = bytes(256 - n)
-        downs = [bytes(mask >> v & 1 for v in range(n)) for mask in self.down]
-        return [low + pad for low in downs], {low: z for z, low in enumerate(downs)}
-
-    @cached_property
-    def join_primes(self) -> int:
-        """The mask of the join-prime elements: the e != bot such that
-        x v y >= e implies x >= e or y >= e.  That holds exactly when the
-        join of the x with x not >= e is not >= e either; for bot there
-        are no such x, and their join, bot, is >= bot."""
-        join, up = self.join, self.up
-        mask = 0
-        for e in range(self.n):
-            below = self.bot
-            for x in bits(self.full ^ up[e]):
-                below = join[below][x]
-            if not up[e] >> below & 1:
-                mask |= 1 << e
-        return mask
-
-    def structure(self, times, residuum) -> Structure:
-        """The census structure over this lattice with product table
-        `times` and the residuum `_derive_residuum` gives for it."""
-        return Structure(
-            n=self.n,
-            names=self.names,
-            join=self.join,
-            meet=self.meet,
-            times=times,
-            residuum=residuum,
-            bot=self.bot,
-            top=self.top,
-        )
-
-
-def lattice_of(s: Structure) -> Lattice:
-    """The lattice reduct of s."""
-    return Lattice(n=s.n, names=s.names, join=s.join, meet=s.meet, bot=s.bot, top=s.top)
 
 
 def _default_names(n: int) -> tuple[str, ...]:
@@ -244,6 +165,27 @@ def enumerate_lattices(size: int) -> list[Lattice]:
     ]
 
 
+def coset(lat: Lattice) -> tuple[Relabeling, ...]:
+    """Every relabeling that sends bot to 0 and top to n - 1 and gives
+    the least relabeled join table: one coset pi0 * Aut(L)."""
+    flat = _flat(lat.join)
+    best, out = None, []
+    for r in _relabeling_maps(lat.n, lat.bot, lat.top):
+        image = bytes(r.one(flat)).translate(r.values)
+        if best is None or image < best:
+            best, out = image, [r]
+        elif image == best:
+            out.append(r)
+    return tuple(out)
+
+
+def key_head(lat: Lattice, coset: tuple[Relabeling, ...]) -> bytes:
+    """The join || meet part of `canonical_key`, relabeled by the first
+    member of the lattice's `coset`; every structure over it shares it."""
+    first = coset[0]
+    return bytes(first.two(_flat(lat.join, lat.meet))).translate(first.values)
+
+
 def canonical_key(s: Structure) -> bytes:
     """Isomorphism-invariant bytes of all four tables.
 
@@ -257,14 +199,14 @@ def canonical_key(s: Structure) -> bytes:
     a minimum over every relabeling.  Each relabeling is applied as one
     gather of the flat tables and one `bytes.translate` of the values.
     """
-    return _table_key(lattice_of(s), _flat(s.times, s.residuum))
+    relabelings = coset(s)
+    return _table_key(key_head(s, relabelings), relabelings, _flat(s.times, s.residuum))
 
 
-def _table_key(lat: Lattice, flat: bytes) -> bytes:
-    """`canonical_key` of the structure over `lat` whose times || residuum
-    tables are the flat bytes `flat`: the lattice's key head, then the
-    least relabeling of `flat` over its join coset."""
-    return lat.key_head + min([bytes(r.two(flat)).translate(r.values) for r in lat.coset])
+def _table_key(head: bytes, coset: tuple[Relabeling, ...], flat: bytes) -> bytes:
+    """`canonical_key` of the structure with flat times || residuum bytes
+    `flat` over a lattice with key head `head` and join coset `coset`."""
+    return head + min([bytes(r.two(flat)).translate(r.values) for r in coset])
 
 
 @dataclass(frozen=True)
@@ -272,8 +214,10 @@ class SearchSpec:
     """What `enumerate_residuated` searches: every lattice of `size`
     elements, or only `base_lattice`, and one record per isomorphism
     class (`canonical_only`) or every product table.  A caller that wants
-    the first N records takes them with `itertools.islice`.  A base
-    lattice is checked here, where every census passes: size, then axioms."""
+    the first N records takes them with `itertools.islice`.  The base
+    lattice is a `Lattice`, whose construction has checked its shapes
+    (a `Structure` serves, through its lattice part); its size and
+    axioms are checked here, where every census passes."""
 
     size: int
     base_lattice: Lattice | None = None
@@ -525,12 +469,14 @@ def enumerate_residuated(spec: SearchSpec):
     stops the generator when it has enough.  Each product table found is
     held as (key, times, residuum, lattice): its residuum is derived and
     it is keyed from its flat tables (`_table_key`, the routine
-    `canonical_key` calls).  With canonical_only (the default) the first
-    table found of each isomorphism class is kept; the stable sort puts
-    equal keys side by side, so a duplicate is a table whose key equals
-    the one before.  Otherwise every completed assignment is emitted,
-    still sorted.  The `Structure` of a table is built when it is popped
-    and kept, so a duplicate never gets one.
+    `canonical_key` calls), by the `coset` and `key_head` of its
+    lattice, computed once for each lattice that has a product table.
+    With canonical_only (the default) the first table found of each
+    isomorphism class is kept; the stable sort puts equal keys side by
+    side, so a duplicate is a table whose key equals the one before.
+    Otherwise every completed assignment is emitted, still sorted.  The
+    `Structure` of a table is built when it is popped and kept, so a
+    duplicate never gets one.
     No axiom is checked here.  Each lattice searched is a lattice:
     `enumerate_lattices` builds its tables from a bounded order by
     `order_tables`, and a caller's `base_lattice` has passed
@@ -553,9 +499,15 @@ def enumerate_residuated(spec: SearchSpec):
     )
     records = []
     for lat in lattices:
-        for times in _times_tables(lat):
+        tables = _times_tables(lat)
+        if not tables:
+            continue
+        relabelings = coset(lat)
+        head = key_head(lat, relabelings)
+        for times in tables:
             residuum = _derive_residuum(lat, times)
-            records.append((_table_key(lat, _flat(times, residuum)), times, residuum, lat))
+            key = _table_key(head, relabelings, _flat(times, residuum))
+            records.append((key, times, residuum, lat))
     # Ascending and stable, then reversed, so that popping from the end
     # emits in key order and drops each record from the list as it goes.
     records.sort(key=itemgetter(0))

@@ -26,10 +26,56 @@ Table = tuple[tuple[int, ...], ...]
 _INDICES = bytes(range(256))
 
 
-class Ordered:
-    """Order masks read off the `join` table of an instance with `n`
-    elements (x <= y iff x v y = y), kept until the instance dies.  The
-    base of `Structure` and of `modelgen.Lattice`."""
+@dataclass(frozen=True)
+class Lattice:
+    """Join and meet tables of a candidate bounded lattice, and what is
+    read off them once and kept until the instance dies: the order masks
+    (x <= y iff x v y = y), join-prime elements and residuum lookups.
+    Construction checks only the shapes and index ranges of the tables
+    named in `_tables`; `lattice_violations` checks the axioms."""
+
+    n: int
+    names: tuple[str, ...]
+    join: Table
+    meet: Table
+    bot: int
+    top: int
+
+    _tables = ("join", "meet")
+
+    def __post_init__(self) -> None:
+        n = self.n
+        if not all(isinstance(v, int) for v in (n, self.bot, self.top)):
+            raise MalformedTables("carrier size, bot and top must be integers")
+        object.__setattr__(self, "names", tuple(map(str, self.names)))
+        if n < 2:
+            raise MalformedTables("carrier must have at least two elements")
+        if n > 256:
+            raise MalformedTables("carrier has more than 256 elements")
+        if len(self.names) != n:
+            raise MalformedTables("name list size disagrees with carrier size")
+        for attr in self._tables:
+            try:
+                table = tuple(map(tuple, getattr(self, attr)))
+            except TypeError:
+                table = None
+            if table is None or len(table) != n or {*map(len, table)} != {n}:
+                raise MalformedTables(f"{attr} table is not {n}x{n}")
+            object.__setattr__(self, attr, table)
+            # One C-level pass: bytes() takes only ints (bools too) in 0..255,
+            # and deleting the indices below n must leave nothing.
+            try:
+                entries = bytes(chain.from_iterable(table))
+            except TypeError:
+                raise MalformedTables(f"{attr} table entry is not an integer") from None
+            except ValueError:
+                entries = None
+            if entries is None or entries.translate(None, _INDICES[:n]):
+                raise MalformedTables(f"{attr} table entry out of range")
+        if not (0 <= self.bot < n and 0 <= self.top < n):
+            raise MalformedTables("bot/top index out of range")
+        if self.bot == self.top:
+            raise MalformedTables("bot and top must be distinct")
 
     @cached_property
     def full(self) -> int:
@@ -57,16 +103,54 @@ class Ordered:
                     out[y] |= 1 << x
         return tuple(out)
 
+    @cached_property
+    def join_primes(self) -> int:
+        """The mask of the join-prime elements: the e != bot such that
+        x v y >= e implies x >= e or y >= e.  That holds exactly when the
+        join of the x with x not >= e is not >= e either; for bot there
+        are no such x, and their join, bot, is >= bot."""
+        join, up = self.join, self.up
+        mask = 0
+        for e in range(self.n):
+            below = self.bot
+            for x in bits(self.full ^ up[e]):
+                below = join[below][x]
+            if not up[e] >> below & 1:
+                mask |= 1 << e
+        return mask
+
+    @cached_property
+    def residuum_maps(self) -> tuple[list[bytes], dict[bytes, int]]:
+        """For `modelgen._derive_residuum`: each element z's "v <= z"
+        column, the 0/1 bytes of its down-set, as a `bytes.translate`
+        table, and those down-set bytes -> z."""
+        n = self.n
+        pad = bytes(256 - n)
+        downs = [bytes(mask >> v & 1 for v in range(n)) for mask in self.down]
+        return [low + pad for low in downs], {low: z for z, low in enumerate(downs)}
+
+    def structure(self, times, residuum) -> Structure:
+        """The structure over this lattice with these product and residuum tables."""
+        return Structure(
+            n=self.n,
+            names=self.names,
+            join=self.join,
+            meet=self.meet,
+            bot=self.bot,
+            top=self.top,
+            times=times,
+            residuum=residuum,
+        )
+
 
 @dataclass(frozen=True)
-class Structure(Ordered):
-    """Operation tables of a candidate residuated lattice.
-
-    Construction checks only shapes and index ranges; whether the tables
-    satisfy the axioms is decided by `validate_structure`.
+class Structure(Lattice):
+    """Operation tables of a candidate residuated lattice: a `Lattice`
+    with product and residuum tables, all four shape-checked on
+    construction; `validate_structure` decides the axioms.
 
     Derived data lives in lazily built `cached_property` slots that die
-    with the structure: the order masks `up`/`down` of `Ordered`, and
+    with the structure: the order masks `up`/`down` of `Lattice`, and
     `memos`, the one store of analysis answers, filled by the routines
     decorated with `per_structure` (the filters, the ideals, the primes,
     generated filters and ideals, minimal primes over a set, and per base
@@ -76,48 +160,10 @@ class Structure(Ordered):
     last reference goes.
     """
 
-    n: int
-    names: tuple[str, ...]
-    join: Table
-    meet: Table
     times: Table
     residuum: Table
-    bot: int
-    top: int
 
-    def __post_init__(self) -> None:
-        n = self.n
-        if not all(isinstance(v, int) for v in (n, self.bot, self.top)):
-            raise MalformedTables("carrier size, bot and top must be integers")
-        object.__setattr__(self, "names", tuple(map(str, self.names)))
-        if n < 2:
-            raise MalformedTables("carrier must have at least two elements")
-        if n > 256:
-            raise MalformedTables("carrier has more than 256 elements")
-        if len(self.names) != n:
-            raise MalformedTables("name list size disagrees with carrier size")
-        for attr in ("join", "meet", "times", "residuum"):
-            try:
-                table = tuple(map(tuple, getattr(self, attr)))
-            except TypeError:
-                table = None
-            if table is None or len(table) != n or {*map(len, table)} != {n}:
-                raise MalformedTables(f"{attr} table is not {n}x{n}")
-            object.__setattr__(self, attr, table)
-            # One C-level pass: bytes() takes only ints (bools too) in 0..255,
-            # and deleting the indices below n must leave nothing.
-            try:
-                entries = bytes(chain.from_iterable(table))
-            except TypeError:
-                raise MalformedTables(f"{attr} table entry is not an integer") from None
-            except ValueError:
-                entries = None
-            if entries is None or entries.translate(None, _INDICES[:n]):
-                raise MalformedTables(f"{attr} table entry out of range")
-        if not (0 <= self.bot < n and 0 <= self.top < n):
-            raise MalformedTables("bot/top index out of range")
-        if self.bot == self.top:
-            raise MalformedTables("bot and top must be distinct")
+    _tables = ("join", "meet", "times", "residuum")
 
     @cached_property
     def memos(self) -> defaultdict[Callable, dict]:
@@ -220,8 +266,9 @@ def covers(up) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def leq(s: Ordered, x: int, y: int) -> bool:
-    """The derived lattice order: x <= y iff x v y = y."""
+def leq(s: Lattice, x: int, y: int) -> bool:
+    """The derived lattice order of a `Lattice` (a `Structure` included):
+    x <= y iff x v y = y."""
     return s.join[x][y] == y
 
 
@@ -262,7 +309,7 @@ def validate_structure(s: Structure) -> ValidationReport:
     x <= v standing in for the order.  The witness of a violated law is
     its first differing position, read as an element tuple: the first
     failing tuple in lexicographic order, so the report is deterministic.
-    Element indices must fit in a byte, which is why `Structure` caps
+    Element indices must fit in a byte, which is why `Lattice` caps
     carriers at 256 elements.  Only the axioms are checked: laws they
     imply, such as the product distributing over joins, are checks of
     the battery (`run_battery`).
@@ -303,10 +350,9 @@ def _associative_sides(flat: bytes, rows, rows_of) -> tuple[bytes, bytes]:
     return b"".join(map(flat.translate, rows_of)), b"".join(map(rows.__getitem__, flat))
 
 
-def lattice_violations(lat) -> Violations:
-    """The ten lattice axioms of `validate_structure`, on the n, join,
-    meet, bot and top of `lat`: a `Structure`, or a `modelgen.Lattice`,
-    whose answer every structure over it shares.  They pass exactly when
+def lattice_violations(lat: Lattice) -> Violations:
+    """The ten lattice axioms of `validate_structure`, on the tables of
+    `lat`, whose answer every structure over it shares.  They pass exactly when
     join and meet are those of a bounded lattice with least element bot
     and greatest top (lattices as algebras; Galatos, Jipsen, Kowalski &
     Ono, *Residuated Lattices*, 2007), so they also check base lattices.

@@ -4,23 +4,25 @@
 
 Runs the stages of `modelgen.enumerate_residuated` one after another
 over the whole census, each over all its inputs, so that each is timed
-alone: lattice enumeration, the product search, the join cosets, then
-per product table the residuum and the canonical key of its flat
-tables, sorting and deduplication (the sort is stable and puts equal
-keys side by side, so, as in the census, a record is dropped when its
-key equals the one before), then per class `Structure` construction and
-the census stats.  The census checks no axiom (the lattices and the
-products are what they should be by construction), and neither does
-this script.  The stats have a lattice part, the join-prime elements,
-and a part read off the idempotents, run once per class.  The coset and
-the lattice part of the stats are read only for the lattices with at
-least one product table, as in the census, which reads them when it
-keys a table or builds a record.  Each lattice's join and meet tables
-are built with it, in the "lattices" stage; the rest of its data is
-built by the first stage that reads it, as in the census.  Each
-stage prints the least of its times over `--repeat` fresh runs (new
-lattices, relabeling maps rebuilt) and how many calls it made.  The
-last lines are the sum of the stages and the end-to-end census,
+alone: lattice enumeration, the product search, the join cosets and key
+heads (`modelgen.coset` and `modelgen.key_head`), then per product table
+the residuum and the canonical key of its flat tables, sorting and
+deduplication (the sort is stable and puts equal keys side by side, so,
+as in the census, a record is dropped when its key equals the one
+before), then per class `Structure` construction and the census stats.
+The census checks no axiom (the lattices and the products are what they
+should be by construction), and neither does this script.  The stats
+have a lattice part, the join-prime elements, and a part read off the
+idempotents, run once per class.  The coset, key head and lattice part
+of the stats are computed only for the lattices with at least one
+product table, as in the census, which computes the coset and key head
+before it keys the lattice's tables and reads the join-prime elements
+when it builds a record.  Each lattice's join and meet tables are built
+and shape-checked with it, in the "lattices" stage; its other data is
+built by the first stage that reads it, as in the census.  Each stage
+prints the least of its times over `--repeat` fresh runs (new lattices,
+relabeling maps rebuilt) and how many calls it made.  The last lines are
+the sum of the stages and the end-to-end census,
 `list(enumerate_residuated(...))`, also the least over the repeats.
 
 Stdlib only; not collected by pytest.
@@ -45,6 +47,12 @@ def timed(stages, name, fn, items):
     return out
 
 
+def coset_and_head(lat):
+    """The key head and join coset of lat, as the census computes them."""
+    coset = modelgen.coset(lat)
+    return modelgen.key_head(lat, coset), coset
+
+
 def census_stages(size):
     """[(stage, seconds, calls)] of one census of `size`, stage by stage."""
     modelgen._relabeling_maps.cache_clear()
@@ -53,13 +61,13 @@ def census_stages(size):
     found = timed(stages, "product search", modelgen._times_tables, lats)
     tables = [(lat, t) for lat, ts in zip(lats, found) for t in ts]
     used = [lat for lat, ts in zip(lats, found) if ts]
-    timed(stages, "coset", lambda lat: lat.coset, used)
+    heads = dict(zip(map(id, used), timed(stages, "coset", coset_and_head, used)))
     residua = timed(stages, "residuum", lambda lt: modelgen._derive_residuum(*lt), tables)
     records = [(lat, t, r) for (lat, t), r in zip(tables, residua)]
     keys = timed(
         stages,
         "key",
-        lambda ltr: modelgen._table_key(ltr[0], modelgen._flat(ltr[1], ltr[2])),
+        lambda ltr: modelgen._table_key(*heads[id(ltr[0])], modelgen._flat(ltr[1], ltr[2])),
         records,
     )
 

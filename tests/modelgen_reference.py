@@ -3,7 +3,7 @@ relabeling routines, the residuum and the lattice tables as they read
 before each became a lookup in data built once.
 
 `modelgen._times_tables` works from a per-lattice schedule of cuts,
-`_lattice_key`, `Lattice.coset` and `canonical_key` relabel through
+`_lattice_key`, `coset` and `canonical_key` relabel through
 precomputed gathers, `_derive_residuum` reads each cell with one
 `bytes.translate` and one dict lookup, and `structure.order_tables`
 finds each join and meet by one dict lookup of an up-set or a down-set.

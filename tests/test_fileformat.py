@@ -193,6 +193,25 @@ def test_load_lattice_names_the_failing_axiom(bad_base_lattice):
         SearchSpec(lat.n, lat)
 
 
+def test_load_lattice_reports_the_order_before_bot_and_top(tmp_path):
+    """`Lattice` checks bot and top once the tables are parsed, so a file
+    with bot = top and a cyclic order is refused for its order."""
+    data = {
+        "elements": ["0", "a", "1"],
+        "bot": "1",
+        "top": "1",
+        "order": [["0", "a"], ["a", "0"], ["a", "1"]],
+    }
+    p = tmp_path / "cycle.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(MalformedTables, match="^order relation has a cycle$"):
+        load_lattice(p)
+    data["order"] = [["0", "a"], ["a", "1"]]
+    p.write_text(json.dumps(data))
+    with pytest.raises(MalformedTables, match="^bot and top must be distinct$"):
+        load_lattice(p)
+
+
 def test_load_lattice_refuses_a_carrier_over_256_elements(tmp_path):
     """`lattice_violations` stores rows as bytes, so a larger carrier is
     refused while the file is parsed, as `Structure` refuses it."""

@@ -27,9 +27,10 @@ from reslat.modelgen import (
     _table_key,
     _times_tables,
     canonical_key,
+    coset,
     enumerate_lattices,
     enumerate_residuated,
-    lattice_of,
+    key_head,
 )
 from reslat.normality import normality_report
 from reslat.spectra import is_prime, minimal_primes_over, primes_of
@@ -417,7 +418,7 @@ def test_census_structures_validate(census, fixtures_dir):
         s, _ = load_structure(path)
         if s.n <= MAX_SIZE:
             for canonical_only in (True, False):
-                spec = SearchSpec(s.n, lattice_of(s), canonical_only)
+                spec = SearchSpec(s.n, s, canonical_only)
                 structures += [r.structure for r in enumerate_residuated(spec)]
     for s in structures:
         assert validate_structure(s).valid
@@ -425,10 +426,12 @@ def test_census_structures_validate(census, fixtures_dir):
 
 def test_census_checks_no_axiom_and_builds_each_class_once(monkeypatch):
     """A `Structure` is built once per emitted class: 129 of them, though
-    the size-6 search finds 142 product tables.  No axiom is checked:
-    the enumerated lattices are lattices and the products are residuated
-    by construction, so neither `lattice_violations` (wrapped in both
-    modules), `product_violations` nor `validate_structure` is called."""
+    the size-6 search finds 142 product tables.  The join coset is scanned
+    once per lattice with a product table: 7 of the 15.  No axiom is
+    checked: the enumerated lattices are lattices and the products are
+    residuated by construction, so neither `lattice_violations` (wrapped
+    in both modules), `product_violations` nor `validate_structure` is
+    called."""
     calls = Counter()
 
     def counted(part):
@@ -441,12 +444,16 @@ def test_census_checks_no_axiom_and_builds_each_class_once(monkeypatch):
     lattice_violations = counted(structure.lattice_violations)
     monkeypatch.setattr(modelgen, "lattice_violations", lattice_violations)
     monkeypatch.setattr(structure, "lattice_violations", lattice_violations)
-    monkeypatch.setattr(modelgen, "Structure", counted(Structure))
+    # `Lattice.structure` builds the census's structures.
+    monkeypatch.setattr(structure, "Structure", counted(Structure))
+    monkeypatch.setattr(modelgen, "coset", counted(coset))
     for part in (structure.product_violations, structure.validate_structure):
         monkeypatch.setattr(structure, part.__name__, counted(part))
     assert len(list(enumerate_residuated(SearchSpec(size=6)))) == 129
-    assert sum(len(_times_tables(lat)) for lat in enumerate_lattices(6)) == 142
-    assert calls == {"Structure": 129}
+    lattices = enumerate_lattices(6)
+    assert sum(len(_times_tables(lat)) for lat in lattices) == 142
+    assert sum(1 for lat in lattices if _times_tables(lat)) == 7
+    assert calls == {"Structure": 129, "coset": 7}
 
 
 def test_search_spec_refuses_a_base_lattice_failing_its_axioms(bad_base_lattice, fixtures_dir):
@@ -517,23 +524,21 @@ def test_canonical_key_is_relabeling_invariant(a6):
 
 
 def test_census_over_a6_lattice_contains_a6(a6):
-    base = lattice_of(a6)
     keys = {
         r.canonical_key
-        for r in enumerate_residuated(SearchSpec(size=6, base_lattice=base))
+        for r in enumerate_residuated(SearchSpec(size=6, base_lattice=a6))
     }
     assert canonical_key(a6) in keys
 
 
 def test_base_lattice_size_must_match(a6):
     with pytest.raises(InvalidBaseLattice):
-        SearchSpec(size=4, base_lattice=lattice_of(a6))
+        SearchSpec(size=4, base_lattice=a6)
 
 
 def test_census_stats_for_a6_lattice(a6):
-    base = lattice_of(a6)
     target = canonical_key(a6)
-    for rec in enumerate_residuated(SearchSpec(size=6, base_lattice=base)):
+    for rec in enumerate_residuated(SearchSpec(size=6, base_lattice=a6)):
         if rec.canonical_key == target:
             assert rec.stats.filters == 5
             assert rec.stats.primes == 3
@@ -576,7 +581,7 @@ def test_census_stats_over_fixture_lattices_match_analysis(fixtures_dir):
     for path in sorted(fixtures_dir.glob("*.json")):
         s, _ = load_structure(path)
         if s.n <= MAX_SIZE:
-            spec = SearchSpec(size=s.n, base_lattice=lattice_of(s), canonical_only=False)
+            spec = SearchSpec(size=s.n, base_lattice=s, canonical_only=False)
             _assert_stats_match_analysis(enumerate_residuated(spec))
 
 
@@ -712,9 +717,10 @@ def _automorphism_count(lat):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_coset_is_one_automorphism_coset(n):
     for lat in enumerate_lattices(n):
-        assert len(lat.coset) == _automorphism_count(lat)
+        relabelings = coset(lat)
+        assert len(relabelings) == _automorphism_count(lat)
         images = set()
-        for pi in (r.pi for r in lat.coset):
+        for pi in (r.pi for r in relabelings):
             image = [[0] * n for _ in range(n)]
             for x in range(n):
                 for y in range(n):
@@ -729,8 +735,10 @@ def _assert_census_matches_reference(lat):
     those of the direct routines, lists in order."""
     n = lat.n
     assert order_tables(n, lat.up) == ref.order_tables(n, lat.up) == (lat.join, lat.meet)
-    coset = ref.join_coset(n, lat.join, lat.bot, lat.top)
-    assert tuple(r.pi for r in lat.coset) == coset
+    reference = ref.join_coset(n, lat.join, lat.bot, lat.top)
+    relabelings = coset(lat)
+    assert tuple(r.pi for r in relabelings) == reference
+    head = key_head(lat, relabelings)
     assert _lattice_key(n, lat.up, lat.bot, lat.top) == ref.lattice_key(
         n, lat.up, lat.bot, lat.top
     )
@@ -739,8 +747,8 @@ def _assert_census_matches_reference(lat):
     for times in tables:
         residuum = _derive_residuum(lat, times)
         assert residuum == ref.derive_residuum(lat, times)
-        key = ref.canonical_key(lat.structure(times, residuum), coset)
-        assert _table_key(lat, _flat(times, residuum)) == key
+        key = ref.canonical_key(lat.structure(times, residuum), reference)
+        assert _table_key(head, relabelings, _flat(times, residuum)) == key
     return tables
 
 
@@ -775,13 +783,13 @@ def test_census_over_renumbered_a6_matches_reference(a6):
     with the stats of the analysis routines."""
     perm = [2, 0, 4, 5, 1, 3]
     s = _relabel(a6, perm)
-    lat = lattice_of(s)
+    lat = Lattice(s.n, s.names, s.join, s.meet, s.bot, s.top)
     assert (lat.bot, lat.top) == (2, 3)
     assert canonical_key(s) == ref.canonical_key(s) == canonical_key(a6)
     tables = _assert_census_matches_reference(lat)
-    coset = ref.join_coset(lat.n, lat.join, lat.bot, lat.top)
+    reference = ref.join_coset(lat.n, lat.join, lat.bot, lat.top)
     expected = sorted(
-        ((ref.canonical_key(_structure(lat, t), coset), t) for t in tables),
+        ((ref.canonical_key(_structure(lat, t), reference), t) for t in tables),
         key=itemgetter(0),
     )
     records = list(enumerate_residuated(SearchSpec(size=6, base_lattice=lat, canonical_only=False)))

@@ -12,6 +12,7 @@ from reslat.fileformat import load_structure, parse_structure
 from reslat.filters import all_filters
 from reslat.modelgen import SearchSpec, enumerate_residuated
 from reslat.structure import (
+    Lattice,
     Structure,
     ValidationReport,
     covers,
@@ -108,6 +109,13 @@ CHAIN2 = dict(
     top=1,
 )
 TABLES = ("join", "meet", "times", "residuum")
+LATTICE2 = {field: CHAIN2[field] for field in ("n", "names", "join", "meet", "bot", "top")}
+
+
+def _inputs(field):
+    """CHAIN2 as a `Structure` and, when `field` is one of its fields,
+    LATTICE2 as a library `Lattice`: both run the one shape check."""
+    return [(Structure, CHAIN2)] + ([(Lattice, LATTICE2)] if field in LATTICE2 else [])
 
 
 @pytest.mark.parametrize("attr", TABLES)
@@ -115,8 +123,9 @@ TABLES = ("join", "meet", "times", "residuum")
 def test_table_entry_that_is_no_index_rejected(attr, entry):
     rows = [list(row) for row in CHAIN2[attr]]
     rows[1][0] = entry
-    with pytest.raises(MalformedTables, match=f"^{attr} table entry"):
-        Structure(**{**CHAIN2, attr: rows})
+    for cls, fields in _inputs(attr):
+        with pytest.raises(MalformedTables, match=f"^{attr} table entry"):
+            cls(**{**fields, attr: rows})
 
 
 @pytest.mark.parametrize("attr", TABLES)
@@ -125,8 +134,9 @@ def test_table_entry_that_is_no_index_rejected(attr, entry):
     [((0, 1), (1,)), ((0, 1, 1), (1,)), ((0, 1),), ((0, 1), (1, 1), (1, 1)), ((0, 1), 1), 5],
 )
 def test_table_of_wrong_shape_rejected(attr, rows):
-    with pytest.raises(MalformedTables, match=f"^{attr} table is not 2x2"):
-        Structure(**{**CHAIN2, attr: rows})
+    for cls, fields in _inputs(attr):
+        with pytest.raises(MalformedTables, match=f"^{attr} table is not 2x2"):
+            cls(**{**fields, attr: rows})
 
 
 @pytest.mark.parametrize(
@@ -134,8 +144,41 @@ def test_table_of_wrong_shape_rejected(attr, rows):
     [("bot", 0.0), ("top", 1.0), ("n", 2.0), ("bot", "0"), ("top", None), ("n", None)],
 )
 def test_size_bot_and_top_must_be_integers(field, value):
-    with pytest.raises(MalformedTables, match="must be integers"):
-        Structure(**{**CHAIN2, field: value})
+    for cls, fields in _inputs(field):
+        with pytest.raises(MalformedTables, match="must be integers"):
+            cls(**{**fields, field: value})
+
+
+CHAIN3 = dict(
+    n=3,
+    names=("0", "a", "1"),
+    join=tuple(tuple(max(x, y) for y in range(3)) for x in range(3)),
+    meet=tuple(tuple(min(x, y) for y in range(3)) for x in range(3)),
+    bot=0,
+    top=2,
+)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("join", CHAIN3["join"][:2], "join table is not 3x3"),
+        ("join", ((0, 1, 2), (1, 1, 9), (2, 2, 2)), "join table entry out of range"),
+        ("top", 7, "bot/top index out of range"),
+        ("bot", 2, "bot and top must be distinct"),
+    ],
+)
+def test_malformed_base_lattice_rejected_as_a_structure_is(field, value, message):
+    """A library base lattice with a ragged table, an entry or top out of
+    range, or bot = top is refused when it is built, with the text a
+    `Structure` gives, before `SearchSpec` could index into it or blame
+    an axiom."""
+    godel = dict(CHAIN3, times=CHAIN3["meet"], residuum=((2, 2, 2), (0, 2, 2), (0, 1, 2)))
+    assert validate_structure(Structure(**godel)).valid
+    with pytest.raises(MalformedTables, match=f"^{message}$"):
+        Structure(**{**godel, field: value})
+    with pytest.raises(MalformedTables, match=f"^{message}$"):
+        SearchSpec(size=3, base_lattice=Lattice(**{**CHAIN3, field: value}))
 
 
 def test_bool_table_entries_stay_accepted():
