@@ -12,7 +12,14 @@ import json
 from pathlib import Path
 
 from .errors import MalformedTables, StructureFileError
-from .structure import Lattice, Structure, covers, order_from_pairs, order_tables
+from .structure import (
+    MAX_ELEMENTS,
+    Lattice,
+    Structure,
+    covers,
+    order_from_pairs,
+    order_tables,
+)
 
 
 def _name_index(elements) -> dict[str, int]:
@@ -86,6 +93,10 @@ def _parse_common(data):
     elements = data["elements"]
     if not isinstance(elements, list) or len(elements) < 2:
         raise StructureFileError("elements must list at least two names")
+    # Before any order closure or n x n table is built: an order given by
+    # covering pairs is linear in n, and those are not.
+    if len(elements) > MAX_ELEMENTS:
+        raise MalformedTables(f"carrier has more than {MAX_ELEMENTS} elements")
     if not all(isinstance(e, str) for e in elements):
         raise StructureFileError("element names must be strings")
     index = _name_index(elements)
@@ -184,9 +195,10 @@ def dump_structure(s: Structure, name: str) -> dict:
 def load_lattice(path) -> tuple[Lattice, str]:
     """Parse only the lattice part of a structure file.
 
-    The order and tables follow the rules of `parse_structure`, and
-    `Lattice` checks the carrier, bot and top as `Structure` does;
-    `SearchSpec` checks the lattice axioms.
+    The order and tables follow the rules of `parse_structure`: a file
+    of more than `MAX_ELEMENTS` elements is refused before they are
+    built, and `Lattice` checks the carrier, bot and top as `Structure`
+    does; `SearchSpec` checks the lattice axioms.
     """
     path = Path(path)
     data = _read_json(path)

@@ -1,7 +1,10 @@
 """Exhaustive search for finite residuated lattices of small order.
 
 Bounded lattices are grown up to isomorphism from the 2-element chain,
-one new atom at a time.  Commutative product tables are then assigned by
+one new atom at a time.  A lattice with some x != (x ^ p) v (x ^ q)
+where p v q = top has no product with top as identity, and is skipped
+before any search (`_splits_at_top`): 8 of the 15 lattices of size 6.
+On the others, commutative product tables are assigned by
 backtracking, each cell trying the values of one candidate bitmask that
 the filled cells of its row and column cut so that the product preserves
 joins, which on a finite lattice is exactly residuation.  The residuum is
@@ -18,9 +21,12 @@ fixed too, and only times || residuum is minimised, over the coset
 alone.  That is the same lexicographic minimum, so the key bytes are
 those of a minimum over every relabeling.  A table is keyed from its
 flat times || residuum bytes, before any `Structure` exists; only the
-record that is emitted, one per class, gets a `Structure`.  At run time
-only a caller's base lattice is checked, once, in `SearchSpec`; every
-other axiom holds by construction (see `enumerate_residuated`).
+record that is emitted, one per class, gets a `Structure`, from
+`Lattice.structure`, which shape-checks its product tables and not the
+lattice part, checked once when the lattice was built.  At run time
+only a caller's base lattice is checked for axioms, once, in
+`SearchSpec`; every other axiom holds by construction (see
+`enumerate_residuated`).
 
 The stages that grow with the size read index data computed once
 instead of rederiving it per node or per relabeling.  The product search
@@ -340,8 +346,31 @@ def _cut_schedule(lat: Lattice):
     return schedule
 
 
+def _splits_at_top(lat: Lattice) -> bool:
+    """True iff x = (x ^ p) v (x ^ q) for every x and every p, q with
+    p v q = top: the lattice test of `_times_tables`."""
+    join, meet, top = lat.join, lat.meet, lat.top
+    for p, row in enumerate(join):
+        for q in range(p + 1, lat.n):
+            if row[q] == top:
+                # meet is commutative: meet[p][x] = x ^ p.
+                for x, (xp, xq) in enumerate(zip(meet[p], meet[q])):
+                    if join[xp][xq] != x:
+                        return False
+    return True
+
+
 def _times_tables(lat: Lattice):
     """Backtracking assignment of a residuated product over one bounded lattice.
+
+    A lattice that fails `_splits_at_top` has no such product, and gets
+    [] before any schedule is built.  Proof: let the product preserve
+    joins and have top as identity.  Preserving joins, it is monotone,
+    so x * p <= x * top = x and x * p <= top * p = p, that is x * p <=
+    x ^ p.  So when p v q = top, every x has x = x * (p v q) =
+    (x * p) v (x * q) <= (x ^ p) v (x ^ q) <= x, and equality holds
+    throughout.  This skips 2 of the 5 lattices of size 5, 8 of 15 at
+    size 6, 34 of 53 at size 7 and 157 of 222 at size 8.
 
     On a finite lattice a product is residuated exactly when it fixes bot
     and preserves binary joins in each argument, so the search enforces
@@ -364,6 +393,8 @@ def _times_tables(lat: Lattice):
     per lattice, which filled cells cut each cell and by what masks, so a
     node ANDs exactly those masks, read at the cells' current values.
     """
+    if not _splits_at_top(lat):
+        return []
     n, bot, top = lat.n, lat.bot, lat.top
     mids = [i for i in range(n) if i not in (bot, top)]
     table = [[0] * n for _ in range(n)]
@@ -475,8 +506,9 @@ def enumerate_residuated(spec: SearchSpec):
     isomorphism class is kept; the stable sort puts equal keys side by
     side, so a duplicate is a table whose key equals the one before.
     Otherwise every completed assignment is emitted, still sorted.  The
-    `Structure` of a table is built when it is popped and kept, so a
-    duplicate never gets one.
+    `Structure` of a table is built by `Lattice.structure` when it is
+    popped and kept, so a duplicate never gets one, and each table of the
+    census is shape-checked once.
     No axiom is checked here.  Each lattice searched is a lattice:
     `enumerate_lattices` builds its tables from a bounded order by
     `order_tables`, and a caller's `base_lattice` has passed

@@ -23,7 +23,34 @@ from .errors import MalformedTables
 
 Table = tuple[tuple[int, ...], ...]
 
-_INDICES = bytes(range(256))
+# Element indices must fit in a byte: the axiom checks and the census
+# store table rows as bytes.
+MAX_ELEMENTS = 256
+
+_INDICES = bytes(range(MAX_ELEMENTS))
+
+
+def _checked_table(attr: str, rows, n: int) -> Table:
+    """`rows` as an n x n tuple of tuples of indices below n, or
+    `MalformedTables` naming the table `attr`: the one shape check of
+    each table of a `Lattice` or a `Structure`."""
+    try:
+        table = tuple(map(tuple, rows))
+    except TypeError:
+        table = None
+    if table is None or len(table) != n or {*map(len, table)} != {n}:
+        raise MalformedTables(f"{attr} table is not {n}x{n}")
+    # One C-level pass: bytes() takes only ints (bools too) in 0..255,
+    # and deleting the indices below n must leave nothing.
+    try:
+        entries = bytes(chain.from_iterable(table))
+    except TypeError:
+        raise MalformedTables(f"{attr} table entry is not an integer") from None
+    except ValueError:
+        entries = None
+    if entries is None or entries.translate(None, _INDICES[:n]):
+        raise MalformedTables(f"{attr} table entry out of range")
+    return table
 
 
 @dataclass(frozen=True)
@@ -31,8 +58,9 @@ class Lattice:
     """Join and meet tables of a candidate bounded lattice, and what is
     read off them once and kept until the instance dies: the order masks
     (x <= y iff x v y = y), join-prime elements and residuum lookups.
-    Construction checks only the shapes and index ranges of the tables
-    named in `_tables`; `lattice_violations` checks the axioms."""
+    Construction checks only the carrier, bot and top, and the shapes
+    and index ranges of the tables named in `_tables`, each by
+    `_checked_table`; `lattice_violations` checks the axioms."""
 
     n: int
     names: tuple[str, ...]
@@ -50,28 +78,12 @@ class Lattice:
         object.__setattr__(self, "names", tuple(map(str, self.names)))
         if n < 2:
             raise MalformedTables("carrier must have at least two elements")
-        if n > 256:
-            raise MalformedTables("carrier has more than 256 elements")
+        if n > MAX_ELEMENTS:
+            raise MalformedTables(f"carrier has more than {MAX_ELEMENTS} elements")
         if len(self.names) != n:
             raise MalformedTables("name list size disagrees with carrier size")
         for attr in self._tables:
-            try:
-                table = tuple(map(tuple, getattr(self, attr)))
-            except TypeError:
-                table = None
-            if table is None or len(table) != n or {*map(len, table)} != {n}:
-                raise MalformedTables(f"{attr} table is not {n}x{n}")
-            object.__setattr__(self, attr, table)
-            # One C-level pass: bytes() takes only ints (bools too) in 0..255,
-            # and deleting the indices below n must leave nothing.
-            try:
-                entries = bytes(chain.from_iterable(table))
-            except TypeError:
-                raise MalformedTables(f"{attr} table entry is not an integer") from None
-            except ValueError:
-                entries = None
-            if entries is None or entries.translate(None, _INDICES[:n]):
-                raise MalformedTables(f"{attr} table entry out of range")
+            object.__setattr__(self, attr, _checked_table(attr, getattr(self, attr), n))
         if not (0 <= self.bot < n and 0 <= self.top < n):
             raise MalformedTables("bot/top index out of range")
         if self.bot == self.top:
@@ -130,17 +142,29 @@ class Lattice:
         return [low + pad for low in downs], {low: z for z, low in enumerate(downs)}
 
     def structure(self, times, residuum) -> Structure:
-        """The structure over this lattice with these product and residuum tables."""
-        return Structure(
-            n=self.n,
+        """The structure over this lattice with these product and residuum
+        tables, equal to `Structure(...)` of the same eight fields.
+
+        Only `times` and `residuum` are shape-checked, by the routine and
+        with the messages of `Structure(...)`.  The lattice part (n, names,
+        join, meet, bot and top) was checked when this lattice was built,
+        and it is immutable, so it is copied, not checked again: the census
+        builds each record this way, and each of its tables is checked once.
+        """
+        n = self.n
+        s = object.__new__(Structure)
+        # A frozen dataclass refuses attribute assignment, not its __dict__.
+        s.__dict__.update(
+            n=n,
             names=self.names,
             join=self.join,
             meet=self.meet,
             bot=self.bot,
             top=self.top,
-            times=times,
-            residuum=residuum,
+            times=_checked_table("times", times, n),
+            residuum=_checked_table("residuum", residuum, n),
         )
+        return s
 
 
 @dataclass(frozen=True)
@@ -310,9 +334,9 @@ def validate_structure(s: Structure) -> ValidationReport:
     its first differing position, read as an element tuple: the first
     failing tuple in lexicographic order, so the report is deterministic.
     Element indices must fit in a byte, which is why `Lattice` caps
-    carriers at 256 elements.  Only the axioms are checked: laws they
-    imply, such as the product distributing over joins, are checks of
-    the battery (`run_battery`).
+    carriers at `MAX_ELEMENTS`, 256.  Only the axioms are checked: laws
+    they imply, such as the product distributing over joins, are checks
+    of the battery (`run_battery`).
     """
     violations = lattice_violations(s) + product_violations(s)
     return ValidationReport(valid=not violations, violations=violations)

@@ -4,12 +4,16 @@
 
 Runs the stages of `modelgen.enumerate_residuated` one after another
 over the whole census, each over all its inputs, so that each is timed
-alone: lattice enumeration, the product search, the join cosets and key
-heads (`modelgen.coset` and `modelgen.key_head`), then per product table
-the residuum and the canonical key of its flat tables, sorting and
+alone: lattice enumeration, the product search (`modelgen._times_tables`,
+which first tests each lattice with `_splits_at_top` and returns at once
+on the lattices that fail it, 8 of 15 at size 6), the join cosets and
+key heads (`modelgen.coset` and `modelgen.key_head`), then per product
+table the residuum and the canonical key of its flat tables, sorting and
 deduplication (the sort is stable and puts equal keys side by side, so,
 as in the census, a record is dropped when its key equals the one
-before), then per class `Structure` construction and the census stats.
+before), then per class `Structure` construction by `Lattice.structure`,
+which shape-checks the product and residuum tables only, and the census
+stats.
 The census checks no axiom (the lattices and the products are what they
 should be by construction), and neither does this script.  The stats
 have a lattice part, the join-prime elements, and a part read off the
@@ -18,11 +22,11 @@ of the stats are computed only for the lattices with at least one
 product table, as in the census, which computes the coset and key head
 before it keys the lattice's tables and reads the join-prime elements
 when it builds a record.  Each lattice's join and meet tables are built
-and shape-checked with it, in the "lattices" stage; its other data is
-built by the first stage that reads it, as in the census.  Each stage
-prints the least of its times over `--repeat` fresh runs (new lattices,
-relabeling maps rebuilt) and how many calls it made.  The last lines are
-the sum of the stages and the end-to-end census,
+and shape-checked with it, once, in the "lattices" stage; its other
+data is built by the first stage that reads it, as in the census.  Each
+stage prints the least of its times over `--repeat` fresh runs (new
+lattices, relabeling maps rebuilt) and how many calls it made.  The
+last lines are the sum of the stages and the end-to-end census,
 `list(enumerate_residuated(...))`, also the least over the repeats.
 
 Stdlib only; not collected by pytest.

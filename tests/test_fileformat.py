@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from reslat import fileformat
 from reslat.errors import InvalidBaseLattice, MalformedTables, StructureFileError
 from reslat.fileformat import (
     _parse_table,
@@ -226,3 +227,27 @@ def test_load_lattice_refuses_a_carrier_over_256_elements(tmp_path):
     p.write_text(json.dumps(data))
     with pytest.raises(MalformedTables, match="^carrier has more than 256 elements$"):
         load_lattice(p)
+
+
+def test_files_over_256_elements_are_refused_before_the_order_is_closed(tmp_path, monkeypatch):
+    """The element list is counted before any order closure or table is
+    built, so a 1,000-element chain given by its 999 covering pairs, a
+    file linear in its size, is refused by both parsers with `Lattice`'s
+    message, and `order_from_pairs` never runs."""
+    names = [str(x) for x in range(1000)]
+    data = {
+        "elements": names,
+        "bot": names[0],
+        "top": names[-1],
+        "order": [[x, y] for x, y in zip(names, names[1:])],
+        "times": [],
+        "residuum": [],
+    }
+    p = tmp_path / "chain1000.json"
+    p.write_text(json.dumps(data))
+    closures = []
+    monkeypatch.setattr(fileformat, "order_from_pairs", lambda *args: closures.append(args))
+    for load in (load_lattice, load_structure):
+        with pytest.raises(MalformedTables, match="^carrier has more than 256 elements$"):
+            load(p)
+    assert closures == []

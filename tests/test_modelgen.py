@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from itertools import permutations, product
 from operator import itemgetter
 
@@ -24,6 +25,7 @@ from reslat.modelgen import (
     _flat,
     _lattice_key,
     _relabelings,
+    _splits_at_top,
     _table_key,
     _times_tables,
     canonical_key,
@@ -404,8 +406,10 @@ def test_census_structures_validate(census, fixtures_dir):
     construction (see `enumerate_residuated`).  This is where that is
     checked, with and without canonical_only: on every record of sizes 2
     to 7 (888 classes, 1,018 tables), and on every record over each
-    fixture's lattice, as labelled in its file.  The size-8 census is
-    checked in `test_size_eight_census_counts`."""
+    fixture's lattice, as labelled in its file.  Each record is built by
+    `Lattice.structure`, which does not check its lattice part again; it
+    equals the `Structure(...)` of the same tables, which checks all of
+    them.  The size-8 census is checked in `test_size_eight_census_counts`."""
     structures = [s for n in range(2, 8) for s in census[n]]
     tables = [
         r.structure
@@ -420,18 +424,25 @@ def test_census_structures_validate(census, fixtures_dir):
             for canonical_only in (True, False):
                 spec = SearchSpec(s.n, s, canonical_only)
                 structures += [r.structure for r in enumerate_residuated(spec)]
+    names = [field.name for field in fields(Structure)]
     for s in structures:
         assert validate_structure(s).valid
+        assert s == Structure(**{name: getattr(s, name) for name in names})
 
 
 def test_census_checks_no_axiom_and_builds_each_class_once(monkeypatch):
-    """A `Structure` is built once per emitted class: 129 of them, though
-    the size-6 search finds 142 product tables.  The join coset is scanned
-    once per lattice with a product table: 7 of the 15.  No axiom is
-    checked: the enumerated lattices are lattices and the products are
-    residuated by construction, so neither `lattice_violations` (wrapped
-    in both modules), `product_violations` nor `validate_structure` is
-    called."""
+    """Each table is shape-checked once: the join and meet tables of each
+    of the 15 size-6 lattices when it is built, and the times and residuum
+    tables of each of the 129 emitted classes when `Lattice.structure`
+    builds its record, which does not check the lattice part again: 288
+    calls of `_checked_table`, where building each record by
+    `Structure(...)` would make 546.  The search finds 142 product
+    tables, and only the 7 lattices that pass `_splits_at_top` get a cut
+    schedule: each of them has a product table, so it also gets its join
+    coset.  No axiom is checked: the enumerated lattices are lattices and
+    the products are residuated by construction, so neither
+    `lattice_violations` (wrapped in both modules), `product_violations`
+    nor `validate_structure` is called."""
     calls = Counter()
 
     def counted(part):
@@ -444,16 +455,16 @@ def test_census_checks_no_axiom_and_builds_each_class_once(monkeypatch):
     lattice_violations = counted(structure.lattice_violations)
     monkeypatch.setattr(modelgen, "lattice_violations", lattice_violations)
     monkeypatch.setattr(structure, "lattice_violations", lattice_violations)
-    # `Lattice.structure` builds the census's structures.
-    monkeypatch.setattr(structure, "Structure", counted(Structure))
-    monkeypatch.setattr(modelgen, "coset", counted(coset))
-    for part in (structure.product_violations, structure.validate_structure):
+    checks = (structure._checked_table, structure.product_violations, structure.validate_structure)
+    for part in checks:
         monkeypatch.setattr(structure, part.__name__, counted(part))
+    for part in (modelgen._cut_schedule, modelgen.coset):
+        monkeypatch.setattr(modelgen, part.__name__, counted(part))
     assert len(list(enumerate_residuated(SearchSpec(size=6)))) == 129
+    assert calls == {"_checked_table": 2 * 15 + 2 * 129, "_cut_schedule": 7, "coset": 7}
     lattices = enumerate_lattices(6)
     assert sum(len(_times_tables(lat)) for lat in lattices) == 142
     assert sum(1 for lat in lattices if _times_tables(lat)) == 7
-    assert calls == {"Structure": 129, "coset": 7}
 
 
 def test_search_spec_refuses_a_base_lattice_failing_its_axioms(bad_base_lattice, fixtures_dir):
@@ -758,6 +769,40 @@ def _assert_census_matches_reference(lat):
 def test_census_routines_match_reference(n):
     for lat in _both_labelings(n):
         _assert_census_matches_reference(lat)
+
+
+# Lattices of each size that fail `_splits_at_top`, of all enumerated.
+SPLIT_FAILURES = {
+    2: (0, 1), 3: (0, 1), 4: (0, 2), 5: (2, 5), 6: (8, 15), 7: (34, 53), 8: (157, 222)
+}
+
+
+@pytest.mark.parametrize(
+    "n", [2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)]
+)
+def test_lattices_failing_the_split_test_carry_no_product(n):
+    """`_times_tables` returns [] without searching a lattice where some
+    x != (x ^ p) v (x ^ q) with p v q = top; its docstring proves that no
+    product preserving joins with top as identity exists there.  The
+    reference search, which has no such test, finds none on any of them,
+    in both labelings.  `_splits_at_top` is read against the definition
+    on every pair and every x."""
+    failed = 0
+    for lat in _both_labelings(n):
+        rng = range(n)
+        by_definition = all(
+            lat.join[lat.meet[x][p]][lat.meet[x][q]] == x
+            for p in rng
+            for q in rng
+            if lat.join[p][q] == lat.top
+            for x in rng
+        )
+        assert _splits_at_top(lat) == by_definition
+        if not by_definition:
+            failed += 1
+            assert ref.times_tables(lat) == []
+    failing, lattices = SPLIT_FAILURES[n]
+    assert (failed, len(enumerate_lattices(n))) == (2 * failing, lattices)
 
 
 def test_import_builds_no_relabeling_maps():
