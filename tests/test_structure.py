@@ -123,7 +123,7 @@ def _inputs(field):
     """CHAIN2 as a `Structure` and, when `field` is one of its fields,
     LATTICE2 as a library `Lattice`: both run the one shape check.  When
     `field` is a product table, CHAIN2 through `Lattice.structure`, which
-    runs it on the product tables alone."""
+    runs that check on the product tables alone."""
     through = (Lattice, LATTICE2) if field in LATTICE2 else (_through_lattice, CHAIN2)
     return [(Structure, CHAIN2), through]
 
