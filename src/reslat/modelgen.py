@@ -30,16 +30,18 @@ only a caller's base lattice is checked for axioms, once, in
 
 The stages that grow with the size read index data computed once
 instead of rederiving it per node or per relabeling.  The product search
-follows a schedule of cuts built once per lattice (`_cut_schedule`):
-the cells are filled in a fixed order, so which filled cells cut each
-cell, and by what masks, is known before the search starts.  Each
-relabeling is kept as index maps (`Relabeling`), built on first use once
-per (size, bot, top): an `operator.itemgetter` that gathers a flat table
-into its relabeled cell order, and a `bytes.translate` table for the
-values.  The lattice key, the coset scan and the canonical key each
+follows steps built once per lattice over the live rows of its table
+(`_cut_schedule`): the cells are filled in a fixed order, so which
+filled cells cut each cell, and by what masks, is known before the
+search starts; the fixed bot and top lines fold into a constant mask
+per cell and one-cell cuts, by three facts proved there.
+Each relabeling is kept as index maps (`Relabeling`), built on first use
+once per (size, bot, top): an `operator.itemgetter` that gathers a flat
+table into its relabeled cell order, and a `bytes.translate` table for
+the values.  The lattice key, the coset scan and the canonical key each
 relabel a table with one gather and one translation.  What every table
-over a lattice shares is computed once per lattice: its coset and key
-head (`coset`, `key_head`) by `enumerate_residuated`, and its residuum
+over a lattice shares is computed once per lattice: its key head and
+coset by one `coset` call in `enumerate_residuated`, and its residuum
 lookups and join-prime elements on the `Lattice` (`structure.Lattice`,
 which this module re-exports).  The census stats of a record
 are read off its idempotents and those join-prime elements
@@ -53,7 +55,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, permutations, repeat
-from operator import and_, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .bitsets import bits
@@ -171,9 +173,14 @@ def enumerate_lattices(size: int) -> list[Lattice]:
     ]
 
 
-def coset(lat: Lattice) -> tuple[Relabeling, ...]:
-    """Every relabeling that sends bot to 0 and top to n - 1 and gives
-    the least relabeled join table: one coset pi0 * Aut(L)."""
+def coset(lat: Lattice) -> tuple[bytes, tuple[Relabeling, ...]]:
+    """The head of `canonical_key` shared by every structure over the
+    lattice, and the relabelings its tail is minimised over.
+
+    The relabelings are those that send bot to 0 and top to n - 1 and
+    give the least relabeled join table: one coset pi0 * Aut(L).  The
+    head is the join || meet tables relabeled by the coset's first member.
+    """
     flat = _flat(lat.join)
     best, out = None, []
     for r in _relabeling_maps(lat.n, lat.bot, lat.top):
@@ -182,14 +189,8 @@ def coset(lat: Lattice) -> tuple[Relabeling, ...]:
             best, out = image, [r]
         elif image == best:
             out.append(r)
-    return tuple(out)
-
-
-def key_head(lat: Lattice, coset: tuple[Relabeling, ...]) -> bytes:
-    """The join || meet part of `canonical_key`, relabeled by the first
-    member of the lattice's `coset`; every structure over it shares it."""
-    first = coset[0]
-    return bytes(first.two(_flat(lat.join, lat.meet))).translate(first.values)
+    first = out[0]
+    return bytes(first.two(_flat(lat.join, lat.meet))).translate(first.values), tuple(out)
 
 
 def canonical_key(s: Structure) -> bytes:
@@ -205,8 +206,7 @@ def canonical_key(s: Structure) -> bytes:
     a minimum over every relabeling.  Each relabeling is applied as one
     gather of the flat tables and one `bytes.translate` of the values.
     """
-    relabelings = coset(s)
-    return _table_key(key_head(s, relabelings), relabelings, _flat(s.times, s.residuum))
+    return _table_key(*coset(s), _flat(s.times, s.residuum))
 
 
 def _table_key(head: bytes, coset: tuple[Relabeling, ...], flat: bytes) -> bytes:
@@ -272,78 +272,66 @@ class CensusRecord:
     stats: CensusStats
 
 
-def _cut_schedule(lat: Lattice):
-    """The cuts of every middle cell of the product search, in fill order.
+def _cut_schedule(lat: Lattice, table):
+    """The steps of the product search over `table`, in fill order.
 
-    The search fills the middle cells (x, y) of the upper triangle in
-    index order, so when a cell's turn comes the filled cells are always
-    the same: the bot and top lines, and the cells before it.  Its cuts
-    (see `_times_tables`) and the cells they read are therefore known
-    before the search starts.  For each cell this gives (x, y, base, ones,
-    twos): `base` ANDs the cuts that read only the bot and top lines;
-    `ones` holds, per filled cell (b, p) that cuts alone, the mask of
-    those cuts for each value the cell may hold; `twos` holds the cuts
-    that read two filled cells, as ((b, p), (b, q), masks[w][t]).
+    The middle cells (x, y) of the upper triangle are filled in index
+    order, so the cells filled when one's turn comes, and the cuts they
+    make through join(p, a) * b = join(p * b, a * b) on each orientation
+    (a, b) (see `_times_tables`), are known before the search starts.  The
+    fixed lines fold in by three facts of any bounded lattice:
+
+    - p = top gives the constant `base` = down(x) & down(y), since
+      x * y <= x * top = x and likewise x * y <= y;
+    - p = bot cuts nothing, since up(bot * b) = up(bot) is the carrier;
+    - a filled (p, b) with join(p, a) = top gives
+      join(p * b, a * b) = top * b = b.
+
+    A fixed value is read only at p in {bot, top}, and the cell read
+    beside it is then (a, b) itself or the fixed top * b, so no cut pairs
+    a fixed value with a middle cell.  Every other cut reads filled middle
+    cells of column b; with v = a * b and w = p * b it is one of five:
+    p <= a gives v in up(w) (`up`); a <= p gives v in down(w)
+    (`lat.down`); join(p, a) = top gives join(v, w) = b (`joined_by[b]`);
+    join(p, a) = c filled gives join(v, w) = c * b (`joins_to`); and
+    a = join(p, q) gives v = join(w, q * b) (`join_bit`).
+
+    A step is (row_x, y, row_y, x, base, ones, twos) over the live rows
+    of `table`: the cell is row_x[y] and its mirror row_y[x], `ones`
+    holds (row, p, masks) read at masks[row[p]], and `twos` holds
+    (row, p, q, masks) read at masks[row[p]][row[q]].  No cell gets two
+    one-cell cuts: an orientation reads each cell once, and the two read
+    different cells, as (y, p) and (x, q) meet only at (x, y) itself.
     """
-    n, bot, top, up, join = lat.n, lat.bot, lat.top, lat.up, lat.join
-    joins_to = [[0] * n for _ in range(n)]
-    for w in range(n):
-        for v in range(n):
-            joins_to[w][join[v][w]] |= 1 << v
+    n, bot, top, up, down, join = lat.n, lat.bot, lat.top, lat.up, lat.down, lat.join
+    # joins_to[w][t] holds the v with join(v, w) = t.
+    joins_to = [
+        [sum(1 << v for v in range(n) if join[v][w] == t) for t in range(n)] for w in range(n)
+    ]
     joined_by = tuple(zip(*joins_to))
-    joins_to_self = tuple(joins_to[w][w] for w in range(n))
     join_bit = tuple(tuple(1 << v for v in row) for row in join)
-    splits = [[] for _ in range(n)]
-    for p in range(n):
-        for q in range(p + 1, n):
-            if join[p][q] not in (p, q):
-                splits[join[p][q]].append((p, q))
     mids = [i for i in range(n) if i not in (bot, top)]
-    cells = [(x, y) for i, x in enumerate(mids) for y in mids[i:]]
-    turn = [[len(cells)] * n for _ in range(n)]
-    for i, (x, y) in enumerate(cells):
-        turn[x][y] = turn[y][x] = i
-
-    def cut_one(ones, cell, masks):
-        old = ones.get(cell)
-        ones[cell] = masks if old is None else tuple(map(and_, old, masks))
-
-    schedule = []
-    for i, (x, y) in enumerate(cells):
-        base, ones, twos = (1 << n) - 1, {}, []
+    steps, done = [], set()
+    for x, y in [(x, y) for i, x in enumerate(mids) for y in mids[i:]]:
+        ones, twos = [], []
         for a, b in ((x, y),) if x == y else ((x, y), (y, x)):
-            # What each cell (b, p) holds at this turn: its element on the
-            # bot and top lines, the cell itself once filled, else None.
-            column = [(b, p) if turn[b][p] < i else None for p in range(n)]
-            column[bot], column[top] = bot, b
-            for p, w in enumerate(column):
-                if w is None:
-                    continue
-                pa = join[p][a]
-                if pa == a:
-                    if type(w) is int:
-                        base &= up[w]
-                    else:
-                        cut_one(ones, w, up)
-                    continue
-                t = column[pa]
-                if t is None:
-                    continue
-                if type(w) is int and type(t) is int:
-                    base &= joins_to[w][t]
-                elif type(t) is int:
-                    cut_one(ones, w, joined_by[t])
-                elif type(w) is int:
-                    cut_one(ones, t, joins_to[w])
-                elif w == t:
-                    cut_one(ones, w, joins_to_self)
-                else:
-                    twos.append((w, t, joins_to))
-            for p, q in splits[a]:
-                if column[p] is not None and column[q] is not None:
-                    twos.append((column[p], column[q], join_bit))
-        schedule.append((x, y, base, tuple(ones.items()), tuple(twos)))
-    return schedule
+            row, filled = table[b], [p for p in mids if (b, p) in done]
+            for p in filled:
+                c = join[p][a]
+                if c == a:
+                    ones.append((row, p, up))
+                elif c == p:
+                    ones.append((row, p, down))
+                elif c == top:
+                    ones.append((row, p, joined_by[b]))
+                elif c in filled:
+                    twos.append((row, p, c, joins_to))
+            twos += [
+                (row, p, q, join_bit) for p in filled for q in filled if p < q and join[p][q] == a
+            ]
+        steps.append((table[x], y, table[y], x, down[x] & down[y], tuple(ones), tuple(twos)))
+        done |= {(x, y), (y, x)}
+    return steps
 
 
 def _splits_at_top(lat: Lattice) -> bool:
@@ -377,21 +365,18 @@ def _times_tables(lat: Lattice):
     join(p, a) * b = join(p * b, a * b) while it fills the table.  The
     bottom and identity rows are fixed; the middle cells (x, y) of the
     upper triangle are filled in index order and mirrored.  Each tries, in
-    ascending order, the values of one candidate mask, cut for both
-    orientations (a, b) of the cell by every filled cell (p, b) of value
-    w: to up(w) when p <= a, else, when the cell (join(p, a), b) holds t,
-    to the values v with join(v, w) = t (down(w) when p >= a).  A cell
-    (a, b) with a = join(p, q) for two filled cells (p, b) and (q, b) is
-    forced to the join of their values; the census numbers each join below
-    its parts, so this matters for base lattices numbered bottom up.
-    The table stays symmetric at every node (each cell is written with its
-    mirror, and the bot and top lines are fixed), so column b is read as
-    row b.  Associativity is checked on completion (triples touching bot
-    or top are automatic).
+    ascending order, the values of down(x) & down(y) that the filled
+    middle cells of its columns leave, in the five cuts `_cut_schedule`
+    lists.  (The cut a * b = join(p * b, q * b) for a = join(p, q) matters
+    for base lattices numbered bottom up; the census numbers each join
+    below its parts.)  The table stays symmetric at every node (each cell
+    is written with its mirror, and the bot and top lines are fixed), so
+    column b is read as row b.  Associativity is checked on completion
+    (triples touching bot or top are automatic).
 
-    The cuts are not rederived at each node: `_cut_schedule` lists, once
-    per lattice, which filled cells cut each cell and by what masks, so a
-    node ANDs exactly those masks, read at the cells' current values.
+    The cuts are not rederived at each node: `_cut_schedule` builds, once
+    per lattice, steps over the live rows of the table, so a node ANDs
+    exactly the masks of its step, read at the cells' current values.
     """
     if not _splits_at_top(lat):
         return []
@@ -401,18 +386,7 @@ def _times_tables(lat: Lattice):
     for z in range(n):
         table[bot][z] = table[z][bot] = bot
         table[top][z] = table[z][top] = z
-    steps = [
-        (
-            table[x],
-            y,
-            table[y],
-            x,
-            base,
-            tuple((table[b], p, masks) for (b, p), masks in ones),
-            tuple((table[b], p, table[c], q, masks) for (b, p), (c, q), masks in twos),
-        )
-        for x, y, base, ones, twos in _cut_schedule(lat)
-    ]
+    steps = _cut_schedule(lat, table)
     last = len(steps)
 
     def assoc_ok():
@@ -435,8 +409,8 @@ def _times_tables(lat: Lattice):
         row_x, y, row_y, x, mask, ones, twos = steps[i]
         for row, p, masks in ones:
             mask &= masks[row[p]]
-        for row, p, row2, q, masks in twos:
-            mask &= masks[row[p]][row2[q]]
+        for row, p, q, masks in twos:
+            mask &= masks[row[p]][row[q]]
         for v in bits(mask):
             row_x[y] = row_y[x] = v
             rec(i + 1)
@@ -500,8 +474,9 @@ def enumerate_residuated(spec: SearchSpec):
     stops the generator when it has enough.  Each product table found is
     held as (key, times, residuum, lattice): its residuum is derived and
     it is keyed from its flat tables (`_table_key`, the routine
-    `canonical_key` calls), by the `coset` and `key_head` of its
-    lattice, computed once for each lattice that has a product table.
+    `canonical_key` calls), by the key head and relabelings that `coset`
+    returns for its lattice, once for each lattice that has a product
+    table.
     With canonical_only (the default) the first table found of each
     isomorphism class is kept; the stable sort puts equal keys side by
     side, so a duplicate is a table whose key equals the one before.
@@ -534,8 +509,7 @@ def enumerate_residuated(spec: SearchSpec):
         tables = _times_tables(lat)
         if not tables:
             continue
-        relabelings = coset(lat)
-        head = key_head(lat, relabelings)
+        head, relabelings = coset(lat)
         for times in tables:
             residuum = _derive_residuum(lat, times)
             key = _table_key(head, relabelings, _flat(times, residuum))

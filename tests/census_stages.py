@@ -6,8 +6,8 @@ Runs the stages of `modelgen.enumerate_residuated` one after another
 over the whole census, each over all its inputs, so that each is timed
 alone: lattice enumeration, the product search (`modelgen._times_tables`,
 which first tests each lattice with `_splits_at_top` and returns at once
-on the lattices that fail it, 8 of 15 at size 6), the join cosets and
-key heads (`modelgen.coset` and `modelgen.key_head`), then per product
+on the lattices that fail it, 8 of 15 at size 6), the key heads and
+join cosets (`modelgen.coset`, one call per lattice), then per product
 table the residuum and the canonical key of its flat tables, sorting and
 deduplication (the sort is stable and puts equal keys side by side, so,
 as in the census, a record is dropped when its key equals the one
@@ -17,10 +17,9 @@ stats.
 The census checks no axiom (the lattices and the products are what they
 should be by construction), and neither does this script.  The stats
 have a lattice part, the join-prime elements, and a part read off the
-idempotents, run once per class.  The coset, key head and lattice part
+idempotents, run once per class.  The key head, coset and lattice part
 of the stats are computed only for the lattices with at least one
-product table, as in the census, which computes the coset and key head
-before it keys the lattice's tables and reads the join-prime elements
+product table, as in the census, which calls `coset` before it keys the lattice's tables and reads the join-prime elements
 when it builds a record.  Each lattice's join and meet tables are built
 and shape-checked with it, once, in the "lattices" stage; its other
 data is built by the first stage that reads it, as in the census.  Each
@@ -51,12 +50,6 @@ def timed(stages, name, fn, items):
     return out
 
 
-def coset_and_head(lat):
-    """The key head and join coset of lat, as the census computes them."""
-    coset = modelgen.coset(lat)
-    return modelgen.key_head(lat, coset), coset
-
-
 def census_stages(size):
     """[(stage, seconds, calls)] of one census of `size`, stage by stage."""
     modelgen._relabeling_maps.cache_clear()
@@ -65,7 +58,7 @@ def census_stages(size):
     found = timed(stages, "product search", modelgen._times_tables, lats)
     tables = [(lat, t) for lat, ts in zip(lats, found) for t in ts]
     used = [lat for lat, ts in zip(lats, found) if ts]
-    heads = dict(zip(map(id, used), timed(stages, "coset", coset_and_head, used)))
+    heads = dict(zip(map(id, used), timed(stages, "coset", modelgen.coset, used)))
     residua = timed(stages, "residuum", lambda lt: modelgen._derive_residuum(*lt), tables)
     records = [(lat, t, r) for (lat, t), r in zip(tables, residua)]
     keys = timed(

@@ -2,17 +2,19 @@
 relabeling routines, the residuum and the lattice tables as they read
 before each became a lookup in data built once.
 
-`modelgen._times_tables` works from a per-lattice schedule of cuts,
-`_lattice_key`, `coset` and `canonical_key` relabel through
+`modelgen._times_tables` works from steps built once per lattice, which
+fold the fixed bot and top lines into constant masks and read middle
+cells only; `_lattice_key`, `coset` and `canonical_key` relabel through
 precomputed gathers, `_derive_residuum` reads each cell with one
 `bytes.translate` and one dict lookup, and `structure.order_tables`
 finds each join and meet by one dict lookup of an up-set or a down-set.
 The routines here keep the direct routes: a product search whose
-`candidates` rescans both columns of each cell at every node,
-relabelings written cell by cell, a residuum that ORs the masks of each
-down-set, and bounds found by scanning the common bounds.  The census
-must give the same lists, in the same order, the same key bytes, the
-same tables and the same `MalformedTables` text from both.
+`candidates` rescans both columns of each cell at every node, reading
+the fixed lines like any filled cell, relabelings written cell by cell,
+a residuum that ORs the masks of each down-set, and bounds found by
+scanning the common bounds.  The census must give the same lists, in the
+same order, the same key bytes, the same tables and the same
+`MalformedTables` text from both.
 """
 
 from itertools import permutations

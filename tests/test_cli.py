@@ -393,6 +393,44 @@ def test_wrongly_typed_field_is_usage_error(capsys, tmp_path, corrupt):
     assert err.startswith("reslat: error: ") and err.count("\n") == 1
 
 
+def _ragged_leq(data):
+    del data["order"]
+    data["leq"] = [[1] * 6 for _ in range(6)]
+    data["leq"][2].pop()
+    return json.dumps(data)
+
+
+def _order_entry_no_name(data):
+    data["order"][-1][1] = "zz"
+    return json.dumps(data)
+
+
+def _non_string_name(data):
+    data["elements"][0] = 0
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (_ragged_leq, "leq must be a 6x6 0/1 matrix"),
+        (_order_entry_no_name, "order entry is not an element name: 'zz'"),
+        (lambda data: "[1, 2]", "structure file must hold a JSON object"),
+        (_non_string_name, "element names must be strings"),
+        (
+            lambda data: '{"elements": [',
+            "{path} is not valid JSON: Expecting value: line 1 column 15 (char 14)",
+        ),
+    ],
+)
+def test_malformed_file_is_refused_in_one_line(capsys, tmp_path, write, message):
+    p = tmp_path / "malformed.json"
+    p.write_text(write(json.loads(Path(fixture("a6.json")).read_text())))
+    code, out, err = run_cli(capsys, "validate", str(p))
+    assert (code, out) == (2, "")
+    assert err == "reslat: error: " + message.format(path=p) + "\n"
+
+
 def test_deeply_nested_json_is_usage_error(capsys, tmp_path):
     p = tmp_path / "deep.json"
     p.write_text("[" * 100_000 + "]" * 100_000)

@@ -32,7 +32,6 @@ from reslat.modelgen import (
     coset,
     enumerate_lattices,
     enumerate_residuated,
-    key_head,
 )
 from reslat.normality import normality_report
 from reslat.spectra import is_prime, minimal_primes_over, primes_of
@@ -728,7 +727,7 @@ def _automorphism_count(lat):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_coset_is_one_automorphism_coset(n):
     for lat in enumerate_lattices(n):
-        relabelings = coset(lat)
+        _, relabelings = coset(lat)
         assert len(relabelings) == _automorphism_count(lat)
         images = set()
         for pi in (r.pi for r in relabelings):
@@ -747,9 +746,8 @@ def _assert_census_matches_reference(lat):
     n = lat.n
     assert order_tables(n, lat.up) == ref.order_tables(n, lat.up) == (lat.join, lat.meet)
     reference = ref.join_coset(n, lat.join, lat.bot, lat.top)
-    relabelings = coset(lat)
+    head, relabelings = coset(lat)
     assert tuple(r.pi for r in relabelings) == reference
-    head = key_head(lat, relabelings)
     assert _lattice_key(n, lat.up, lat.bot, lat.top) == ref.lattice_key(
         n, lat.up, lat.bot, lat.top
     )
@@ -803,6 +801,27 @@ def test_lattices_failing_the_split_test_carry_no_product(n):
             assert ref.times_tables(lat) == []
     failing, lattices = SPLIT_FAILURES[n]
     assert (failed, len(enumerate_lattices(n))) == (2 * failing, lattices)
+
+
+# Over the lattices of each size that pass `_splits_at_top`: the steps of
+# `_cut_schedule` (one per middle cell), its one-cell cuts and its
+# two-cell cuts.
+SCHEDULE_CUTS = {5: (18, 24, 3), 6: (70, 136, 32), 7: (285, 720, 230), 8: (1365, 4206, 1644)}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+def test_cut_schedule_keeps_every_cut(n):
+    """How much the schedule prunes, pinned: a change that drops a cut or
+    splits one into two changes these sums, even where the search still
+    finds the same tables, only more slowly."""
+    cells = ones = twos = 0
+    for lat in enumerate_lattices(n):
+        if _splits_at_top(lat):
+            steps = modelgen._cut_schedule(lat, [[0] * n for _ in range(n)])
+            cells += len(steps)
+            ones += sum(len(step[5]) for step in steps)
+            twos += sum(len(step[6]) for step in steps)
+    assert (cells, ones, twos) == SCHEDULE_CUTS[n]
 
 
 def test_import_builds_no_relabeling_maps():

@@ -127,6 +127,10 @@ def test_n_prime_argument_errors(a6):
         n_prime(a6, named_mask(a6, "d1"), 1)
     with pytest.raises(ImproperFilter):
         is_n_prime(a6, a6.full, 2)
+    with pytest.raises(ImproperFilter):
+        n_prime(a6, a6.full, 2)
+    with pytest.raises(BadN):
+        is_n_prime(a6, named_mask(a6, "d1"), 1)
 
 
 def test_normality_report_of_a6(a6):

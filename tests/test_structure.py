@@ -182,13 +182,14 @@ CHAIN3 = dict(
         ("join", ((0, 1, 2), (1, 1, 9), (2, 2, 2)), "join table entry out of range"),
         ("top", 7, "bot/top index out of range"),
         ("bot", 2, "bot and top must be distinct"),
+        ("names", ("0", "1"), "name list size disagrees with carrier size"),
     ],
 )
 def test_malformed_base_lattice_rejected_as_a_structure_is(field, value, message):
     """A library base lattice with a ragged table, an entry or top out of
-    range, or bot = top is refused when it is built, with the text a
-    `Structure` gives, before `SearchSpec` could index into it or blame
-    an axiom."""
+    range, bot = top, or a name list of another size is refused when it
+    is built, with the text a `Structure` gives, before `SearchSpec` could
+    index into it or blame an axiom."""
     godel = dict(CHAIN3, times=CHAIN3["meet"], residuum=((2, 2, 2), (0, 2, 2), (0, 1, 2)))
     assert validate_structure(Structure(**godel)).valid
     with pytest.raises(MalformedTables, match=f"^{message}$"):
