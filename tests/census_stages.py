@@ -19,8 +19,9 @@ should be by construction), and neither does this script.  The stats
 have a lattice part, the join-prime elements, and a part read off the
 idempotents, run once per class.  The key head, coset and lattice part
 of the stats are computed only for the lattices with at least one
-product table, as in the census, which calls `coset` before it keys the lattice's tables and reads the join-prime elements
-when it builds a record.  Each lattice's join and meet tables are built
+product table, as in the census, which calls `coset` before it keys
+the lattice's tables and reads the join-prime elements when it builds a
+record.  Each lattice's join and meet tables are built
 and shape-checked with it, once, in the "lattices" stage; its other
 data is built by the first stage that reads it, as in the census.  Each
 stage prints the least of its times over `--repeat` fresh runs (new
