@@ -57,7 +57,8 @@ def _checked_table(attr: str, rows, n: int) -> Table:
 class Lattice:
     """Join and meet tables of a candidate bounded lattice, and what is
     read off them once and kept until the instance dies: the order masks
-    (x <= y iff x v y = y), join-prime elements and residuum lookups.
+    (x <= y iff x v y = y), the incomparable pairs, the join-prime
+    elements, and the census's residuum lookups and derived rows.
     Construction checks only the carrier, bot and top, and the shapes
     and index ranges of the tables named in `_tables`, each by
     `_checked_table`; `lattice_violations` checks the axioms."""
@@ -116,6 +117,15 @@ class Lattice:
         return tuple(out)
 
     @cached_property
+    def incomparable(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (x, y) with x < y (as indices) and neither x <= y
+        nor y <= x, in (x, y) order."""
+        n, up, down = self.n, self.up, self.down
+        return tuple(
+            (x, y) for x in range(n) for y in range(x + 1, n) if not (up[x] | down[x]) >> y & 1
+        )
+
+    @cached_property
     def join_primes(self) -> int:
         """The mask of the join-prime elements: the e != bot such that
         x v y >= e implies x >= e or y >= e.  That holds exactly when the
@@ -141,6 +151,13 @@ class Lattice:
         downs = [bytes(mask >> v & 1 for v in range(n)) for mask in self.down]
         return [low + pad for low in downs], {low: z for z, low in enumerate(downs)}
 
+    @cached_property
+    def residuum_rows(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """For `modelgen._derive_residuum`: product row -> residuum row,
+        filled as rows are derived, so that each distinct row is derived
+        once over this lattice."""
+        return {}
+
     def structure(self, times, residuum) -> Structure:
         """The structure over this lattice with these product and residuum
         tables, equal to `Structure(...)` of the same eight fields.
@@ -150,6 +167,10 @@ class Lattice:
         join, meet, bot and top) was checked when this lattice was built,
         and it is immutable, so it is copied, not checked again: the census
         builds each record this way, and each of its tables is checked once.
+        The order data read off that part, `up`, `down` and `incomparable`,
+        is handed over too, computed here if this lattice lacks it, so every
+        structure over the lattice shares one copy.  The residuum lookups
+        and memo are not: they serve the search over this lattice alone.
         """
         n = self.n
         s = object.__new__(Structure)
@@ -163,6 +184,9 @@ class Lattice:
             top=self.top,
             times=_checked_table("times", times, n),
             residuum=_checked_table("residuum", residuum, n),
+            up=self.up,
+            down=self.down,
+            incomparable=self.incomparable,
         )
         return s
 
@@ -174,7 +198,8 @@ class Structure(Lattice):
     construction; `validate_structure` decides the axioms.
 
     Derived data lives in lazily built `cached_property` slots that die
-    with the structure: the order masks `up`/`down` of `Lattice`, and
+    with the structure: the order data `up`, `down` and `incomparable` of
+    `Lattice` (handed over from its lattice when the census builds it), and
     `memos`, the one store of analysis answers, filled by the routines
     decorated with `per_structure` (the filters, the ideals, the primes,
     generated filters and ideals, minimal primes over a set, and per base
@@ -299,15 +324,16 @@ def leq(s: Lattice, x: int, y: int) -> bool:
 def is_mtl(s: Structure) -> bool:
     """True iff (x -> y) v (y -> x) = 1 for every pair.
 
-    Only the pairs with y > x are read.  Join is commutative, so the pair
-    (y, x) gives the join that (x, y) gives; and x -> x = top on a valid
-    structure, since top * x <= x, so the diagonal always holds.
+    Only the incomparable pairs are read, each once (`s.incomparable`).
+    On a valid structure x <= y gives x -> y = top, since top * x <= y,
+    so a comparable pair, the diagonal included, always holds; and join
+    is commutative, so the pair (y, x) gives the join that (x, y) gives.
+    A chain has no pair to read.
     """
     join, residuum, top = s.join, s.residuum, s.top
-    for x, row in enumerate(residuum):
-        for y in range(x + 1, s.n):
-            if join[row[y]][residuum[y][x]] != top:
-                return False
+    for x, y in s.incomparable:
+        if join[residuum[x][y]][residuum[y][x]] != top:
+            return False
     return True
 
 

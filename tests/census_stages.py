@@ -6,14 +6,16 @@ Runs the stages of `modelgen.enumerate_residuated` one after another
 over the whole census, each over all its inputs, so that each is timed
 alone: lattice enumeration, the product search (`modelgen._times_tables`,
 which first tests each lattice with `_splits_at_top` and returns at once
-on the lattices that fail it, 8 of 15 at size 6), the key heads and
-join cosets (`modelgen.coset`, one call per lattice), then per product
-table the residuum and the canonical key of its flat tables, sorting and
+on the lattices that fail it, 8 of 15 at size 6, and tests associativity
+as the cells fill), the key heads and join cosets (`modelgen.coset`, one
+call per lattice), then per product table the residuum (each distinct
+product row derived once per lattice, into `Lattice.residuum_rows`) and
+the canonical key of its flat tables, sorting and
 deduplication (the sort is stable and puts equal keys side by side, so,
 as in the census, a record is dropped when its key equals the one
 before), then per class `Structure` construction by `Lattice.structure`,
-which shape-checks the product and residuum tables only, and the census
-stats.
+which shape-checks the product and residuum tables only and hands over
+the lattice's order data, and the census stats.
 The census checks no axiom (the lattices and the products are what they
 should be by construction), and neither does this script.  The stats
 have a lattice part, the join-prime elements, and a part read off the

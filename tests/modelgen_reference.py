@@ -3,18 +3,21 @@ relabeling routines, the residuum and the lattice tables as they read
 before each became a lookup in data built once.
 
 `modelgen._times_tables` works from steps built once per lattice, which
-fold the fixed bot and top lines into constant masks and read middle
-cells only; `_lattice_key`, `coset` and `canonical_key` relabel through
+fold the fixed bot and top lines into constant masks, read middle cells
+only and test each associativity triple as soon as its four cells are
+filled; `_lattice_key`, `coset` and `canonical_key` relabel through
 precomputed gathers, `_derive_residuum` reads each cell with one
-`bytes.translate` and one dict lookup, and `structure.order_tables`
-finds each join and meet by one dict lookup of an up-set or a down-set.
-The routines here keep the direct routes: a product search whose
-`candidates` rescans both columns of each cell at every node, reading
-the fixed lines like any filled cell, relabelings written cell by cell,
-a residuum that ORs the masks of each down-set, and bounds found by
-scanning the common bounds.  The census must give the same lists, in the
-same order, the same key bytes, the same tables and the same
-`MalformedTables` text from both.
+`bytes.translate` and one dict lookup and derives each distinct product
+row once per lattice, and `structure.order_tables` finds each join and
+meet by one dict lookup of an up-set or a down-set.  The routines here
+keep the direct routes: a product search whose `candidates` rescans both
+columns of each cell at every node, reading the fixed lines like any
+filled cell, and which tests associativity on complete tables only;
+relabelings written cell by cell; a residuum that ORs the masks of each
+down-set, row by row for every table; and bounds found by scanning the
+common bounds.  The census must give the same lists, in the same order,
+the same key bytes, the same tables and the same `MalformedTables` text
+from both.
 """
 
 from itertools import permutations
@@ -98,7 +101,8 @@ def times_tables(lat):
     cell (join(p, a), b) holds t, to the values v with join(v, w) = t.
     A cell (a, b) with a = join(p, q) for two filled cells (p, b) and
     (q, b) is forced to the join of their values.  Associativity is
-    checked on completion.
+    checked on complete tables only, so the numbering of the lattice
+    changes how much is searched but not what is found.
     """
     n, bot, top, up, join = lat.n, lat.bot, lat.top, lat.up, lat.join
     joins_to = [[0] * n for _ in range(n)]

@@ -3,7 +3,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import fields
-from itertools import permutations, product
+from itertools import permutations, product, zip_longest
 from operator import itemgetter
 
 import modelgen_reference as ref
@@ -13,6 +13,7 @@ from constructions import has_no_zero_divisors
 from test_subvarieties import assert_products_in_census
 
 from reslat import modelgen, structure
+from reslat.bitsets import bits
 from reslat.errors import InvalidBaseLattice, MalformedTables, SizeOutOfRange
 from reslat.fileformat import load_lattice, load_structure
 from reslat.filters import all_filters
@@ -244,6 +245,71 @@ def test_residuum_matches_definition(n):
     for lat in _both_labelings(n):
         for times in _times_tables(lat):
             assert _derive_residuum(lat, times) == _residuum_by_definition(lat, times)
+
+
+class _CountedLookups(dict):
+    """A dict that counts its `[]` lookups."""
+
+    calls = 0
+
+    def __getitem__(self, key):
+        _CountedLookups.calls += 1
+        return super().__getitem__(key)
+
+
+# Distinct product rows, summed over the lattices of each size: the rows
+# `_derive_residuum` derives over the whole census.
+RESIDUUM_ROWS = {5: 43, 6: 185, 7: 831, 8: 4328}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+def test_residuum_rows_are_derived_once_per_lattice(n):
+    """`_derive_residuum` derives each distinct product row once per
+    lattice, in n lookups of its "v <= z" bytes, and reads it back from
+    `Lattice.residuum_rows` after that.  The tables are taken round-robin
+    over the lattices, so a memo shared across lattices, or one that keeps
+    only the last lattice's rows, gives wrong residua (checked against the
+    definition at sizes 5 and 6) or derives more rows."""
+    lattices = enumerate_lattices(n)
+    found = [_times_tables(lat) for lat in lattices]
+    for lat in lattices:
+        columns, element = lat.residuum_maps
+        lat.__dict__["residuum_maps"] = (columns, _CountedLookups(element))
+    _CountedLookups.calls = 0
+    for group in zip_longest(*found):
+        for lat, times in zip(lattices, group):
+            if times is not None:
+                residuum = _derive_residuum(lat, times)
+                if n <= 6:
+                    assert residuum == _residuum_by_definition(lat, times)
+    assert _CountedLookups.calls == n * RESIDUUM_ROWS[n]
+    assert sum(len(lat.residuum_rows) for lat in lattices) == RESIDUUM_ROWS[n]
+
+
+def test_structure_shares_its_lattice_order_data():
+    """A census record's structure holds its lattice's `up`, `down` and
+    `incomparable` themselves, not copies, and none of the search's
+    residuum data; every lattice of size 6 that carries a product."""
+    shared = 0
+    for lat in enumerate_lattices(6):
+        for record in enumerate_residuated(SearchSpec(size=6, base_lattice=lat)):
+            s = record.structure
+            assert s.up is lat.up and s.down is lat.down
+            assert s.incomparable is lat.incomparable
+            assert not {"residuum_maps", "residuum_rows"} & s.__dict__.keys()
+            shared += 1
+    assert shared == 129
+
+
+def test_incomparable_pairs_match_the_order():
+    for n in range(2, 8):
+        for lat in enumerate_lattices(n):
+            assert lat.incomparable == tuple(
+                (x, y)
+                for x in range(n)
+                for y in range(x + 1, n)
+                if not structure.leq(lat, x, y) and not structure.leq(lat, y, x)
+            )
 
 
 def _raw_residuated_oracle(lat):
@@ -769,6 +835,33 @@ def test_census_routines_match_reference(n):
         _assert_census_matches_reference(lat)
 
 
+def _renumbered(lat, pi):
+    """`lat` with each element x renumbered pi[x]."""
+    n = lat.n
+    up = [0] * n
+    for x in range(n):
+        for y in bits(lat.up[x]):
+            up[pi[x]] |= 1 << pi[y]
+    return Lattice(n, lat.names, *order_tables(n, up), pi[lat.bot], pi[lat.top])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_product_search_matches_reference_under_renumbering(n):
+    """Which triples the associativity test reads at each cell, and so
+    what it prunes, depends on the numbering.  Three seeded random
+    renumberings of every lattice, each moving bot off 0 and top off
+    n - 1, give the tables of the reference search, which tests
+    associativity on complete tables only."""
+    rng = random.Random(n)
+    for lat in enumerate_lattices(n):
+        for _ in range(3):
+            pi = list(range(n))
+            while pi[lat.bot] == 0 or pi[lat.top] == n - 1:
+                rng.shuffle(pi)
+            renumbered = _renumbered(lat, pi)
+            assert _times_tables(renumbered) == ref.times_tables(renumbered)
+
+
 # Lattices of each size that fail `_splits_at_top`, of all enumerated.
 SPLIT_FAILURES = {
     2: (0, 1), 3: (0, 1), 4: (0, 2), 5: (2, 5), 6: (8, 15), 7: (34, 53), 8: (157, 222)
@@ -804,24 +897,30 @@ def test_lattices_failing_the_split_test_carry_no_product(n):
 
 
 # Over the lattices of each size that pass `_splits_at_top`: the steps of
-# `_cut_schedule` (one per middle cell), its one-cell cuts and its
-# two-cell cuts.
-SCHEDULE_CUTS = {5: (18, 24, 3), 6: (70, 136, 32), 7: (285, 720, 230), 8: (1365, 4206, 1644)}
+# `_cut_schedule` (one per middle cell), its one-cell cuts, its two-cell
+# cuts, and the associativity triples it lists in the inner and the outer
+# role.
+SCHEDULE_CUTS = {
+    5: (18, 24, 3, 27, 25),
+    6: (70, 136, 32, 168, 205),
+    7: (285, 720, 230, 950, 1444),
+    8: (1365, 4206, 1644, 5850, 10025),
+}
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
 def test_cut_schedule_keeps_every_cut(n):
     """How much the schedule prunes, pinned: a change that drops a cut or
-    splits one into two changes these sums, even where the search still
-    finds the same tables, only more slowly."""
-    cells = ones = twos = 0
+    a triple, or splits a cut into two, changes these sums, even where the
+    search still finds the same tables, only more slowly."""
+    sums = [0] * 5
     for lat in enumerate_lattices(n):
         if _splits_at_top(lat):
             steps = modelgen._cut_schedule(lat, [[0] * n for _ in range(n)])
-            cells += len(steps)
-            ones += sum(len(step[5]) for step in steps)
-            twos += sum(len(step[6]) for step in steps)
-    assert (cells, ones, twos) == SCHEDULE_CUTS[n]
+            sums[0] += len(steps)
+            for k, part in enumerate((5, 6, 8, 9), start=1):
+                sums[k] += sum(len(step[part]) for step in steps)
+    assert tuple(sums) == SCHEDULE_CUTS[n]
 
 
 def test_import_builds_no_relabeling_maps():
