@@ -19,6 +19,16 @@ domain error (`NotMinimalPrime`, `RepresentationMismatch`,
 any other exception is a crash, which also sets `crashed`.  Analyses
 are read through their modules (`flt.`, `spc.`, `can.`) or module
 globals, so that rebinding one reaches every check.
+
+A scan over subset masks reads a per-structure table rather than
+calling a routine once per mask: `flt.generated_filter_table` for
+generated filters and filter joins, `spc.minimal_primes_table` for
+minimal primes over a set.  A table is built through the routine it
+stands for, one call per mask through that routine's module global, so
+a rebinding of the routine reaches the checks that read its table.
+Only a value that does not change within a scan is read once before
+its loop (the filters, the primes, the principal filters).  Scans read
+the order as join[x][y] == y.
 """
 
 from __future__ import annotations
@@ -132,9 +142,10 @@ def _product_distributes_over_join(s):
 
 @law("core", "join-of-products-bound", elements="x y z")
 def _join_of_products_bound(s):
+    join, times = s.join, s.times
     for x, y, z in product(range(s.n), repeat=3):
-        lhs = s.times[s.join[x][y]][s.join[x][z]]
-        if not leq(s, lhs, s.join[x][s.times[y][z]]):
+        rhs = join[x][times[y][z]]
+        if join[times[join[x][y]][join[x][z]]][rhs] != rhs:
             return x, y, z
 
 
@@ -147,10 +158,12 @@ def _order_matches_residuum(s):
 
 @law("core", "product-monotone", elements="x y z")
 def _product_monotone(s):
+    join, times = s.join, s.times
     for x, y in product(range(s.n), repeat=2):
-        if leq(s, x, y):
+        if join[x][y] == y:
+            tx, ty = times[x], times[y]
             for z in range(s.n):
-                if not leq(s, s.times[x][z], s.times[y][z]):
+                if join[tx[z]][ty[z]] != ty[z]:
                     return x, y, z
 
 
@@ -178,17 +191,18 @@ def _ideal_enumeration_oracle(s):
 
 @law("core", "generated-filter-idempotent", subsets="generators")
 def _generated_filter_idempotent(s):
-    for x_set in range(1 << s.n):
-        once = flt.generated_filter(s, x_set)
-        if x_set & ~once or flt.generated_filter(s, once) != once:
+    gen = flt.generated_filter_table(s)
+    for x_set, once in enumerate(gen):
+        if x_set & ~once or gen[once] != once:
             return x_set
 
 
 @law("core", "filter-extension-antitone", bases="all", elements="x y")
 def _filter_extension_antitone(s, f):
     ext = [flt.filter_extension(s, f, x) for x in range(s.n)]
+    join = s.join
     for x, y in product(range(s.n), repeat=2):
-        if leq(s, x, y) and ext[y] & ~ext[x]:
+        if join[x][y] == y and ext[y] & ~ext[x]:
             return x, y
 
 
@@ -203,17 +217,20 @@ def _filter_extension_meet_rule(s, f):
 @law("core", "filter-extension-join-rule", bases="all", elements="x y")
 def _filter_extension_join_rule(s, f):
     ext = [flt.filter_extension(s, f, x) for x in range(s.n)]
+    gen = flt.generated_filter_table(s)
     for x, y in product(range(s.n), repeat=2):
-        if flt.generated_filter(s, ext[x] | ext[y]) != ext[s.times[x][y]]:
+        if gen[ext[x] | ext[y]] != ext[s.times[x][y]]:
             return x, y
 
 
 @law("core", "principal-filters-sublattice")
 def _principal_filters_sublattice(s):
-    principal = {flt.principal_filter(s, x) for x in range(s.n)}
+    principals = [flt.principal_filter(s, x) for x in range(s.n)]
+    principal = set(principals)
+    gen = flt.generated_filter_table(s)
     for x, y in product(range(s.n), repeat=2):
-        px, py = flt.principal_filter(s, x), flt.principal_filter(s, y)
-        if flt.generated_filter(s, px | py) not in principal:
+        px, py = principals[x], principals[y]
+        if gen[px | py] not in principal:
             return {"kind": "join", "x": s.names[x], "y": s.names[y]}
         if px & py not in principal:
             return {"kind": "meet", "x": s.names[x], "y": s.names[y]}
@@ -221,9 +238,9 @@ def _principal_filters_sublattice(s):
 
 @law("core", "filter-lattice-distributive", subsets="f g h")
 def _filter_lattice_distributive(s):
+    gen = flt.generated_filter_table(s)
     for f, g, h in product(flt.all_filters(s), repeat=3):
-        lhs = f & flt.generated_filter(s, g | h)
-        if lhs != flt.generated_filter(s, (f & g) | (f & h)):
+        if f & gen[g | h] != gen[(f & g) | (f & h)]:
             return f, g, h
 
 
@@ -257,8 +274,9 @@ def _spectrum_matches_subset_scan(s):
 
 @law("core", "prime-separation", subsets="separator filter")
 def _prime_separation(s):
+    filters = flt.all_filters(s)
     for c in spc.join_closed_subsets(s):
-        for f in flt.all_filters(s):
+        for f in filters:
             if not (c & f) and spc.prime_avoiding(s, f, c) is None:
                 return c, f
 
@@ -266,12 +284,14 @@ def _prime_separation(s):
 @law("core", "minimal-prime-iff-maximal-complement")
 def _minimal_prime_iff_maximal_complement(s):
     jc = spc.join_closed_subsets(s)
+    index = {c: i for i, c in enumerate(jc)}
     above: dict[int, list[int]] = {}
 
     def strictly_above(c):
-        """The join-closed sets strictly above c, in the order of jc."""
+        """The join-closed sets strictly above c, in the order of jc:
+        jc is sorted by size, so they all come after c."""
         if c not in above:
-            above[c] = [d for d in jc if d != c and not (c & ~d)]
+            above[c] = [d for d in jc[index[c] + 1 :] if not (c & ~d)]
         return above[c]
 
     for f in flt.all_filters(s):
@@ -293,24 +313,24 @@ def _minimal_prime_iff_maximal_complement(s):
 
 @law("core", "prime-over-set-contains-minimal", subsets="set prime")
 def _prime_over_set_contains_minimal(s):
-    for x_set in range(1 << s.n):
-        mins = spc.minimal_primes_over(s, x_set)
-        for p in spc.primes_of(s):
+    primes = spc.primes_of(s)
+    for x_set, mins in enumerate(spc.minimal_primes_table(s)):
+        for p in primes:
             if not (x_set & ~p) and not any(not (m & ~p) for m in mins):
                 return x_set, p
 
 
 @law("core", "generated-filter-is-prime-intersection", subsets="set")
 def _generated_filter_is_prime_intersection(s):
-    for x_set in range(1 << s.n):
-        if flt.generated_filter(s, x_set) != spc.generated_by_primes(s, x_set):
+    for x_set, gen in enumerate(flt.generated_filter_table(s)):
+        if gen != spc.generated_by_primes(s, x_set):
             return x_set
 
 
 @law("core", "generated-filter-is-minimal-prime-intersection", subsets="set")
 def _generated_filter_is_minimal_prime_intersection(s):
-    for x_set in range(1 << s.n):
-        if flt.generated_filter(s, x_set) != spc.generated_by_minimal_primes(s, x_set):
+    for x_set, gen in enumerate(flt.generated_filter_table(s)):
+        if gen != spc.generated_by_minimal_primes(s, x_set):
             return x_set
 
 
@@ -353,8 +373,9 @@ def _coannihilator_full_iff_contained(s, f):
 @law("core", "coannulet-monotone", bases="all", elements="x y")
 def _coannulet_monotone(s, f):
     table = can.coannulet_table(s, f)
+    join = s.join
     for x, y in product(range(s.n), repeat=2):
-        if leq(s, x, y) and table[x] & ~table[y]:
+        if join[x][y] == y and table[x] & ~table[y]:
             return x, y
 
 
@@ -380,8 +401,9 @@ def _coannulet_join_bound(s, f):
     table = can.coannulet_table(s, f)
     lets = set(table)
     joins = {(g, h): can.gamma_join(s, f, g, h) for g in lets for h in lets}
+    gen = flt.generated_filter_table(s)
     for x, y in product(range(s.n), repeat=2):
-        in_lattice = flt.generated_filter(s, table[x] | table[y])
+        in_lattice = gen[table[x] | table[y]]
         gamma = joins[table[x], table[y]]
         if in_lattice & ~gamma or gamma != table[s.join[x][y]]:
             return x, y
@@ -422,8 +444,7 @@ def _coannulets_form_sublattice(s, f):
 def _coannihilator_relative_pseudocomplement(s, f):
     filters = flt.all_filters(s)
     co = can.coann_subset_table(s, f)
-    for x_set in range(1 << s.n):
-        gen = flt.generated_filter(s, x_set)
+    for x_set, gen in enumerate(flt.generated_filter_table(s)):
         best = co[x_set]
         if best & gen & ~f:
             return {"set": subset_repr(s, x_set), "law": "bound"}
@@ -674,8 +695,9 @@ def _minimal_primes_family_comaximal(s, f):
 @law("omega", "omega-minimal-primes-avoid-set", bases="all", subsets="separator minimal")
 def _omega_minimal_primes_avoid_set(s, f):
     om = omega_table(s, f)
+    mins = spc.minimal_primes_table(s)
     for c in spc.join_closed_subsets(s):
-        for m in spc.minimal_primes_over(s, om[c]):
+        for m in mins[om[c]]:
             if m & c:
                 return c, m
 
@@ -692,8 +714,9 @@ def _divisor_minimal_primes_inside_prime(s, f):
 def _omega_minimal_primes_characterized(s, f):
     mins_f = spc.minimal_primes_over(s, f)
     om = omega_table(s, f)
+    mins = spc.minimal_primes_table(s)
     for c in spc.join_closed_subsets(s):
-        lhs = set(spc.minimal_primes_over(s, om[c]))
+        lhs = set(mins[om[c]])
         if lhs != {m for m in mins_f if not (m & c)}:
             return c
 

@@ -339,10 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{TOOL} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, report=True, **kw):
+        """A subcommand; `report` gives it `--format`, which only the
+        commands that print a report read."""
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        if report:
+            p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
     p = add("validate", cmd_validate, help="check the axioms of a structure file")
@@ -380,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--battery", choices=("all",) + GROUPS, default="all")
 
-    p = add("search", cmd_search, help="census of residuated lattices")
+    p = add("search", cmd_search, report=False, help="census of residuated lattices")
     p.add_argument("--size", type=int)
     p.add_argument("--base-lattice", help="structure file fixing the lattice reduct")
     p.add_argument("--out", help="write newline delimited records here")
@@ -391,7 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit every completed assignment, not one per isomorphism class",
     )
 
-    p = add("export-dot", cmd_export_dot, help="DOT graph of the order or the filters")
+    p = add(
+        "export-dot",
+        cmd_export_dot,
+        report=False,
+        help="DOT graph of the order or the filters",
+    )
     p.add_argument("path")
     p.add_argument("--what", choices=("hasse", "filters"), default="hasse")
 

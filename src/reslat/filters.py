@@ -53,6 +53,14 @@ def generated_filter(s: Structure, gens: int) -> int:
     return s.up[x]
 
 
+@per_structure
+def generated_filter_table(s: Structure) -> tuple[int, ...]:
+    """generated_filter(s, m) for every subset mask m, each read through
+    the module's `generated_filter`, so that rebinding it reaches the
+    table too."""
+    return tuple(generated_filter(s, m) for m in range(1 << s.n))
+
+
 def generated_ideal(s: Structure, gens: int) -> int:
     """Least ideal containing `gens`: down of their join (bot when
     `gens` is empty)."""

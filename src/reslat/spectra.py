@@ -59,6 +59,14 @@ def minimal_primes_over(s: Structure, x_set: int) -> tuple[int, ...]:
     )
 
 
+@per_structure
+def minimal_primes_table(s: Structure) -> tuple[tuple[int, ...], ...]:
+    """minimal_primes_over(s, m) for every subset mask m, each read
+    through the module's `minimal_primes_over`, so that rebinding it
+    reaches the table too."""
+    return tuple(minimal_primes_over(s, m) for m in range(1 << s.n))
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     base: int

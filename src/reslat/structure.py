@@ -202,8 +202,9 @@ class Structure(Lattice):
     `Lattice` (handed over from its lattice when the census builds it), and
     `memos`, the one store of analysis answers, filled by the routines
     decorated with `per_structure` (the filters, the ideals, the primes,
-    generated filters and ideals, minimal primes over a set, and per base
-    the coannulets, the coannihilator and omega tables and families).  No
+    generated filters and minimal primes over a set, each also as a table
+    over every subset mask, and per base the coannulets, the
+    coannihilator and omega tables and families).  No
     module-level table refers to a structure and no answer refers back to
     it, so a dropped structure and its answers are freed as soon as its
     last reference goes.

@@ -3,16 +3,38 @@ from dataclasses import replace
 
 import pytest
 
-from reslat import battery, cli
+from reslat import battery, cli, filters, spectra
 from reslat.battery import AGREEMENT_CHECKS, CHECKS, GROUPS, run_battery
 from reslat.errors import MalformedTables, SearchExhausted
 from reslat.structure import Structure, validate_structure
+
+from test_closure import patch_everywhere
 
 
 def test_battery_passes_on_fixtures(a6, chain2, chain3_godel, chain3_luk):
     for s in (a6, chain2, chain3_godel, chain3_luk):
         report = run_battery(s)
         assert report.all_passed, report.failures()
+
+
+def test_battery_reads_mask_tables_not_one_call_per_mask(a6, monkeypatch):
+    """The scans over masks read `generated_filter_table` and
+    `minimal_primes_table`, each built with one call per mask of a6; a
+    scan that calls the routine once per instance raises the counts."""
+    calls = {"generated_filter": 0, "minimal_primes_over": 0}
+
+    def counted(name, routine):
+        def count(s, arg):
+            calls[name] += 1
+            return routine(s, arg)
+
+        return count
+
+    for module, name in ((filters, "generated_filter"), (spectra, "minimal_primes_over")):
+        routine = getattr(module, name)
+        patch_everywhere(monkeypatch, routine, counted(name, routine))
+    assert run_battery(replace(a6, names=a6.names)).all_passed
+    assert calls == {"generated_filter": 323, "minimal_primes_over": 228}
 
 
 def test_battery_group_selection(a6):

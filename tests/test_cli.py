@@ -489,6 +489,20 @@ def test_search_usage_error(capsys):
     assert "size" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("search", "--size", "3"), ("export-dot", fixture("a6.json"))]
+)
+def test_format_is_refused_by_commands_without_a_report(capsys, argv):
+    """`search` writes JSON records and `export-dot` writes DOT, whatever
+    was asked, so `--format` there is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --format json" in err
+
+
 def test_export_dot_hasse_edges(capsys):
     code, out, _ = run_cli(capsys, "export-dot", fixture("a6.json"), "--what", "hasse")
     assert code == 0

@@ -128,9 +128,11 @@ def test_per_structure_routines_are_found():
         "all_filters",
         "all_ideals",
         "generated_filter",
+        "generated_filter_table",
         "primes_of",
         "maximal_filters",
         "minimal_primes_over",
+        "minimal_primes_table",
         "join_closed_subsets",
         "coannulet_table",
         "coann_subset_table",

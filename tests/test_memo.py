@@ -8,11 +8,14 @@ import pytest
 
 from reslat.bitsets import bits, subset_fold, union_over
 from reslat.coann import coann_subset_table, coannulet_table
-from reslat.filters import all_filters, generated_filter, generated_ideal
+from reslat.fileformat import load_structure
+from reslat.filters import all_filters, generated_filter, generated_filter_table, generated_ideal
 from reslat.modelgen import SearchSpec, enumerate_residuated
 from reslat.omega import omega, omega_table
-from reslat.spectra import minimal_primes_over
+from reslat.spectra import minimal_primes_over, minimal_primes_table
 from reslat.structure import Structure, validate_structure
+
+from conftest import FIXTURES
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +85,21 @@ def test_minimal_primes_memo_matches_scan(structures):
             for m in range(1 << s.n):
                 assert minimal_primes_over(s, m) == minimal_primes_scan(s, m)
         assert len(s.memos[minimal_primes_scan]) == 1 << s.n
+
+
+def test_mask_tables_match_their_routines(census):
+    """Each battery table, on a rebuilt copy of every class of sizes 2
+    to 6 and of every fixture, answers as its routine on every mask."""
+    fixtures = [load_structure(path)[0] for path in sorted(FIXTURES.glob("*.json"))]
+    structures = [s for size in range(2, 7) for s in census[size]] + fixtures
+    assert len(structures) == 1 + 2 + 7 + 26 + 129 + 5
+    for s in structures:
+        s = replace(s, names=s.names)
+        masks = range(1 << s.n)
+        assert generated_filter_table(s) == tuple(generated_filter(s, m) for m in masks)
+        assert minimal_primes_table(s) == tuple(minimal_primes_over(s, m) for m in masks)
+        assert generated_filter_table(s) is generated_filter_table(s)
+        assert minimal_primes_table(s) is minimal_primes_table(s)
 
 
 def test_large_carrier_shares_the_memo():
