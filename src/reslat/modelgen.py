@@ -13,15 +13,16 @@ filled holds, so every completed table is a product table.  The residuum
 is then derived from the product rather than searched: residuum[y][z] is
 the join of the x with x * y <= z, read by byte lookup, and row y
 depends on product row y alone, so each distinct row is derived once
-per lattice (`_derive_residuum`).
+per lattice (`_derive_residuum`).  The census runs one lattice at a
+time, in key-head order (`enumerate_residuated`).
 
 Isomorphic duplicates are rejected by a canonical key, computed in two
 stages.  The key is the least relabeling of join || meet || times ||
 residuum, so its join part is the least relabeled join table, and the
 relabelings that reach it form one coset of the lattice's automorphism
-group (`coset`, scanned once per lattice with a product table).  The
-meet table is fixed by the join table, so on that coset its part is
-fixed too, and only times || residuum is minimised, over the coset
+group (`coset`, scanned once per lattice that passes `_splits_at_top`).
+The meet table is fixed by the join table, so on that coset its part
+is fixed too, and only times || residuum is minimised, over the coset
 alone.  That is the same lexicographic minimum, so the key bytes are
 those of a minimum over every relabeling.  A table is keyed from its
 flat times || residuum bytes, before any `Structure` exists; only the
@@ -46,12 +47,13 @@ table into its relabeled cell order, and a `bytes.translate` table for
 the values.  The lattice key, the coset scan and the canonical key each
 relabel a table with one gather and one translation.  What every table
 over a lattice shares is computed once per lattice: its key head and
-coset by one `coset` call in `enumerate_residuated`, and its residuum
-lookups and rows, order data and join-prime elements on the `Lattice`
-(`structure.Lattice`, which this module re-exports).  The census stats
-of a record are read off its idempotents and those join-prime elements
-(`_structure_stats`), not from the filter, spectrum and normality
-analyses.
+coset by one `coset` call in `enumerate_residuated`, its residuum
+lookups and rows by `_lattice_records`, which drops them when the
+lattice is done, and its order data and join-prime elements on the
+`Lattice` (`structure.Lattice`, which this module re-exports).  The
+census stats of a record are read off its idempotents and those
+join-prime elements (`_structure_stats`), not from the filter, spectrum
+and normality analyses.
 """
 
 from __future__ import annotations
@@ -136,6 +138,12 @@ def _lattice_key(n: int, up, bot: int, top: int) -> bytes:
     return bytes(min(map(itemgetter.__call__, gathers, repeat(order))))
 
 
+def _check_size(size) -> None:
+    """The size check of `enumerate_lattices` and `SearchSpec`."""
+    if not (isinstance(size, int) and 2 <= size <= MAX_SIZE):
+        raise SizeOutOfRange(f"supported sizes are 2..{MAX_SIZE}")
+
+
 def _up_masks_from_key(n: int, key: bytes) -> tuple[int, ...]:
     return tuple([sum([key[x * n + y] << y for y in range(n)]) for x in range(n)])
 
@@ -151,8 +159,7 @@ def enumerate_lattices(size: int) -> list[Lattice]:
     (Heitzig & Reinhold, "Counting finite lattices", Algebra Universalis
     2002).  Each size is deduplicated by canonical order key.
     """
-    if not 2 <= size <= MAX_SIZE:
-        raise SizeOutOfRange(f"supported sizes are 2..{MAX_SIZE}")
+    _check_size(size)
     keys = {_lattice_key(2, (0b11, 0b10), 0, 1)}
     for m in range(2, size):
         top, atom = m - 1, 1 << m
@@ -235,8 +242,7 @@ class SearchSpec:
     canonical_only: bool = True
 
     def __post_init__(self):
-        if not 2 <= self.size <= MAX_SIZE:
-            raise SizeOutOfRange(f"supported sizes are 2..{MAX_SIZE}")
+        _check_size(self.size)
         lat = self.base_lattice
         if lat is None:
             return
@@ -489,20 +495,30 @@ def _times_tables(lat: Lattice):
     return out
 
 
-def _derive_residuum(lat: Lattice, times) -> Table:
-    """residuum[y][z] = join of {x | x * y <= z}, by byte lookup.
+def _residuum_state(lat: Lattice):
+    """What `_derive_residuum` keeps over one lattice: each element z's
+    "v <= z" column, the 0/1 bytes of its down-set, as a `bytes.translate`
+    table; those down-set bytes -> z; and product row -> residuum row,
+    filled as rows are derived."""
+    n = lat.n
+    pad = bytes(256 - n)
+    downs = [bytes(mask >> v & 1 for v in range(n)) for mask in lat.down]
+    return [low + pad for low in downs], {low: z for z, low in enumerate(downs)}, {}
+
+
+def _derive_residuum(times, columns, element, rows) -> Table:
+    """residuum[y][z] = join of {x | x * y <= z}, by byte lookup, with
+    the `_residuum_state` of the lattice of `times`.
 
     Row y of the commutative product holds x * y at x, so translating it
-    by z's "v <= z" column (`Lattice.residuum_maps`) gives that set as
-    0/1 bytes.  The product preserves joins, so the set holds its own
-    join and is that element's down-set: residuum[y][z] is the one dict
-    lookup of those bytes, the adjoint the search guaranteed.  So residuum
-    row y depends on product row y alone, and each distinct product row
-    is derived once per lattice and kept in `lat.residuum_rows`: 185 rows
-    of the 852 over the 142 product tables of size 6.
+    by z's column gives that set as 0/1 bytes.  The product preserves
+    joins, so the set holds its own join and is that element's down-set:
+    residuum[y][z] is the one dict lookup of those bytes, the adjoint the
+    search guaranteed.  So residuum row y depends on product row y alone,
+    and each distinct product row is derived once per lattice and kept in
+    `rows`: 185 rows of the 852 over the 142 product tables of size 6.
     """
-    columns, element = lat.residuum_maps
-    rows, get = lat.residuum_rows, element.__getitem__
+    get = element.__getitem__
     out = []
     for row in times:
         derived = rows.get(row)
@@ -550,19 +566,17 @@ def enumerate_residuated(spec: SearchSpec):
     """Census of residuated lattices matching the search spec.
 
     Records are emitted in canonical-key order, with no limit: a caller
-    stops the generator when it has enough.  Each product table found is
-    held as (key, times, residuum, lattice): its residuum is derived and
-    it is keyed from its flat tables (`_table_key`, the routine
-    `canonical_key` calls), by the key head and relabelings that `coset`
-    returns for its lattice, once for each lattice that has a product
-    table.
-    With canonical_only (the default) the first table found of each
-    isomorphism class is kept; the stable sort puts equal keys side by
-    side, so a duplicate is a table whose key equals the one before.
-    Otherwise every completed assignment is emitted, still sorted.  The
-    `Structure` of a table is built by `Lattice.structure` when it is
-    popped and kept, so a duplicate never gets one, and each table of the
-    census is shape-checked once.
+    stops the generator when it has enough.  The census runs one lattice
+    at a time.  Each lattice that passes `_splits_at_top` gets its key
+    head and join coset from one `coset` call, and the lattices are taken
+    in head order, each searched and emitted in full by `_lattice_records`
+    before the next is searched.  That is the order of one stable sort of
+    every table of the census by key: a key over a lattice starts with
+    its head, 2n^2 bytes, and non-isomorphic lattices have distinct
+    heads, since equal least relabeled join tables mean isomorphic
+    lattices.  For the same reason isomorphic tables share a lattice, so
+    no duplicate spans two lattices, and memory holds one lattice's
+    tables, not the census's.
     No axiom is checked here.  Each lattice searched is a lattice:
     `enumerate_lattices` builds its tables from a bounded order by
     `order_tables`, and a caller's `base_lattice` has passed
@@ -573,40 +587,40 @@ def enumerate_residuated(spec: SearchSpec):
     lines (so top is the identity), writes each cell with its mirror (so
     the product commutes), keeps to join-preserving values and tests
     each associativity triple once its cells are filled;
-    `_derive_residuum` then reads off the
-    adjoint, which also gives x -> y = top exactly when x <= y.  The
-    tests check every enumerated lattice of sizes 2 to 8 and validate
+    `_derive_residuum` then reads off the adjoint, which also gives
+    x -> y = top exactly when x <= y.  The tests check every enumerated lattice of sizes 2 to 8 and validate
     every record of sizes 2 to 7, with and without canonical_only and
     over each fixture's lattice, and of size 8 in the slow census test.
     """
-    lattices = (
-        [spec.base_lattice]
-        if spec.base_lattice is not None
-        else enumerate_lattices(spec.size)
+    base = spec.base_lattice
+    lattices = [base] if base is not None else enumerate_lattices(spec.size)
+    cosets = sorted(
+        [(*coset(lat), lat) for lat in lattices if _splits_at_top(lat)], key=itemgetter(0)
     )
-    records = []
-    for lat in lattices:
-        tables = _times_tables(lat)
-        if not tables:
-            continue
-        head, relabelings = coset(lat)
-        for times in tables:
-            residuum = _derive_residuum(lat, times)
-            key = _table_key(head, relabelings, _flat(times, residuum))
-            records.append((key, times, residuum, lat))
-    # Ascending and stable, then reversed, so that popping from the end
-    # emits in key order and drops each record from the list as it goes.
-    records.sort(key=itemgetter(0))
-    records.reverse()
+    for head, relabelings, lat in cosets:
+        yield from _lattice_records(lat, head, relabelings, spec.canonical_only)
+
+
+def _lattice_records(lat: Lattice, head: bytes, relabelings, canonical_only: bool):
+    """The census records over one lattice, in key order, from its key
+    head and join coset (`coset`).
+
+    Each product table is keyed from its flat tables and its residuum,
+    derived with a `_residuum_state` that dies with this run.  The stable
+    sort puts equal keys side by side, so with canonical_only the first
+    table found of each class is kept and a duplicate, a key equal to the
+    one before, never gets a `Structure` (`Lattice.structure`).
+    """
+    state = _residuum_state(lat)
+    keyed = []
+    for times in _times_tables(lat):
+        residuum = _derive_residuum(times, *state)
+        keyed.append((_table_key(head, relabelings, _flat(times, residuum)), times, residuum))
+    keyed.sort(key=itemgetter(0))
     previous = None
-    while records:
-        key, times, residuum, lat = records.pop()
-        if spec.canonical_only and key == previous:
+    for key, times, residuum in keyed:
+        if canonical_only and key == previous:
             continue
         previous = key
         s = lat.structure(times, residuum)
-        yield CensusRecord(
-            structure=s,
-            canonical_key=key,
-            stats=_structure_stats(s, lat),
-        )
+        yield CensusRecord(structure=s, canonical_key=key, stats=_structure_stats(s, lat))

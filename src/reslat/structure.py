@@ -57,8 +57,9 @@ def _checked_table(attr: str, rows, n: int) -> Table:
 class Lattice:
     """Join and meet tables of a candidate bounded lattice, and what is
     read off them once and kept until the instance dies: the order masks
-    (x <= y iff x v y = y), the incomparable pairs, the join-prime
-    elements, and the census's residuum lookups and derived rows.
+    (x <= y iff x v y = y), the incomparable pairs and the join-prime
+    elements.  No residuum data: a census search keeps its own, which
+    dies with its run over the lattice (`modelgen._lattice_records`).
     Construction checks only the carrier, bot and top, and the shapes
     and index ranges of the tables named in `_tables`, each by
     `_checked_table`; `lattice_violations` checks the axioms."""
@@ -141,23 +142,6 @@ class Lattice:
                 mask |= 1 << e
         return mask
 
-    @cached_property
-    def residuum_maps(self) -> tuple[list[bytes], dict[bytes, int]]:
-        """For `modelgen._derive_residuum`: each element z's "v <= z"
-        column, the 0/1 bytes of its down-set, as a `bytes.translate`
-        table, and those down-set bytes -> z."""
-        n = self.n
-        pad = bytes(256 - n)
-        downs = [bytes(mask >> v & 1 for v in range(n)) for mask in self.down]
-        return [low + pad for low in downs], {low: z for z, low in enumerate(downs)}
-
-    @cached_property
-    def residuum_rows(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """For `modelgen._derive_residuum`: product row -> residuum row,
-        filled as rows are derived, so that each distinct row is derived
-        once over this lattice."""
-        return {}
-
     def structure(self, times, residuum) -> Structure:
         """The structure over this lattice with these product and residuum
         tables, equal to `Structure(...)` of the same eight fields.
@@ -169,8 +153,7 @@ class Lattice:
         builds each record this way, and each of its tables is checked once.
         The order data read off that part, `up`, `down` and `incomparable`,
         is handed over too, computed here if this lattice lacks it, so every
-        structure over the lattice shares one copy.  The residuum lookups
-        and memo are not: they serve the search over this lattice alone.
+        structure over the lattice shares one copy.
         """
         n = self.n
         s = object.__new__(Structure)

@@ -4,32 +4,36 @@
 
 Runs the stages of `modelgen.enumerate_residuated` one after another
 over the whole census, each over all its inputs, so that each is timed
-alone: lattice enumeration, the product search (`modelgen._times_tables`,
-which first tests each lattice with `_splits_at_top` and returns at once
-on the lattices that fail it, 8 of 15 at size 6, and tests associativity
-as the cells fill), the key heads and join cosets (`modelgen.coset`, one
-call per lattice), then per product table the residuum (each distinct
-product row derived once per lattice, into `Lattice.residuum_rows`) and
-the canonical key of its flat tables, sorting and
-deduplication (the sort is stable and puts equal keys side by side, so,
-as in the census, a record is dropped when its key equals the one
-before), then per class `Structure` construction by `Lattice.structure`,
-which shape-checks the product and residuum tables only and hands over
-the lattice's order data, and the census stats.
+alone (the census itself runs them lattice by lattice, in
+`modelgen._lattice_records`): lattice enumeration, the product search
+(`modelgen._times_tables`, which first tests each lattice with
+`_splits_at_top` and returns at once on the lattices that fail it, 8 of
+15 at size 6, and tests associativity as the cells fill), the key heads
+and join cosets (`modelgen.coset`, one call per lattice that passes
+`_splits_at_top`, as in the census, which sorts those lattices by key
+head), then per product table the residuum (each lattice's
+`_residuum_state` built on its first table, and each distinct product
+row derived once per lattice into it) and the canonical key of its flat
+tables, sorting and deduplication (the sort is stable and puts equal
+keys side by side, so, as in the census, a record is dropped when its
+key equals the one before), then per class `Structure` construction by
+`Lattice.structure`, which shape-checks the product and residuum tables
+only and hands over the lattice's order data, and the census stats.
 The census checks no axiom (the lattices and the products are what they
 should be by construction), and neither does this script.  The stats
-have a lattice part, the join-prime elements, and a part read off the
-idempotents, run once per class.  The key head, coset and lattice part
-of the stats are computed only for the lattices with at least one
-product table, as in the census, which calls `coset` before it keys
-the lattice's tables and reads the join-prime elements when it builds a
-record.  Each lattice's join and meet tables are built
-and shape-checked with it, once, in the "lattices" stage; its other
-data is built by the first stage that reads it, as in the census.  Each
-stage prints the least of its times over `--repeat` fresh runs (new
-lattices, relabeling maps rebuilt) and how many calls it made.  The
-last lines are the sum of the stages and the end-to-end census,
+have a lattice part, the join-prime elements, read only for the
+lattices with at least one product table, and a part read off the
+idempotents, run once per class.  Each lattice's join and meet tables
+are built and shape-checked with it, once, in the "lattices" stage; its
+other data is built by the first stage that reads it, as in the census.
+Each stage prints the least of its times over `--repeat` fresh runs
+(new lattices, relabeling maps rebuilt) and how many calls it made.
+Then come the sum of the stages and the end-to-end census,
 `list(enumerate_residuated(...))`, also the least over the repeats.
+The last line is the tracemalloc peak of one more end-to-end census,
+run apart and not timed, whose records are dropped as they come, as
+`reslat search` writes them: the memory the census itself holds, which
+its lattice-by-lattice run bounds by the largest lattice's tables.
 
 Stdlib only; not collected by pytest.
 """
@@ -37,6 +41,7 @@ Stdlib only; not collected by pytest.
 import argparse
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -61,8 +66,17 @@ def census_stages(size):
     found = timed(stages, "product search", modelgen._times_tables, lats)
     tables = [(lat, t) for lat, ts in zip(lats, found) for t in ts]
     used = [lat for lat, ts in zip(lats, found) if ts]
-    heads = dict(zip(map(id, used), timed(stages, "coset", modelgen.coset, used)))
-    residua = timed(stages, "residuum", lambda lt: modelgen._derive_residuum(*lt), tables)
+    split = [lat for lat in lats if modelgen._splits_at_top(lat)]
+    heads = dict(zip(map(id, split), timed(stages, "coset", modelgen.coset, split)))
+    states = {}
+
+    def residuum(lt):
+        lat, times = lt
+        if id(lat) not in states:
+            states[id(lat)] = modelgen._residuum_state(lat)
+        return modelgen._derive_residuum(times, *states[id(lat)])
+
+    residua = timed(stages, "residuum", residuum, tables)
     records = [(lat, t, r) for (lat, t), r in zip(tables, residua)]
     keys = timed(
         stages,
@@ -95,6 +109,18 @@ def end_to_end(size):
     return time.perf_counter() - t, len(records)
 
 
+def peak_memory(size):
+    """tracemalloc's peak, in bytes, over one census of `size` whose
+    records are dropped as they come."""
+    modelgen._relabeling_maps.cache_clear()
+    tracemalloc.start()
+    for _ in modelgen.enumerate_residuated(modelgen.SearchSpec(size=size)):
+        pass
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--size", type=int, required=True)
@@ -107,6 +133,7 @@ def main(argv=None):
     print(f"{'sum of stages':26} {sum(best):9.4f} s")
     ends = [end_to_end(args.size) for _ in range(args.repeat)]
     print(f"{'end to end':26} {min(t for t, _ in ends):9.4f} s  {ends[0][1]:7d} records")
+    print(f"{'tracemalloc peak':26} {peak_memory(args.size) / 1e6:9.4f} MB")
 
 
 if __name__ == "__main__":

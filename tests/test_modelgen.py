@@ -26,6 +26,7 @@ from reslat.modelgen import (
     _flat,
     _lattice_key,
     _relabelings,
+    _residuum_state,
     _splits_at_top,
     _table_key,
     _times_tables,
@@ -154,6 +155,16 @@ def test_lattice_size_bounds():
         enumerate_lattices(9)
 
 
+@pytest.mark.parametrize("size", [6.0, "6", None])
+def test_search_spec_refuses_a_size_that_is_not_an_int(size):
+    """A size that is not an int is refused when the spec is built, as
+    `enumerate_lattices` refuses it, not on the first record."""
+    with pytest.raises(SizeOutOfRange):
+        SearchSpec(size=size)
+    with pytest.raises(SizeOutOfRange):
+        enumerate_lattices(size)
+
+
 def _times_tables_oracle(lat):
     """Every commutative table with the bot and identity rows fixed, in
     the lexicographic order of its upper-triangle middle cells, kept when
@@ -222,7 +233,7 @@ def test_every_product_table_derives_a_residuum(n):
 
 def _structure(lat, times):
     """The census structure over `lat` with product table `times`."""
-    return lat.structure(times, _derive_residuum(lat, times))
+    return lat.structure(times, _derive_residuum(times, *_residuum_state(lat)))
 
 
 def _residuum_by_definition(lat, times):
@@ -243,8 +254,9 @@ def _residuum_by_definition(lat, times):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_residuum_matches_definition(n):
     for lat in _both_labelings(n):
+        state = _residuum_state(lat)
         for times in _times_tables(lat):
-            assert _derive_residuum(lat, times) == _residuum_by_definition(lat, times)
+            assert _derive_residuum(times, *state) == _residuum_by_definition(lat, times)
 
 
 class _CountedLookups(dict):
@@ -266,39 +278,83 @@ RESIDUUM_ROWS = {5: 43, 6: 185, 7: 831, 8: 4328}
 def test_residuum_rows_are_derived_once_per_lattice(n):
     """`_derive_residuum` derives each distinct product row once per
     lattice, in n lookups of its "v <= z" bytes, and reads it back from
-    `Lattice.residuum_rows` after that.  The tables are taken round-robin
-    over the lattices, so a memo shared across lattices, or one that keeps
-    only the last lattice's rows, gives wrong residua (checked against the
-    definition at sizes 5 and 6) or derives more rows."""
+    the rows of the lattice's `_residuum_state` after that.  The tables
+    are taken round-robin over the lattices, so a memo shared across
+    lattices, or one that keeps only the last lattice's rows, gives wrong
+    residua (checked against the definition at sizes 5 and 6) or derives
+    more rows."""
     lattices = enumerate_lattices(n)
     found = [_times_tables(lat) for lat in lattices]
-    for lat in lattices:
-        columns, element = lat.residuum_maps
-        lat.__dict__["residuum_maps"] = (columns, _CountedLookups(element))
+    states = [
+        (columns, _CountedLookups(element), rows)
+        for columns, element, rows in map(_residuum_state, lattices)
+    ]
     _CountedLookups.calls = 0
     for group in zip_longest(*found):
-        for lat, times in zip(lattices, group):
+        for lat, state, times in zip(lattices, states, group):
             if times is not None:
-                residuum = _derive_residuum(lat, times)
+                residuum = _derive_residuum(times, *state)
                 if n <= 6:
                     assert residuum == _residuum_by_definition(lat, times)
     assert _CountedLookups.calls == n * RESIDUUM_ROWS[n]
-    assert sum(len(lat.residuum_rows) for lat in lattices) == RESIDUUM_ROWS[n]
+    assert sum(len(rows) for _, _, rows in states) == RESIDUUM_ROWS[n]
+
+
+# What a search may add to a base lattice or structure, or hand a record
+# beside its tables: order data, read off the join table.
+ORDER_DATA = {"full", "up", "down", "incomparable", "join_primes"}
 
 
 def test_structure_shares_its_lattice_order_data():
     """A census record's structure holds its lattice's `up`, `down` and
-    `incomparable` themselves, not copies, and none of the search's
-    residuum data; every lattice of size 6 that carries a product."""
+    `incomparable` themselves, not copies, and nothing beside its tables
+    but order data; every lattice of size 6 that carries a product."""
+    tables = {field.name for field in fields(Structure)}
     shared = 0
     for lat in enumerate_lattices(6):
         for record in enumerate_residuated(SearchSpec(size=6, base_lattice=lat)):
             s = record.structure
             assert s.up is lat.up and s.down is lat.down
             assert s.incomparable is lat.incomparable
-            assert not {"residuum_maps", "residuum_rows"} & s.__dict__.keys()
+            assert vars(s).keys() <= tables | ORDER_DATA
             shared += 1
     assert shared == 129
+
+
+def test_a_search_leaves_only_order_data_on_its_base(fixtures_dir):
+    """A search over a base `Lattice` built by `load_lattice`, and over a
+    base `Structure`, adds nothing to the base but order data: the
+    residuum lookups and rows of the search die with its run over the
+    lattice.  A `Structure` has no `residuum_*` member at all."""
+    lat, _ = load_lattice(fixtures_dir / "a6.json")
+    s, _ = load_structure(fixtures_dir / "a6.json")
+    for base in (lat, s):
+        before = vars(base).keys() - ORDER_DATA
+        assert list(enumerate_residuated(SearchSpec(6, base)))
+        assert vars(base).keys() - ORDER_DATA == before
+    assert not [name for name in dir(s) if name.startswith("residuum_")]
+
+
+def test_census_streams_one_lattice_at_a_time(monkeypatch):
+    """The size-6 census searches a lattice only once the records of the
+    lattice before it have all been yielded: when the first record is
+    yielded exactly one lattice has been searched, each record's lattice
+    is the last one searched, and each lattice's records are contiguous."""
+    search, searched = _times_tables, []
+
+    def counted(lat):
+        searched.append(lat)
+        return search(lat)
+
+    monkeypatch.setattr(modelgen, "_times_tables", counted)
+    at_yield = [
+        (len(searched), record.structure.up)
+        for record in enumerate_residuated(SearchSpec(size=6))
+    ]
+    assert at_yield[0][0] == 1
+    assert all(searched[count - 1].up is up for count, up in at_yield)
+    counts = [count for count, _ in at_yield]
+    assert counts == sorted(counts) and len(set(counts)) == len(searched) == 7
 
 
 def test_incomparable_pairs_match_the_order():
@@ -819,8 +875,9 @@ def _assert_census_matches_reference(lat):
     )
     tables = _times_tables(lat)
     assert tables == ref.times_tables(lat)
+    state = _residuum_state(lat)
     for times in tables:
-        residuum = _derive_residuum(lat, times)
+        residuum = _derive_residuum(times, *state)
         assert residuum == ref.derive_residuum(lat, times)
         key = ref.canonical_key(lat.structure(times, residuum), reference)
         assert _table_key(head, relabelings, _flat(times, residuum)) == key
@@ -977,10 +1034,16 @@ def test_census_stages_script_times_every_stage(capsys):
         "stats, per class",
         "sum of stages",
         "end to end",
+        "tracemalloc peak",
     ]
-    assert lines[-1].endswith(" 26 records")
-    # The census reads a lattice's coset and join-prime elements only when
-    # it has a product table: 3 of the 5 lattices of size 5.
-    calls = {line[:26].strip(): int(line.split()[-2]) for line in lines[:-2]}
-    used = sum(1 for lat in enumerate_lattices(5) if _times_tables(lat))
-    assert calls["coset"] == calls["stats, lattice part"] == used == 3
+    assert lines[-2].endswith(" 26 records")
+    assert lines[-1].endswith(" MB") and float(lines[-1].split()[-2]) > 0
+    # The census keys a lattice's coset when it passes `_splits_at_top`,
+    # and reads its join-prime elements only when it has a product table:
+    # 3 of the 5 lattices of size 5 either way.
+    calls = {line[:26].strip(): int(line.split()[-2]) for line in lines[:-3]}
+    lattices = enumerate_lattices(5)
+    split = sum(1 for lat in lattices if _splits_at_top(lat))
+    used = sum(1 for lat in lattices if _times_tables(lat))
+    assert calls["coset"] == split == 3
+    assert calls["stats, lattice part"] == used == 3
