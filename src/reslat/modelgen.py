@@ -25,7 +25,7 @@ The meet table is fixed by the join table, so on that coset its part
 is fixed too, and only times || residuum is minimised, over the coset
 alone.  That is the same lexicographic minimum, so the key bytes are
 those of a minimum over every relabeling.  A table is keyed from its
-flat times || residuum bytes, before any `Structure` exists; only the
+flat times and residuum bytes, before any `Structure` exists; only the
 record that is emitted, one per class, gets a `Structure`, from
 `Lattice.structure`, which shape-checks its product tables and not the
 lattice part, checked once when the lattice was built.  At run time
@@ -41,11 +41,14 @@ filled cells cut each cell, and by what masks, and which associativity
 triples each cell completes, are known before the search starts; the
 fixed bot and top lines fold into a constant mask per cell and one-cell
 cuts, by three facts proved there.
-Each relabeling is kept as index maps (`Relabeling`), built on first use
-once per (size, bot, top): an `operator.itemgetter` that gathers a flat
-table into its relabeled cell order, and a `bytes.translate` table for
-the values.  The lattice key, the coset scan and the canonical key each
-relabel a table with one gather and one translation.  What every table
+Each relabeling is kept as index maps (`Relabeling`): an
+`operator.itemgetter` that gathers one flat n x n table into its
+relabeled cell order, and a `bytes.translate` table for the values.
+They are built on first use, one set per size: `enumerate_lattices`
+numbers top last, so the lattice keys of size n and the cosets of its
+lattices read the same `_relabeling_maps(n, 0, n - 1)`.  The lattice
+key, the coset scan and the canonical key relabel each table they read
+with one gather, and the values with one translation.  What every table
 over a lattice shares is computed once per lattice: its key head and
 coset by one `coset` call in `enumerate_residuated`, its residuum
 lookups and rows by `_lattice_records`, which drops them when the
@@ -77,55 +80,36 @@ def _default_names(n: int) -> tuple[str, ...]:
     return tuple(["0"] + middles + ["1"])
 
 
-def _relabelings(n: int, bot: int, top: int):
-    """Every relabeling old -> new (as a list) that sends bot to 0 and top
-    to n - 1, in the permutation order of the middle elements."""
-    middles = [i for i in range(n) if i not in (bot, top)]
-    for perm in permutations(middles):
-        pi = [0] * n
-        pi[bot] = 0
-        pi[top] = n - 1
-        for slot, orig in enumerate(perm, start=1):
-            pi[orig] = slot
-        yield pi
-
-
 class Relabeling(NamedTuple):
-    """A relabeling pi, with index maps that apply it to flat tables.
+    """A relabeling pi, as the index maps that apply it to a flat table.
 
     A table renamed by pi holds pi[t[x][y]] at (pi[x], pi[y]).  `one`
     gathers a flat n x n table (row-major bytes) into its renamed cell
-    order, `two` does the same for two such tables concatenated, and
-    `values` is the `bytes.translate` table of x -> pi[x]."""
+    order, and `values` is the `bytes.translate` table of x -> pi[x], so
+    pi itself is values[:n]."""
 
-    pi: list[int]
     one: Callable
-    two: Callable
     values: bytes
 
 
 @cache
 def _relabeling_maps(n: int, bot: int, top: int) -> tuple[Relabeling, ...]:
-    """The `_relabelings(n, bot, top)`, in order, as index maps: (n - 2)!
-    of them, built on first use for each (n, bot, top), never at import."""
+    """Every relabeling that sends bot to 0 and top to n - 1, as index
+    maps, in the permutation order of the middle elements: (n - 2)! of
+    them, built on first use for each (n, bot, top), never at import."""
+    middles = [i for i in range(n) if i not in (bot, top)]
     out = []
-    for pi in _relabelings(n, bot, top):
-        inverse = [0] * n
-        for x, image in enumerate(pi):
-            inverse[image] = x
+    for perm in permutations(middles):
+        inverse = [bot, *perm, top]
+        pi = bytes(map(inverse.index, range(n)))
         gather = [u * n + v for u in inverse for v in inverse]
-        both = gather + [i + n * n for i in gather]
-        out.append(
-            Relabeling(
-                pi, itemgetter(*gather), itemgetter(*both), bytes(pi) + bytes(range(n, 256))
-            )
-        )
+        out.append(Relabeling(itemgetter(*gather), pi + bytes(range(n, 256))))
     return tuple(out)
 
 
-def _flat(*tables) -> bytes:
-    """The tables' rows concatenated, as bytes."""
-    return bytes(chain.from_iterable(chain.from_iterable(tables)))
+def _flat(table) -> bytes:
+    """The table's rows concatenated, as bytes."""
+    return bytes(chain.from_iterable(table))
 
 
 def _lattice_key(n: int, up, bot: int, top: int) -> bytes:
@@ -158,11 +142,17 @@ def enumerate_lattices(size: int) -> list[Lattice]:
     x != bot exists exactly when U meet up(x) has a least element
     (Heitzig & Reinhold, "Counting finite lattices", Algebra Universalis
     2002).  Each size is deduplicated by canonical order key.
+
+    Each extension numbers top last: the new atom takes top's index
+    m - 1 and top moves to m.  So the extensions of size m + 1 are keyed
+    with `_relabeling_maps(m + 1, 0, m)`, the maps that `coset` reads on
+    the lattices of that size: one map set per size, where numbering the
+    atom m would build a second set, (m + 1, 0, m - 1), at the last size.
     """
     _check_size(size)
     keys = {_lattice_key(2, (0b11, 0b10), 0, 1)}
     for m in range(2, size):
-        top, atom = m - 1, 1 << m
+        top, moved = m - 1, 1 << m  # top's index, and its bit once moved
         grown = set()
         for key in keys:
             up = _up_masks_from_key(m, key)
@@ -175,8 +165,10 @@ def enumerate_lattices(size: int) -> list[Lattice]:
                     for bounds in (strict & up[x] for x in range(1, m))
                 ):
                     continue
-                ext = (up[0] | atom, *up[1:], strict | atom)
-                grown.add(_lattice_key(m + 1, ext, 0, top))
+                # strict | moved is the atom's up-set: bit m - 1 is now its own.
+                middle = [u ^ 1 << top | moved for u in up[1:top]]
+                ext = (up[0] | moved, *middle, strict | moved, moved)
+                grown.add(_lattice_key(m + 1, ext, 0, m))
         keys = grown
     names = _default_names(size)
     return [
@@ -191,7 +183,8 @@ def coset(lat: Lattice) -> tuple[bytes, tuple[Relabeling, ...]]:
 
     The relabelings are those that send bot to 0 and top to n - 1 and
     give the least relabeled join table: one coset pi0 * Aut(L).  The
-    head is the join || meet tables relabeled by the coset's first member.
+    head is the join || meet tables relabeled by the coset's first member:
+    that least join table, then the meet table gathered by that member.
     """
     flat = _flat(lat.join)
     best, out = None, []
@@ -202,7 +195,7 @@ def coset(lat: Lattice) -> tuple[bytes, tuple[Relabeling, ...]]:
         elif image == best:
             out.append(r)
     first = out[0]
-    return bytes(first.two(_flat(lat.join, lat.meet))).translate(first.values), tuple(out)
+    return best + bytes(first.one(_flat(lat.meet))).translate(first.values), tuple(out)
 
 
 def canonical_key(s: Structure) -> bytes:
@@ -216,15 +209,16 @@ def canonical_key(s: Structure) -> bytes:
     part, fixed by the join table, is constant.  So the minimum is taken
     over that coset alone, for times || residuum, with the same bytes as
     a minimum over every relabeling.  Each relabeling is applied as one
-    gather of the flat tables and one `bytes.translate` of the values.
+    gather of each flat table and one `bytes.translate` of the values.
     """
-    return _table_key(*coset(s), _flat(s.times, s.residuum))
+    return _table_key(*coset(s), _flat(s.times), _flat(s.residuum))
 
 
-def _table_key(head: bytes, coset: tuple[Relabeling, ...], flat: bytes) -> bytes:
-    """`canonical_key` of the structure with flat times || residuum bytes
-    `flat` over a lattice with key head `head` and join coset `coset`."""
-    return head + min([bytes(r.two(flat)).translate(r.values) for r in coset])
+def _table_key(head: bytes, coset: tuple[Relabeling, ...], times: bytes, residuum: bytes) -> bytes:
+    """`canonical_key` of the structure with flat times and residuum
+    tables `times` and `residuum` over a lattice with key head `head` and
+    join coset `coset`: head || the least relabeled times || residuum."""
+    return head + min([bytes(r.one(times) + r.one(residuum)).translate(r.values) for r in coset])
 
 
 @dataclass(frozen=True)
@@ -378,7 +372,14 @@ def _cut_schedule(lat: Lattice, table):
 
 def _splits_at_top(lat: Lattice) -> bool:
     """True iff x = (x ^ p) v (x ^ q) for every x and every p, q with
-    p v q = top: the lattice test of `_times_tables`."""
+    p v q = top: the lattice test that every caller of `_times_tables`
+    makes first, since a lattice that fails it has no product preserving
+    joins with top as identity.  Proof: such a product is monotone, so
+    x * p <= x * top = x and x * p <= top * p = p, that is x * p <= x ^ p.
+    So when p v q = top, every x has x = x * (p v q) = (x * p) v (x * q)
+    <= (x ^ p) v (x ^ q) <= x, and equality holds throughout.  It fails
+    on 2 of the 5 lattices of size 5, 8 of 15 at size 6, 34 of 53 at
+    size 7 and 157 of 222 at size 8."""
     join, meet, top = lat.join, lat.meet, lat.top
     for p, row in enumerate(join):
         for q in range(p + 1, lat.n):
@@ -391,16 +392,8 @@ def _splits_at_top(lat: Lattice) -> bool:
 
 
 def _times_tables(lat: Lattice):
-    """Backtracking assignment of a residuated product over one bounded lattice.
-
-    A lattice that fails `_splits_at_top` has no such product, and gets
-    [] before any schedule is built.  Proof: let the product preserve
-    joins and have top as identity.  Preserving joins, it is monotone,
-    so x * p <= x * top = x and x * p <= top * p = p, that is x * p <=
-    x ^ p.  So when p v q = top, every x has x = x * (p v q) =
-    (x * p) v (x * q) <= (x ^ p) v (x ^ q) <= x, and equality holds
-    throughout.  This skips 2 of the 5 lattices of size 5, 8 of 15 at
-    size 6, 34 of 53 at size 7 and 157 of 222 at size 8.
+    """Backtracking assignment of a residuated product over one bounded
+    lattice, which its caller has tested with `_splits_at_top`.
 
     On a finite lattice a product is residuated exactly when it fixes bot
     and preserves binary joins in each argument, so the search enforces
@@ -453,8 +446,6 @@ def _times_tables(lat: Lattice):
     node ANDs exactly the masks of its step, read at the cells' current
     values, and reads exactly the triples of its step.
     """
-    if not _splits_at_top(lat):
-        return []
     n, bot, top = lat.n, lat.bot, lat.top
     table = [[0] * n for _ in range(n)]
     for z in range(n):
@@ -615,7 +606,8 @@ def _lattice_records(lat: Lattice, head: bytes, relabelings, canonical_only: boo
     keyed = []
     for times in _times_tables(lat):
         residuum = _derive_residuum(times, *state)
-        keyed.append((_table_key(head, relabelings, _flat(times, residuum)), times, residuum))
+        key = _table_key(head, relabelings, _flat(times), _flat(residuum))
+        keyed.append((key, times, residuum))
     keyed.sort(key=itemgetter(0))
     previous = None
     for key, times, residuum in keyed:

@@ -6,19 +6,19 @@ Runs the stages of `modelgen.enumerate_residuated` one after another
 over the whole census, each over all its inputs, so that each is timed
 alone (the census itself runs them lattice by lattice, in
 `modelgen._lattice_records`): lattice enumeration, the product search
-(`modelgen._times_tables`, which first tests each lattice with
-`_splits_at_top` and returns at once on the lattices that fail it, 8 of
-15 at size 6, and tests associativity as the cells fill), the key heads
-and join cosets (`modelgen.coset`, one call per lattice that passes
-`_splits_at_top`, as in the census, which sorts those lattices by key
-head), then per product table the residuum (each lattice's
+(`modelgen._times_tables`, which tests associativity as the cells fill)
+and the key heads and join cosets (`modelgen.coset`, which the census
+sorts by key head), each over the lattices that pass `_splits_at_top`,
+as in the census (7 of 15 at size 6; the split test itself is cheap and
+not timed), then per product table the residuum (each lattice's
 `_residuum_state` built on its first table, and each distinct product
 row derived once per lattice into it) and the canonical key of its flat
-tables, sorting and deduplication (the sort is stable and puts equal
-keys side by side, so, as in the census, a record is dropped when its
-key equals the one before), then per class `Structure` construction by
-`Lattice.structure`, which shape-checks the product and residuum tables
-only and hands over the lattice's order data, and the census stats.
+times and residuum tables, sorting and deduplication (the sort is
+stable and puts equal keys side by side, so, as in the census, a record
+is dropped when its key equals the one before), then per class
+`Structure` construction by `Lattice.structure`, which shape-checks the
+product and residuum tables only and hands over the lattice's order
+data, and the census stats.
 The census checks no axiom (the lattices and the products are what they
 should be by construction), and neither does this script.  The stats
 have a lattice part, the join-prime elements, read only for the
@@ -63,10 +63,10 @@ def census_stages(size):
     modelgen._relabeling_maps.cache_clear()
     stages = []
     [lats] = timed(stages, "lattices", modelgen.enumerate_lattices, [size])
-    found = timed(stages, "product search", modelgen._times_tables, lats)
-    tables = [(lat, t) for lat, ts in zip(lats, found) for t in ts]
-    used = [lat for lat, ts in zip(lats, found) if ts]
     split = [lat for lat in lats if modelgen._splits_at_top(lat)]
+    found = timed(stages, "product search", modelgen._times_tables, split)
+    tables = [(lat, t) for lat, ts in zip(split, found) for t in ts]
+    used = [lat for lat, ts in zip(split, found) if ts]
     heads = dict(zip(map(id, split), timed(stages, "coset", modelgen.coset, split)))
     states = {}
 
@@ -81,7 +81,9 @@ def census_stages(size):
     keys = timed(
         stages,
         "key",
-        lambda ltr: modelgen._table_key(*heads[id(ltr[0])], modelgen._flat(ltr[1], ltr[2])),
+        lambda ltr: modelgen._table_key(
+            *heads[id(ltr[0])], modelgen._flat(ltr[1]), modelgen._flat(ltr[2])
+        ),
         records,
     )
 

@@ -5,19 +5,21 @@ before each became a lookup in data built once.
 `modelgen._times_tables` works from steps built once per lattice, which
 fold the fixed bot and top lines into constant masks, read middle cells
 only and test each associativity triple as soon as its four cells are
-filled; `_lattice_key`, `coset` and `canonical_key` relabel through
-precomputed gathers, `_derive_residuum` reads each cell with one
-`bytes.translate` and one dict lookup and derives each distinct product
-row once per lattice, and `structure.order_tables` finds each join and
-meet by one dict lookup of an up-set or a down-set.  The routines here
-keep the direct routes: a product search whose `candidates` rescans both
-columns of each cell at every node, reading the fixed lines like any
-filled cell, and which tests associativity on complete tables only;
-relabelings written cell by cell; a residuum that ORs the masks of each
-down-set, row by row for every table; and bounds found by scanning the
-common bounds.  The census must give the same lists, in the same order,
-the same key bytes, the same tables and the same `MalformedTables` text
-from both.
+filled.  `_lattice_key`, `coset` and `canonical_key` relabel through
+`modelgen._relabeling_maps`, one set per size of precomputed gathers,
+each applied to one flat table; `relabelings` below lists the same
+relabelings, in the same order, as lists.  `_derive_residuum` reads each
+cell with one `bytes.translate` and one dict lookup and derives each
+distinct product row once per lattice, and `structure.order_tables`
+finds each join and meet by one dict lookup of an up-set or a down-set.
+The routines here keep the direct routes: a product search whose
+`candidates` rescans both columns of each cell at every node, reading
+the fixed lines like any filled cell, and which tests associativity on
+complete tables only; relabelings written cell by cell; a residuum that
+ORs the masks of each down-set, row by row for every table; and bounds
+found by scanning the common bounds.  The census must give the same
+lists, in the same order, the same key bytes, the same tables and the
+same `MalformedTables` text from both.
 """
 
 from itertools import permutations

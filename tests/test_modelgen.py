@@ -25,7 +25,6 @@ from reslat.modelgen import (
     _derive_residuum,
     _flat,
     _lattice_key,
-    _relabelings,
     _residuum_state,
     _splits_at_top,
     _table_key,
@@ -815,7 +814,7 @@ def _single_stage_key(s):
                     buf[(k * n + pi[x]) * n + pi[y]] = pi[table[x][y]]
         return bytes(buf)
 
-    return min(map(relabeled, _relabelings(n, s.bot, s.top)))
+    return min(map(relabeled, ref.relabelings(n, s.bot, s.top)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -852,7 +851,7 @@ def test_coset_is_one_automorphism_coset(n):
         _, relabelings = coset(lat)
         assert len(relabelings) == _automorphism_count(lat)
         images = set()
-        for pi in (r.pi for r in relabelings):
+        for pi in (list(r.values[:n]) for r in relabelings):
             image = [[0] * n for _ in range(n)]
             for x in range(n):
                 for y in range(n):
@@ -869,7 +868,7 @@ def _assert_census_matches_reference(lat):
     assert order_tables(n, lat.up) == ref.order_tables(n, lat.up) == (lat.join, lat.meet)
     reference = ref.join_coset(n, lat.join, lat.bot, lat.top)
     head, relabelings = coset(lat)
-    assert tuple(r.pi for r in relabelings) == reference
+    assert tuple(list(r.values[:n]) for r in relabelings) == reference
     assert _lattice_key(n, lat.up, lat.bot, lat.top) == ref.lattice_key(
         n, lat.up, lat.bot, lat.top
     )
@@ -880,7 +879,7 @@ def _assert_census_matches_reference(lat):
         residuum = _derive_residuum(times, *state)
         assert residuum == ref.derive_residuum(lat, times)
         key = ref.canonical_key(lat.structure(times, residuum), reference)
-        assert _table_key(head, relabelings, _flat(times, residuum)) == key
+        assert _table_key(head, relabelings, _flat(times), _flat(residuum)) == key
     return tables
 
 
@@ -929,12 +928,12 @@ SPLIT_FAILURES = {
     "n", [2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)]
 )
 def test_lattices_failing_the_split_test_carry_no_product(n):
-    """`_times_tables` returns [] without searching a lattice where some
-    x != (x ^ p) v (x ^ q) with p v q = top; its docstring proves that no
-    product preserving joins with top as identity exists there.  The
-    reference search, which has no such test, finds none on any of them,
-    in both labelings.  `_splits_at_top` is read against the definition
-    on every pair and every x."""
+    """The census searches no lattice where some x != (x ^ p) v (x ^ q)
+    with p v q = top; `_splits_at_top`'s docstring proves that no product
+    preserving joins with top as identity exists there.  Both searches,
+    neither of which tests the split, find none on any of them, in both
+    labelings.  `_splits_at_top` is read against the definition on every
+    pair and every x."""
     failed = 0
     for lat in _both_labelings(n):
         rng = range(n)
@@ -948,7 +947,7 @@ def test_lattices_failing_the_split_test_carry_no_product(n):
         assert _splits_at_top(lat) == by_definition
         if not by_definition:
             failed += 1
-            assert ref.times_tables(lat) == []
+            assert _times_tables(lat) == ref.times_tables(lat) == []
     failing, lattices = SPLIT_FAILURES[n]
     assert (failed, len(enumerate_lattices(n))) == (2 * failing, lattices)
 
@@ -995,6 +994,35 @@ def test_import_builds_no_relabeling_maps():
         check=True,
     ).stdout
     assert out == "0\n"
+
+
+def test_census_builds_one_map_set_per_size():
+    """A census of size n builds the relabeling maps of each size 2..n
+    once, `_relabeling_maps(k, 0, k - 1)`: the one-point extensions that
+    grow the lattices of size k number top last, so their keys read the
+    maps the cosets of size k read.  Each map is one gather and one
+    translate table, nothing more."""
+    code = (
+        "import reslat.modelgen as m\n"
+        "for n in range(4, 9):\n"
+        "    m._relabeling_maps.cache_clear()\n"
+        "    for _ in m.enumerate_residuated(m.SearchSpec(size=n)):\n"
+        "        pass\n"
+        "    built = m._relabeling_maps.cache_info().currsize\n"
+        "    maps = [r for k in range(2, n + 1) for r in m._relabeling_maps(k, 0, k - 1)]\n"
+        "    fields = {r._fields for r in maps}\n"
+        "    print(n, built, m._relabeling_maps.cache_info().currsize, sorted(fields))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines() == [
+        f"{n} {n - 1} {n - 1} [('one', 'values')]" for n in range(4, 9)
+    ]
 
 
 def test_census_over_renumbered_a6_matches_reference(a6):
