@@ -25,7 +25,9 @@ calling a routine once per mask: `flt.generated_filter_table` for
 generated filters and filter joins, `spc.minimal_primes_table` for
 minimal primes over a set.  A table is built through the routine it
 stands for, one call per mask through that routine's module global, so
-a rebinding of the routine reaches the checks that read its table.
+a rebinding of the routine reaches the checks that read its table.  The
+generated filters are kept only in their table; `flt.generated_filter`
+itself keeps no answer.
 Only a value that does not change within a scan is read once before
 its loop (the filters, the primes, the principal filters).  Scans read
 the order as join[x][y] == y.
@@ -42,7 +44,7 @@ from . import coann as can
 from . import filters as flt
 from . import normality as nrm
 from . import spectra as spc
-from .bitsets import bits, submasks
+from .bitsets import bits, subset_fold, submasks
 from .errors import NotMinimalPrime, RepresentationMismatch, SearchExhausted
 from .omega import dense_set, divisor, omega_family, omega_join, omega_table, sigma
 from .structure import Structure, leq, require_valid, subset_repr
@@ -322,8 +324,13 @@ def _prime_over_set_contains_minimal(s):
 
 @law("core", "generated-filter-is-prime-intersection", subsets="set")
 def _generated_filter_is_prime_intersection(s):
+    """A prime up(e) holds X exactly when e <= meet(X), so the primes over
+    X are those over its meet (top for X empty): one intersection per
+    element, read at each mask's meet, which one meet fold gives."""
+    over = [spc.generated_by_primes(s, 1 << e) for e in range(s.n)]
+    meets = subset_fold(range(s.n), s.top, lambda x, y: s.meet[x][y])
     for x_set, gen in enumerate(flt.generated_filter_table(s)):
-        if gen != spc.generated_by_primes(s, x_set):
+        if gen != over[meets[x_set]]:
             return x_set
 
 

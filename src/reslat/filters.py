@@ -39,11 +39,11 @@ def is_ideal(s: Structure, m: int) -> bool:
     return _closed_cone(s, m, s.down, s.join)
 
 
-@per_structure
 def generated_filter(s: Structure, gens: int) -> int:
     """Least filter containing `gens`: up(e), where e is the idempotent
     power of the product x of `gens` (top when `gens` is empty); the
-    powers of x descend, so squaring stops where they settle."""
+    powers of x descend, so squaring stops where they settle.  Nothing
+    is kept: `generated_filter_table` is the one store of its answers."""
     times = s.times
     x = s.top
     for g in bits(gens):

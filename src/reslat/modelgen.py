@@ -37,10 +37,9 @@ The stages that grow with the size read index data computed once
 instead of rederiving it per node or per relabeling.  The product search
 follows steps built once per lattice over the live rows of its table
 (`_cut_schedule`): the cells are filled in a fixed order, so which
-filled cells cut each cell, and by what masks, and which associativity
-triples each cell completes, are known before the search starts; the
-fixed bot and top lines fold into a constant mask per cell and one-cell
-cuts, by three facts proved there.
+filled cells cut each cell and which associativity triples each cell
+completes are known before the search starts.  In the top-down
+numbering that the search uses, one kind of cut is enough, proved there.
 Each relabeling is kept as index maps (`Relabeling`): an
 `operator.itemgetter` that gathers one flat n x n table into its
 relabeled cell order, and a `bytes.translate` table for the values.
@@ -148,6 +147,14 @@ def enumerate_lattices(size: int) -> list[Lattice]:
     with `_relabeling_maps(m + 1, 0, m)`, the maps that `coset` reads on
     the lattices of that size: one map set per size, where numbering the
     atom m would build a second set, (m + 1, 0, m - 1), at the last size.
+
+    Each lattice is numbered as its least key, which is top down, as
+    `_times_tables` searches: a middle element above another has the
+    smaller index.  Row x of the key is up(x).  Let the middles before x
+    form an up-set S.  If a middle after x is above x, one such m is
+    maximal outside S, and numbering m at x keeps the rows of S, gives
+    row x the prefix up(m) & S, inside up(x) & S, and clears the 1 of m's
+    column: a smaller key.  So S and x form an up-set too.
     """
     _check_size(size)
     keys = {_lattice_key(2, (0b11, 0b10), 0, 1)}
@@ -278,54 +285,40 @@ class CensusRecord:
 
 
 def _cut_schedule(lat: Lattice, table):
-    """The steps of the product search over `table`, in fill order.
+    """The steps of the product search over `table`, in fill order, for a
+    lattice numbered top down (see `_times_tables`).
 
     The middle cells (x, y) of the upper triangle are filled in index
     order, so the cells filled when one's turn comes, and the cuts they
     make through join(p, a) * b = join(p * b, a * b) on each orientation
     (a, b) (see `_times_tables`), are known before the search starts.  The
-    fixed lines fold in by three facts of any bounded lattice:
+    fixed lines fold in: p = top gives the constant `base` =
+    down(x) & down(y), since x * y <= x * top = x and likewise for y, and
+    p = bot cuts nothing, since up(bot * b) = up(bot) is the carrier.
 
-    - p = top gives the constant `base` = down(x) & down(y), since
-      x * y <= x * top = x and likewise x * y <= y;
-    - p = bot cuts nothing, since up(bot * b) = up(bot) is the carrier;
-    - a filled (p, b) with join(p, a) = top gives
-      join(p * b, a * b) = top * b = b.
+    One cut is then enough.  As sorted pairs, the cell (p, b) comes
+    before (a, b) exactly when p < a.  For such a middle p, c = join(p, a)
+    is above a and is not a, which would put p below a with the larger
+    index.  So c is p, or top, whose fixed cell (top, b) holds b, or a
+    middle above a, numbered before it, whose cell (c, b) is filled.  The
+    cut is a * b in joins_to[p * b][c * b], where joins_to[w][t] holds
+    the v with join(v, w) = t: down(p * b) at c = p.  A cut through p <= a
+    or a = join(p, q) would need a filled (p, b) with p above a.
 
-    A fixed value is read only at p in {bot, top}, and the cell read
-    beside it is then (a, b) itself or the fixed top * b, so no cut pairs
-    a fixed value with a middle cell.  Every other cut reads filled middle
-    cells of column b; with v = a * b and w = p * b it is one of five:
-    p <= a gives v in up(w) (`up`); a <= p gives v in down(w)
-    (`lat.down`); join(p, a) = top gives join(v, w) = b (`joined_by[b]`);
-    join(p, a) = c filled gives join(v, w) = c * b (`joins_to`); and
-    a = join(p, q) gives v = join(w, q * b) (`join_bit`).
-
-    A step is (row_x, y, row_y, x, base, ones, twos, known, inner, outer)
-    over the live rows of `table`: the cell is row_x[y] and its mirror
-    row_y[x], `ones` holds (row, p, masks) read at masks[row[p]], and
-    `twos` holds (row, p, q, masks) read at masks[row[p]][row[q]].  No
-    cell gets two one-cell cuts: an orientation reads each cell once, and
-    the two read different cells, as (y, p) and (x, q) meet only at
-    (x, y) itself.  The last three entries serve the associativity test
-    of `_times_tables`, for each orientation (a, b) of the cell: known[u]
-    is the mask of the w whose cell (u, w) holds its value once this cell
-    is written (the fixed lines, the cells filled before it and the cell
-    itself); `inner` holds (row_a, row_b, known[a], c) for each triple
-    (a, b, c) with (b, c) filled before and c != a; and `outer` holds
-    (row_p, q, row_q, known[p], a, b) for each triple (p, q, b) with
-    (p, q) and (q, b) filled before, p != b and a <= p ^ q.
+    A step is (row_x, y, row_y, x, base, cuts, known, inner, outer) over the
+    live rows of `table`: the cell is row_x[y] and its mirror row_y[x], and
+    `cuts` holds (row, p, c) for each filled (p, b), read at
+    joins_to[row[p]][row[c]].  The last three entries serve the associativity
+    test of `_times_tables`, for each orientation (a, b) of the cell:
+    known[u] is the mask of the w whose cell (u, w) holds its value once
+    this cell is written (the fixed lines, the cells filled before it and
+    the cell itself); `inner` holds (row_a, row_b, known[a], c) for each
+    triple (a, b, c) with (b, c) filled before and c != a; and `outer` holds
+    (row_p, q, row_q, known[p], a, b) for each triple (p, q, b) with (p, q)
+    and (q, b) filled before, p != b and a <= p ^ q.
     """
-    n, bot, top, up, down, join, meet = (
-        lat.n, lat.bot, lat.top, lat.up, lat.down, lat.join, lat.meet
-    )
-    # joins_to[w][t] holds the v with join(v, w) = t.
-    joins_to = [[0] * n for _ in range(n)]
-    for v, row in enumerate(join):
-        for w, t in enumerate(row):
-            joins_to[w][t] |= 1 << v
-    joined_by = tuple(zip(*joins_to))
-    join_bit = tuple(tuple(1 << v for v in row) for row in join)
+    n, bot, top, up, down = lat.n, lat.bot, lat.top, lat.up, lat.down
+    join, meet = lat.join, lat.meet
     mids = [i for i in range(n) if i not in (bot, top)]
     # known[u] is the mask of the w whose cell (u, w) holds its value.
     known = [(1 << n) - 1] * n
@@ -337,35 +330,18 @@ def _cut_schedule(lat: Lattice, table):
         filled = {b: [p for p in mids if known[b] >> p & 1] for _, b in cell}
         known[x] |= 1 << y
         known[y] |= 1 << x
-        ones, twos, inner, outer = [], [], [], []
+        cuts, inner, outer = [], [], []
         for a, b in cell:
             row = table[b]
-            for p in filled[b]:
-                c = join[p][a]
-                if c == a:
-                    ones.append((row, p, up))
-                elif c == p:
-                    ones.append((row, p, down))
-                elif c == top:
-                    ones.append((row, p, joined_by[b]))
-                elif c in filled[b]:
-                    twos.append((row, p, c, joins_to))
-            twos += [
-                (row, p, q, join_bit)
-                for p in filled[b]
-                for q in filled[b]
-                if p < q and join[p][q] == a
-            ]
+            cuts += [(row, p, join[p][a]) for p in filled[b]]
             inner += [(table[a], row, known[a], c) for c in filled[b] if c != a]
             outer += [
                 (table[p], q, table[q], known[p], a, b)
                 for p, q in done
                 if up[a] >> meet[p][q] & 1 and p != b and q != a and known[q] >> b & 1
             ]
-        steps.append(
-            (table[x], y, table[y], x, down[x] & down[y], tuple(ones), tuple(twos),
-             tuple(known), tuple(inner), tuple(outer))
-        )
+        steps.append((table[x], y, table[y], x, down[x] & down[y], tuple(cuts), tuple(known),
+                      tuple(inner), tuple(outer)))
         done += cell
     return steps
 
@@ -401,12 +377,18 @@ def _times_tables(lat: Lattice):
     bottom and identity rows are fixed; the middle cells (x, y) of the
     upper triangle are filled in index order and mirrored.  Each tries, in
     ascending order, the values of down(x) & down(y) that the filled
-    middle cells of its columns leave, in the five cuts `_cut_schedule`
-    lists.  (The cut a * b = join(p * b, q * b) for a = join(p, q) matters
-    for base lattices numbered bottom up; the census numbers each join
-    below its parts.)  The table stays symmetric at every node (each cell
-    is written with its mirror, and the bot and top lines are fixed), so
-    column b is read as row b.
+    middle cells of its columns leave, by the one cut that `_cut_schedule`
+    proves enough in a top-down numbering, where a middle element above
+    another has the smaller index.  `enumerate_lattices` numbers every
+    lattice so.  Any other (a caller's base lattice) is renumbered top
+    down, its middles sorted by the size of their up-sets, and the tables
+    found are renamed back and sorted.  That is the order a search in its
+    own numbering gives: values are tried in ascending order, cell by cell
+    in the row-major order of the upper triangle, and each lower cell
+    mirrors an upper one before it, so the tables come in the
+    lexicographic order of their rows.  The table stays symmetric at every
+    node (each cell is written with its mirror, and the bot and top lines
+    are fixed), so column b is read as row b.
 
     Associativity is tested as the cells fill, so every completed table
     is a product table.  A triple touching bot or top holds at once, so
@@ -446,7 +428,21 @@ def _times_tables(lat: Lattice):
     node ANDs exactly the masks of its step, read at the cells' current
     values, and reads exactly the triples of its step.
     """
-    n, bot, top = lat.n, lat.bot, lat.top
+    n, bot, top, up, join = lat.n, lat.bot, lat.top, lat.up, lat.join
+    mids = [i for i in range(n) if i not in (bot, top)]
+    # Top down: no middle above x has an index above x.
+    if any((up[x] ^ 1 << top).bit_length() > x + 1 for x in mids):
+        order = iter(sorted(mids, key=lambda x: up[x].bit_count()))
+        back = [x if x in (bot, top) else next(order) for x in range(n)]
+        pi = sorted(range(n), key=back.__getitem__)
+        tables = [_renamed(t, pi, back) for t in (join, lat.meet)]
+        renumbered = Lattice(n, [lat.names[x] for x in back], *tables, bot, top)
+        return sorted(_renamed(t, back, pi) for t in _times_tables(renumbered))
+    # joins_to[w][t] holds the v with join(v, w) = t.
+    joins_to = [[0] * n for _ in range(n)]
+    for v, row in enumerate(join):
+        for w, t in enumerate(row):
+            joins_to[w][t] |= 1 << v
     table = [[0] * n for _ in range(n)]
     for z in range(n):
         table[bot][z] = table[z][bot] = bot
@@ -472,11 +468,9 @@ def _times_tables(lat: Lattice):
         if i == last:
             out.append(tuple(map(tuple, table)))
             return
-        row_x, y, row_y, x, mask, ones, twos, known, inner, outer = steps[i]
-        for row, p, masks in ones:
-            mask &= masks[row[p]]
-        for row, p, q, masks in twos:
-            mask &= masks[row[p]][row[q]]
+        row_x, y, row_y, x, mask, cuts, known, inner, outer = steps[i]
+        for row, p, c in cuts:
+            mask &= joins_to[row[p]][row[c]]
         for v in bits(mask):
             row_x[y] = row_y[x] = v
             if associative(v, known, inner, outer):
@@ -484,6 +478,11 @@ def _times_tables(lat: Lattice):
 
     rec(0)
     return out
+
+
+def _renamed(table, pi, back) -> Table:
+    """The table with each element x renamed pi[x]; back is pi's inverse."""
+    return tuple(tuple(pi[table[u][v]] for v in back) for u in back)
 
 
 def _residuum_state(lat: Lattice):

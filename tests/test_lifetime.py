@@ -127,7 +127,6 @@ def test_per_structure_routines_are_found():
     assert {routine.__name__ for routine in per_structure_routines()} == {
         "all_filters",
         "all_ideals",
-        "generated_filter",
         "generated_filter_table",
         "primes_of",
         "maximal_filters",

@@ -47,13 +47,15 @@ def godel_chain(n: int) -> Structure:
     )
 
 
-def test_generated_filter_memo_matches_closure(structures):
-    closure = generated_filter.__wrapped__
+def test_generated_filters_are_kept_only_in_their_table(structures):
+    """`generated_filter` keeps no answer on a structure, so its answers
+    over every mask are held once, in `generated_filter_table`."""
     for s in structures:
-        for _ in range(2):  # the first pass may fill slots, the second reads them
-            for m in range(1 << s.n):
-                assert generated_filter(s, m) == closure(s, m)
-        assert len(s.memos[closure]) == 1 << s.n
+        s = replace(s, names=s.names)
+        answers = tuple(generated_filter(s, m) for m in range(1 << s.n))
+        assert not vars(s).get("memos")
+        assert generated_filter_table(s) == answers
+        assert dict(s.memos) == {generated_filter_table.__wrapped__: {None: answers}}
 
 
 def test_omega_table_matches_coannulet_union(structures):
