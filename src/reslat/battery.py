@@ -24,8 +24,12 @@ A scan over subset masks reads a per-structure table rather than
 calling a routine once per mask: `flt.generated_filter_table` for
 generated filters and filter joins, `spc.minimal_primes_table` for
 minimal primes over a set.  A table is built through the routine it
-stands for, one call per mask through that routine's module global, so
-a rebinding of the routine reaches the checks that read its table.  The
+stands for, through that routine's module global, so a rebinding of
+the routine reaches the checks that read its table: one call per mask
+for generated filters, and one per element for minimal primes, read at
+each mask's meet, since the primes over a set are those over its meet.
+A scan whose law is about the primes over a set likewise reads one
+answer per element at each mask's meet (`_meets`).  The
 generated filters are kept only in their table; `flt.generated_filter`
 itself keeps no answer.
 Only a value that does not change within a scan is read once before
@@ -322,13 +326,18 @@ def _prime_over_set_contains_minimal(s):
                 return x_set, p
 
 
+def _meets(s):
+    """The meet of each subset mask, top for the empty one."""
+    return subset_fold(range(s.n), s.top, lambda x, y: s.meet[x][y])
+
+
 @law("core", "generated-filter-is-prime-intersection", subsets="set")
 def _generated_filter_is_prime_intersection(s):
     """A prime up(e) holds X exactly when e <= meet(X), so the primes over
     X are those over its meet (top for X empty): one intersection per
     element, read at each mask's meet, which one meet fold gives."""
     over = [spc.generated_by_primes(s, 1 << e) for e in range(s.n)]
-    meets = subset_fold(range(s.n), s.top, lambda x, y: s.meet[x][y])
+    meets = _meets(s)
     for x_set, gen in enumerate(flt.generated_filter_table(s)):
         if gen != over[meets[x_set]]:
             return x_set
@@ -336,8 +345,12 @@ def _generated_filter_is_prime_intersection(s):
 
 @law("core", "generated-filter-is-minimal-prime-intersection", subsets="set")
 def _generated_filter_is_minimal_prime_intersection(s):
+    """The minimal primes over X are those over its meet, as for the
+    primes above: one intersection per element, read at each mask's meet."""
+    over = [spc.generated_by_minimal_primes(s, 1 << e) for e in range(s.n)]
+    meets = _meets(s)
     for x_set, gen in enumerate(flt.generated_filter_table(s)):
-        if gen != spc.generated_by_minimal_primes(s, x_set):
+        if gen != over[meets[x_set]]:
             return x_set
 
 

@@ -14,7 +14,8 @@ is then derived from the product rather than searched: residuum[y][z] is
 the join of the x with x * y <= z, read by byte lookup, and row y
 depends on product row y alone, so each distinct row is derived once
 per lattice (`_derive_residuum`).  The census runs one lattice at a
-time, in key-head order (`enumerate_residuated`).
+time, in key-head order (`enumerate_residuated`), and sorts each
+lattice's tables by key, then by product table (`_lattice_records`).
 
 Isomorphic duplicates are rejected by a canonical key, computed in two
 stages.  The key is the least relabeling of join || meet || times ||
@@ -38,8 +39,9 @@ instead of rederiving it per node or per relabeling.  The product search
 follows steps built once per lattice over the live rows of its table
 (`_cut_schedule`): the cells are filled in a fixed order, so which
 filled cells cut each cell and which associativity triples each cell
-completes are known before the search starts.  In the top-down
-numbering that the search uses, one kind of cut is enough, proved there.
+completes are known before the search starts.  That order is top down,
+read off the lattice whatever its numbering, and in it one kind of cut
+is enough, proved there.
 Each relabeling is kept as index maps (`Relabeling`): an
 `operator.itemgetter` that gathers one flat n x n table into its
 relabeled cell order, and a `bytes.translate` table for the values.
@@ -148,13 +150,13 @@ def enumerate_lattices(size: int) -> list[Lattice]:
     the lattices of that size: one map set per size, where numbering the
     atom m would build a second set, (m + 1, 0, m - 1), at the last size.
 
-    Each lattice is numbered as its least key, which is top down, as
-    `_times_tables` searches: a middle element above another has the
-    smaller index.  Row x of the key is up(x).  Let the middles before x
-    form an up-set S.  If a middle after x is above x, one such m is
-    maximal outside S, and numbering m at x keeps the rows of S, gives
-    row x the prefix up(m) & S, inside up(x) & S, and clears the 1 of m's
-    column: a smaller key.  So S and x form an up-set too.
+    Each lattice is numbered as its least key, which is top down: a
+    middle element above another has the smaller index.  Row x of the
+    key is up(x).  Let the middles before x form an up-set S.  If a
+    middle after x is above x, one such m is maximal outside S, and
+    numbering m at x keeps the rows of S, gives row x the prefix
+    up(m) & S, inside up(x) & S, and clears the 1 of m's column: a
+    smaller key.  So S and x form an up-set too.
     """
     _check_size(size)
     keys = {_lattice_key(2, (0b11, 0b10), 0, 1)}
@@ -285,25 +287,27 @@ class CensusRecord:
 
 
 def _cut_schedule(lat: Lattice, table):
-    """The steps of the product search over `table`, in fill order, for a
-    lattice numbered top down (see `_times_tables`).
+    """The steps of the product search over `table`, in fill order.
 
-    The middle cells (x, y) of the upper triangle are filled in index
-    order, so the cells filled when one's turn comes, and the cuts they
+    The middles are put in a top-down order, stably sorted by the size of
+    their up-sets: y above x gives |up(y)| < |up(x)|, so y comes first.
+    The middle cells (x, y), x not after y in that order, are filled row
+    by row, so the cells filled when one's turn comes, and the cuts they
     make through join(p, a) * b = join(p * b, a * b) on each orientation
     (a, b) (see `_times_tables`), are known before the search starts.  The
     fixed lines fold in: p = top gives the constant `base` =
     down(x) & down(y), since x * y <= x * top = x and likewise for y, and
     p = bot cuts nothing, since up(bot * b) = up(bot) is the carrier.
 
-    One cut is then enough.  As sorted pairs, the cell (p, b) comes
-    before (a, b) exactly when p < a.  For such a middle p, c = join(p, a)
-    is above a and is not a, which would put p below a with the larger
-    index.  So c is p, or top, whose fixed cell (top, b) holds b, or a
-    middle above a, numbered before it, whose cell (c, b) is filled.  The
-    cut is a * b in joins_to[p * b][c * b], where joins_to[w][t] holds
-    the v with join(v, w) = t: down(p * b) at c = p.  A cut through p <= a
-    or a = join(p, q) would need a filled (p, b) with p above a.
+    One cut is then enough, whatever the lattice's own numbering.  The
+    cell (p, b) is filled before (a, b) exactly when p comes before a.
+    For such a middle p, c = join(p, a) is above a and is not a, which
+    would put p below a and so after it.  So c is p, or top, whose fixed
+    cell (top, b) holds b, or a middle above a, which comes before a, so
+    its cell (c, b) is filled.  The cut is a * b in
+    joins_to[p * b][c * b], where joins_to[w][t] holds the v with
+    join(v, w) = t: down(p * b) at c = p.  A cut through p <= a or
+    a = join(p, q) would need a filled (p, b) with p below a.
 
     A step is (row_x, y, row_y, x, base, cuts, known, inner, outer) over the
     live rows of `table`: the cell is row_x[y] and its mirror row_y[x], and
@@ -319,7 +323,7 @@ def _cut_schedule(lat: Lattice, table):
     """
     n, bot, top, up, down = lat.n, lat.bot, lat.top, lat.up, lat.down
     join, meet = lat.join, lat.meet
-    mids = [i for i in range(n) if i not in (bot, top)]
+    mids = sorted([i for i in range(n) if i not in (bot, top)], key=lambda x: up[x].bit_count())
     # known[u] is the mask of the w whose cell (u, w) holds its value.
     known = [(1 << n) - 1] * n
     for u in mids:
@@ -374,21 +378,15 @@ def _times_tables(lat: Lattice):
     On a finite lattice a product is residuated exactly when it fixes bot
     and preserves binary joins in each argument, so the search enforces
     join(p, a) * b = join(p * b, a * b) while it fills the table.  The
-    bottom and identity rows are fixed; the middle cells (x, y) of the
-    upper triangle are filled in index order and mirrored.  Each tries, in
-    ascending order, the values of down(x) & down(y) that the filled
-    middle cells of its columns leave, by the one cut that `_cut_schedule`
-    proves enough in a top-down numbering, where a middle element above
-    another has the smaller index.  `enumerate_lattices` numbers every
-    lattice so.  Any other (a caller's base lattice) is renumbered top
-    down, its middles sorted by the size of their up-sets, and the tables
-    found are renamed back and sorted.  That is the order a search in its
-    own numbering gives: values are tried in ascending order, cell by cell
-    in the row-major order of the upper triangle, and each lower cell
-    mirrors an upper one before it, so the tables come in the
-    lexicographic order of their rows.  The table stays symmetric at every
-    node (each cell is written with its mirror, and the bot and top lines
-    are fixed), so column b is read as row b.
+    bottom and identity rows are fixed; the middle cells are filled in the
+    top-down order of `_cut_schedule`, each with its mirror, so the lattice
+    is searched as numbered.  Each cell tries, in ascending order, the
+    values of down(x) & down(y) that the filled middle cells of its
+    columns leave, by the one cut that `_cut_schedule` proves enough.  The
+    tables come in no promised order: `_lattice_records` sorts them.  The
+    table stays symmetric at every node (each cell is written with its
+    mirror, and the bot and top lines are fixed), so column b is read as
+    row b.
 
     Associativity is tested as the cells fill, so every completed table
     is a product table.  A triple touching bot or top holds at once, so
@@ -419,25 +417,15 @@ def _times_tables(lat: Lattice):
     and tests it, as (a, b * c) holds its value.  A test that fails fails
     at every node below, where its four cells keep their values, so the
     pruning drops exactly the tables a test of complete tables would
-    drop, and the rest come in the same order.  Both roles are needed;
-    at size 8 the search visits 81,479 nodes, where a test of complete
-    tables visited 1,790,993.
+    drop.  Both roles are needed; at size 8 the search visits 81,476
+    nodes, where a test of complete tables visited 1,790,993.
 
     The cuts and triples are not rederived at each node: `_cut_schedule`
     builds, once per lattice, steps over the live rows of the table, so a
     node ANDs exactly the masks of its step, read at the cells' current
     values, and reads exactly the triples of its step.
     """
-    n, bot, top, up, join = lat.n, lat.bot, lat.top, lat.up, lat.join
-    mids = [i for i in range(n) if i not in (bot, top)]
-    # Top down: no middle above x has an index above x.
-    if any((up[x] ^ 1 << top).bit_length() > x + 1 for x in mids):
-        order = iter(sorted(mids, key=lambda x: up[x].bit_count()))
-        back = [x if x in (bot, top) else next(order) for x in range(n)]
-        pi = sorted(range(n), key=back.__getitem__)
-        tables = [_renamed(t, pi, back) for t in (join, lat.meet)]
-        renumbered = Lattice(n, [lat.names[x] for x in back], *tables, bot, top)
-        return sorted(_renamed(t, back, pi) for t in _times_tables(renumbered))
+    n, bot, top, join = lat.n, lat.bot, lat.top, lat.join
     # joins_to[w][t] holds the v with join(v, w) = t.
     joins_to = [[0] * n for _ in range(n)]
     for v, row in enumerate(join):
@@ -478,11 +466,6 @@ def _times_tables(lat: Lattice):
 
     rec(0)
     return out
-
-
-def _renamed(table, pi, back) -> Table:
-    """The table with each element x renamed pi[x]; back is pi's inverse."""
-    return tuple(tuple(pi[table[u][v]] for v in back) for u in back)
 
 
 def _residuum_state(lat: Lattice):
@@ -555,18 +538,20 @@ def _structure_stats(s: Structure, lat: Lattice) -> CensusStats:
 def enumerate_residuated(spec: SearchSpec):
     """Census of residuated lattices matching the search spec.
 
-    Records are emitted in canonical-key order, with no limit: a caller
-    stops the generator when it has enough.  The census runs one lattice
-    at a time.  Each lattice that passes `_splits_at_top` gets its key
-    head and join coset from one `coset` call, and the lattices are taken
+    Records are emitted in canonical-key order, equal keys in the order
+    of their product tables, with no limit: a caller stops the generator
+    when it has enough.  With canonical_only each class is emitted once,
+    with its least product table on its lattice.  The census runs one
+    lattice at a time.  Each lattice that passes `_splits_at_top` gets its
+    key head and join coset from one `coset` call, and the lattices are taken
     in head order, each searched and emitted in full by `_lattice_records`
-    before the next is searched.  That is the order of one stable sort of
-    every table of the census by key: a key over a lattice starts with
-    its head, 2n^2 bytes, and non-isomorphic lattices have distinct
-    heads, since equal least relabeled join tables mean isomorphic
-    lattices.  For the same reason isomorphic tables share a lattice, so
-    no duplicate spans two lattices, and memory holds one lattice's
-    tables, not the census's.
+    before the next is searched.  That is the order of one sort of every
+    table of the census by key, then by product table: a key over a
+    lattice starts with its head, 2n^2 bytes, and non-isomorphic lattices
+    have distinct heads, since equal least relabeled join tables mean
+    isomorphic lattices.  For the same reason isomorphic tables share a
+    lattice, so no duplicate spans two lattices, and memory holds one
+    lattice's tables, not the census's.
     No axiom is checked here.  Each lattice searched is a lattice:
     `enumerate_lattices` builds its tables from a bounded order by
     `order_tables`, and a caller's `base_lattice` has passed
@@ -592,14 +577,17 @@ def enumerate_residuated(spec: SearchSpec):
 
 
 def _lattice_records(lat: Lattice, head: bytes, relabelings, canonical_only: bool):
-    """The census records over one lattice, in key order, from its key
-    head and join coset (`coset`).
+    """The census records over one lattice, in key order and, among
+    equal keys, in the order of their product tables (rows compared in
+    turn), from its key head and join coset (`coset`).
 
     Each product table is keyed from its flat tables and its residuum,
-    derived with a `_residuum_state` that dies with this run.  The stable
-    sort puts equal keys side by side, so with canonical_only the first
-    table found of each class is kept and a duplicate, a key equal to the
-    one before, never gets a `Structure` (`Lattice.structure`).
+    derived with a `_residuum_state` that dies with this run.  The
+    (key, times, residuum) triples are sorted whole, so the order does
+    not hang on the order in which `_times_tables` visits its cells, and
+    with canonical_only each class keeps its least product table on this
+    lattice; a duplicate, a key equal to the one before, never gets a
+    `Structure` (`Lattice.structure`).
     """
     state = _residuum_state(lat)
     keyed = []
@@ -607,7 +595,7 @@ def _lattice_records(lat: Lattice, head: bytes, relabelings, canonical_only: boo
         residuum = _derive_residuum(times, *state)
         key = _table_key(head, relabelings, _flat(times), _flat(residuum))
         keyed.append((key, times, residuum))
-    keyed.sort(key=itemgetter(0))
+    keyed.sort()
     previous = None
     for key, times, residuum in keyed:
         if canonical_only and key == previous:

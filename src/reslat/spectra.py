@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import closed_under
+from .bitsets import closed_under, subset_fold
 from .filters import all_filters, canonical_sort
 from .structure import Structure, per_structure
 
@@ -61,10 +61,16 @@ def minimal_primes_over(s: Structure, x_set: int) -> tuple[int, ...]:
 
 @per_structure
 def minimal_primes_table(s: Structure) -> tuple[tuple[int, ...], ...]:
-    """minimal_primes_over(s, m) for every subset mask m, each read
-    through the module's `minimal_primes_over`, so that rebinding it
-    reaches the table too."""
-    return tuple(minimal_primes_over(s, m) for m in range(1 << s.n))
+    """minimal_primes_over(s, m) for every subset mask m.
+
+    A prime is a filter up(p), and it holds m exactly when p <= meet(m)
+    (top for m empty), so m has the minimal primes of its meet: n calls,
+    one per element, read at each mask's meet, which one meet fold gives.
+    Each is read through the module's `minimal_primes_over`, so that
+    rebinding it reaches the table too."""
+    over = [minimal_primes_over(s, 1 << e) for e in range(s.n)]
+    meets = subset_fold(range(s.n), s.top, lambda x, y: s.meet[x][y])
+    return tuple(over[m] for m in meets)
 
 
 @dataclass(frozen=True)

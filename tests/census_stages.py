@@ -13,9 +13,10 @@ as in the census (7 of 15 at size 6; the split test itself is cheap and
 not timed), then per product table the residuum (each lattice's
 `_residuum_state` built on its first table, and each distinct product
 row derived once per lattice into it) and the canonical key of its flat
-times and residuum tables, sorting and deduplication (the sort is
-stable and puts equal keys side by side, so, as in the census, a record
-is dropped when its key equals the one before), then per class
+times and residuum tables, sorting and deduplication (the sort is by
+key, then by product table, and puts equal keys side by side, so, as in
+the census, a record is dropped when its key equals the one before),
+then per class
 `Structure` construction by `Lattice.structure`, which shape-checks the
 product and residuum tables only and hands over the lattice's order
 data, and the census stats.
@@ -88,7 +89,7 @@ def census_stages(size):
     )
 
     def first_of_each_class(records):
-        records.sort(key=lambda kv: kv[0])
+        records.sort(key=lambda kv: (kv[0], kv[1][1]))
         out, previous = [], None
         for key, ltr in records:
             if key != previous:

@@ -3,23 +3,26 @@ relabeling routines, the residuum and the lattice tables as they read
 before each became a lookup in data built once.
 
 `modelgen._times_tables` works from steps built once per lattice, which
-fold the fixed bot and top lines into constant masks, read middle cells
-only and test each associativity triple as soon as its four cells are
-filled.  `_lattice_key`, `coset` and `canonical_key` relabel through
-`modelgen._relabeling_maps`, one set per size of precomputed gathers,
-each applied to one flat table; `relabelings` below lists the same
-relabelings, in the same order, as lists.  `_derive_residuum` reads each
-cell with one `bytes.translate` and one dict lookup and derives each
-distinct product row once per lattice, and `structure.order_tables`
-finds each join and meet by one dict lookup of an up-set or a down-set.
-The routines here keep the direct routes: a product search whose
-`candidates` rescans both columns of each cell at every node, reading
-the fixed lines like any filled cell, and which tests associativity on
-complete tables only; relabelings written cell by cell; a residuum that
-ORs the masks of each down-set, row by row for every table; and bounds
-found by scanning the common bounds.  The census must give the same
-lists, in the same order, the same key bytes, the same tables and the
-same `MalformedTables` text from both.
+fill the middles in a top-down order, fold the fixed bot and top lines
+into constant masks, read middle cells only and test each associativity
+triple as soon as its four cells are filled.  `_lattice_key`, `coset`
+and `canonical_key` relabel through `modelgen._relabeling_maps`, one set
+per size of precomputed gathers, each applied to one flat table;
+`relabelings` below lists the same relabelings, in the same order, as
+lists.  `_derive_residuum` reads each cell with one `bytes.translate`
+and one dict lookup and derives each distinct product row once per
+lattice, and `structure.order_tables` finds each join and meet by one
+dict lookup of an up-set or a down-set.  The routines here keep the
+direct routes: a product search in index order whose `candidates`
+rescans both columns of each cell at every node, reading the fixed
+lines like any filled cell, and which tests associativity by rescanning
+every middle triple after each write; relabelings written cell by cell;
+a residuum that ORs the masks of each down-set, row by row for every
+table; and bounds found by scanning the common bounds.  The census must
+give the same product tables (as sorted lists, since the two searches
+visit cells in different orders), the same relabelings in the same
+order, the same key bytes, the same tables and the same
+`MalformedTables` text from both.
 """
 
 from itertools import permutations
@@ -102,8 +105,12 @@ def times_tables(lat):
     filled cell (p, b) of value w: to up(w) when p <= a, else, when the
     cell (join(p, a), b) holds t, to the values v with join(v, w) = t.
     A cell (a, b) with a = join(p, q) for two filled cells (p, b) and
-    (q, b) is forced to the join of their values.  Associativity is
-    checked on complete tables only, so the numbering of the lattice
+    (q, b) is forced to the join of their values.  After each write,
+    associativity is checked on every middle triple whose four cells are
+    filled, by a plain scan of all of them; a complete table has every
+    cell filled, so each one kept is associative.  A triple that fails
+    fails on every completion, so the pruning drops only tables a test
+    of complete tables would drop, and the numbering of the lattice
     changes how much is searched but not what is found.
     """
     n, bot, top, up, join = lat.n, lat.bot, lat.top, lat.up, lat.join
@@ -144,8 +151,14 @@ def times_tables(lat):
         for x in mids:
             for y in mids:
                 xy = table[x][y]
+                if xy is None:
+                    continue
                 for z in mids:
-                    if table[xy][z] != table[x][table[y][z]]:
+                    yz = table[y][z]
+                    if yz is None:
+                        continue
+                    left, right = table[xy][z], table[x][yz]
+                    if left is not None and right is not None and left != right:
                         return False
         return True
 
@@ -153,13 +166,13 @@ def times_tables(lat):
 
     def rec(i):
         if i == len(cells):
-            if assoc_ok():
-                out.append(tuple(tuple(row) for row in table))
+            out.append(tuple(tuple(row) for row in table))
             return
         x, y = cells[i]
         for v in bits(candidates(x, y)):
             table[x][y] = table[y][x] = v
-            rec(i + 1)
+            if assoc_ok():
+                rec(i + 1)
         table[x][y] = table[y][x] = None
 
     rec(0)

@@ -18,9 +18,11 @@ def test_battery_passes_on_fixtures(a6, chain2, chain3_godel, chain3_luk):
 
 
 def test_battery_reads_mask_tables_not_one_call_per_mask(a6, monkeypatch):
-    """The scans over masks read `generated_filter_table` and
-    `minimal_primes_table`, each built with one call per mask of a6; a
-    scan that calls the routine once per instance raises the counts."""
+    """The scans over masks read `generated_filter_table`, built with one
+    call per mask of a6, and `minimal_primes_table`, built with one call
+    per element and read at each mask's meet; the minimal-prime
+    intersection check also reads one answer per element.  A scan that
+    calls a routine once per instance raises the counts."""
     calls = {"generated_filter": 0, "minimal_primes_over": 0}
 
     def counted(name, routine):
@@ -34,7 +36,7 @@ def test_battery_reads_mask_tables_not_one_call_per_mask(a6, monkeypatch):
         routine = getattr(module, name)
         patch_everywhere(monkeypatch, routine, counted(name, routine))
     assert run_battery(replace(a6, names=a6.names)).all_passed
-    assert calls == {"generated_filter": 323, "minimal_primes_over": 228}
+    assert calls == {"generated_filter": 323, "minimal_primes_over": 112}
 
 
 def test_battery_group_selection(a6):
